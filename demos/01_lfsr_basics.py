@@ -34,7 +34,9 @@ direct = bin(init & mask).count("1") & 1
 stepped = int(lfsr_sequence(spec, init, t + 1)[t])
 print(f"bit {t} via residue mask 0x{mask:x}: {direct}, via stepping: {stepped}")
 
-# residue_powers materialises the whole mask table at once (cached).
+# residue_powers materialises the whole mask table at once, cached per
+# polynomial: from the first s masks it gets the next s by multiplying
+# each by X**s mod P, a GF(2)-linear map applied with byte lookup tables.
 table = residue_powers(TOY_POLY_9, 512)
 recomputed = [bin(init & int(m)).count("1") & 1 for m in table[:16]]
 print("first 16 bits from the mask table:", recomputed)

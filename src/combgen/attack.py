@@ -137,10 +137,6 @@ def _bits_human(bits):
     return f"{bits} bits = 2^{math.log2(bits):.2f} ({human})"
 
 
-def _stage_inputs(spec, register):
-    return spec.inputs_of_register(register)
-
-
 def plan(spec, order=None, delta=None):
     """Per-stage cost model for recovering the registers in `order`.
 
@@ -166,9 +162,9 @@ def plan(spec, order=None, delta=None):
         group2 = tuple(order[idx + 1:])
         m1 = spec.lfsrs[target].length
         m2 = sum(spec.lfsrs[r].length for r in group2)
-        n1 = len(_stage_inputs(spec, target))
-        n2 = sum(len(_stage_inputs(spec, r)) for r in group2)
-        n_known = sum(len(_stage_inputs(spec, r)) for r in known)
+        n1 = len(spec.inputs_of_register(target))
+        n2 = sum(len(spec.inputs_of_register(r)) for r in group2)
+        n_known = sum(len(spec.inputs_of_register(r)) for r in known)
         is_final = not group2
         if n1 == 0:
             raise ValidationError(
@@ -258,9 +254,6 @@ class EquationSet:
     def class_counts(self):
         ones = sum(int(g.classes.sum()) for g in self.groups)
         return self.total - ones, ones
-
-    def concat_classes(self):
-        return np.concatenate([g.classes for g in self.groups])
 
 
 def harvest_equations(ks, mults, max_equations=None):

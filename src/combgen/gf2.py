@@ -128,11 +128,52 @@ def poly_is_primitive(p):
 #
 # X**t mod P for consecutive t, as an int64 array.  These tables back both
 # bulk sequence generation and the attack's linear-form columns, so they
-# are cached per polynomial and grown on demand.  Growth under a lock; the
-# arrays themselves are immutable once published.
+# are cached per polynomial and grown on demand, to exactly the length
+# asked for.  Growth runs under a lock; the arrays themselves are
+# immutable once published.
+#
+# Growth is by block doubling: with s entries known, r[s + i] is
+# r[i] * (X**s mod P) for the next min(s, count - s) entries.  Multiplying
+# by a fixed residue mod P is GF(2)-linear on l-bit values, so it is one
+# 256-entry lookup per byte of r[i], XORed together; the byte tables are
+# built from the l basis images X**(s + j) mod P.  Blocks are processed
+# in slices of _RESIDUE_SLICE entries to keep the temporaries small.
+# residue_powers_reference is the plain stepping loop the tables are
+# tested against.
 
 _residue_cache = {}
 _residue_lock = threading.Lock()
+_RESIDUE_SLICE = 1 << 15
+
+
+def _check_residue_degree(poly):
+    l = poly_degree(poly)
+    if not 1 <= l <= 62:
+        raise ValidationError("residue tables need degree in [1, 62]")
+    return l
+
+
+def _multiply_block(r, s, n, poly, l):
+    """Fill r[s:s + n] with r[:n] * X**s mod poly, for n <= s."""
+    # basis.flat[j] = X**(s + j) mod poly, the image of bit j; tables[k][b]
+    # is the XOR of the images of the set bits of b placed at byte k.
+    nbytes = (l + 7) // 8
+    basis = np.zeros((nbytes, 8), dtype=np.int64)
+    v = x_power_mod(s, poly)
+    for j in range(l):
+        basis.flat[j] = v
+        v <<= 1
+        if v >> l:
+            v ^= poly
+    tables = np.zeros((nbytes, 256), dtype=np.int64)
+    for j in range(8):
+        tables[:, 1 << j:2 << j] = tables[:, :1 << j] ^ basis[:, j:j + 1]
+    for lo in range(0, n, _RESIDUE_SLICE):
+        src = r[lo:min(n, lo + _RESIDUE_SLICE)]
+        dst = r[s + lo:s + lo + src.size]
+        np.take(tables[0], src & 0xFF, out=dst)
+        for k in range(1, len(tables)):
+            dst ^= tables[k][(src >> 8 * k) & 0xFF]
 
 
 def residue_powers(poly, count):
@@ -140,36 +181,45 @@ def residue_powers(poly, count):
 
     Requires 1 <= degree(poly) <= 62 so residues fit in int64.
     """
-    l = poly_degree(poly)
-    if not 1 <= l <= 62:
-        raise ValidationError("residue tables need degree in [1, 62]")
+    l = _check_residue_degree(poly)
     if count <= 0:
         return np.zeros(0, dtype=np.int64)
     with _residue_lock:
         cached = _residue_cache.get(poly)
         if cached is None or cached.size < count:
-            grow_to = max(count, 2 * (cached.size if cached is not None else 256))
-            fresh = np.empty(grow_to, dtype=np.int64)
+            fresh = np.empty(count, dtype=np.int64)
             if cached is None:
-                start, r = 0, 1
+                fresh[0] = 1
+                known = 1
             else:
-                start, r = cached.size, int(cached[-1])
-                fresh[:start] = cached
-            top = 1 << l
-            low = poly & (top - 1)
-            out = fresh[start:]
-            if start == 0:
-                out[0] = r
-                out = out[1:]
-            for i in range(out.size):
-                r <<= 1
-                if r & top:
-                    r ^= top | low
-                out[i] = r
+                known = cached.size
+                fresh[:known] = cached
+            while known < count:
+                n = min(known, count - known)
+                _multiply_block(fresh, known, n, poly, l)
+                known += n
             fresh.setflags(write=False)
             _residue_cache[poly] = fresh
             cached = fresh
     return cached[:count]
+
+
+def residue_powers_reference(poly, count):
+    """X**t mod poly for t in [0, count) by stepping t one at a time.
+
+    Uncached plain loop, the oracle for residue_powers.
+    """
+    l = _check_residue_degree(poly)
+    out = np.empty(max(count, 0), dtype=np.int64)
+    top = 1 << l
+    low = poly & (top - 1)
+    r = 1
+    for i in range(out.size):
+        out[i] = r
+        r <<= 1
+        if r & top:
+            r ^= top | low
+    return out
 
 
 def clear_residue_cache():
@@ -310,10 +360,6 @@ class Keystream:
         if bits.ndim != 1 or (bits.size and bits.max() > 1):
             raise ValidationError("keystream bits must be one-dimensional 0/1")
         object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def of(cls, iterable):
-        return cls(np.fromiter(iterable, dtype=np.uint8))
 
     def __len__(self):
         return self.bits.size

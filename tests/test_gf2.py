@@ -9,11 +9,12 @@ import pytest
 
 from combgen import presets
 from combgen.errors import ValidationError
-from combgen.gf2 import (GeneratorSpec, LfsrSpec, keystream,
-                         keystream_reference, lfsr_sequence, poly_degree,
-                         poly_divmod, poly_from_exponents, poly_gcd,
-                         poly_is_primitive, poly_mul, poly_mulmod, poly_rem,
-                         random_state, residue_powers, sequence_bits,
+from combgen.gf2 import (GeneratorSpec, LfsrSpec, clear_residue_cache,
+                         keystream, keystream_reference, lfsr_sequence,
+                         poly_degree, poly_divmod, poly_from_exponents,
+                         poly_gcd, poly_is_primitive, poly_mul, poly_mulmod,
+                         poly_rem, random_state, residue_powers,
+                         residue_powers_reference, sequence_bits,
                          x_power_mod)
 from combgen.boolfn import BooleanFunction
 
@@ -147,6 +148,59 @@ def test_residue_powers_match_square_and_multiply(rng):
         assert int(table[t]) == x_power_mod(int(t), presets.TOY_POLY_9)
     with pytest.raises(ValueError):
         table[0] = 99  # cached array is write-protected
+
+
+# Degrees on both sides of each byte-table boundary; one sparse and one
+# dense modulus per degree (residue tables do not need primitivity).
+RESIDUE_DEGREES = [1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 37, 62]
+RESIDUE_COUNTS = [1, 2, 3, 255, 256, 257, 1000, (1 << 16) + 3]
+
+
+def residue_moduli(l):
+    sparse = (1 << l) | (0x5A3C96E1D2B4F087 & ((1 << l) - 1)) | 1
+    return sorted({sparse, (2 << l) - 1})
+
+
+@pytest.mark.parametrize("l", RESIDUE_DEGREES)
+def test_residue_powers_equal_reference_loop(l):
+    for poly in residue_moduli(l):
+        want = residue_powers_reference(poly, max(RESIDUE_COUNTS))
+        for count in RESIDUE_COUNTS:
+            clear_residue_cache()
+            got = residue_powers(poly, count)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[:count]), (poly, count)
+    clear_residue_cache()
+
+
+@pytest.mark.parametrize("l", [9, 17, 31, 62])
+def test_residue_powers_grow_from_cached_prefix(l, rng):
+    poly = residue_moduli(l)[0]
+    want = residue_powers_reference(poly, 2000)
+    clear_residue_cache()
+    grown = []
+    # Grow by one, to exactly twice the cache, past twice, then ask for
+    # less than is cached.
+    for count in [300, 301, 602, 2000, 700]:
+        table = residue_powers(poly, count)
+        assert np.array_equal(table, want[:count]), count
+        with pytest.raises(ValueError):
+            table[0] = 99  # still write-protected after growth
+        grown.append(table.copy())
+    for t in rng.integers(0, 2000, size=20):
+        assert int(grown[3][t]) == x_power_mod(int(t), poly)
+    clear_residue_cache()
+    for count, before in zip([300, 301, 602, 2000, 700], grown):
+        assert np.array_equal(residue_powers(poly, count), before)
+    clear_residue_cache()
+
+
+def test_residue_powers_reject_bad_degree():
+    for poly in [1, 1 << 63]:
+        with pytest.raises(ValidationError):
+            residue_powers(poly, 10)
+        with pytest.raises(ValidationError):
+            residue_powers_reference(poly, 10)
 
 
 def lfsr3():
