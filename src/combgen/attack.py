@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -443,13 +442,9 @@ def _accumulate_chunk(tables, cols, classes, n1, prefix=None, suffix_bits=0):
                           1 - 2 * parity)
 
 
-def accumulate_tables(g, dtype=None, chunk=DEFAULT_CHUNK, workers=1):
+def accumulate_tables(g, dtype=None, chunk=DEFAULT_CHUNK):
     """Mask-count histograms (class 0 and class 1) from materialised
-    columns; transforming them scores every candidate at once.
-
-    workers > 1 accumulates chunk-private tables in threads and merges
-    them, which is only allowed while the tables stay small.
-    """
+    columns; transforming them scores every candidate at once."""
     if dtype is None:
         dtype = _table_dtype(g.m1, g.count, g.n1)
     size = 1 << g.m1
@@ -458,23 +453,10 @@ def accumulate_tables(g, dtype=None, chunk=DEFAULT_CHUNK, workers=1):
     zeros = int(np.count_nonzero(is0))
     tables[0][0] += zeros
     tables[1][0] += g.count - zeros
-    slices = [slice(lo, min(lo + chunk, g.count))
-              for lo in range(0, g.count, chunk)]
-    if workers > 1 and g.m1 <= 22 and len(slices) > 1:
-        def work_private(sl):
-            local = (np.zeros(size, dtype), np.zeros(size, dtype))
-            _accumulate_chunk(local, [c[sl] for c in g.columns],
-                              g.classes[sl], g.n1)
-            return local
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for local in pool.map(work_private, slices):
-                for dst, src in zip(tables, local):
-                    dst += src
-    else:
-        for sl in slices:
-            _accumulate_chunk(tables, [c[sl] for c in g.columns],
-                              g.classes[sl], g.n1)
+    for lo in range(0, g.count, chunk):
+        sl = slice(lo, min(lo + chunk, g.count))
+        _accumulate_chunk(tables, [c[sl] for c in g.columns],
+                          g.classes[sl], g.n1)
     return tables
 
 
@@ -776,8 +758,9 @@ def search_stage_multiples(spec, stage, ks_len, raw_margin=1.25):
     return modulus, chosen
 
 
-def _score_stage(spec, stage, eqs, top_k, split_bits, chunk, workers):
-    """Rank the stage's candidates, streaming or via full tables."""
+def _score_stage(spec, stage, eqs, top_k, split_bits, chunk):
+    """Rank the stage's candidates, by prefix passes over split tables
+    or by streaming every chunk into full tables."""
     targets = (stage.target,)
     m1, layout = _target_layout(spec, targets)
     n1 = len(layout)
@@ -789,11 +772,6 @@ def _score_stage(spec, stage, eqs, top_k, split_bits, chunk, workers):
         blocks = _tradeoff_blocks(chunks, m1, n1, eqs.total,
                                   (zeros, ones), split_bits)
         return _rank_blocks(blocks, top_k)
-    if workers > 1 and m1 <= 22 and eqs.total * max(n1, 1) <= 1 << 28:
-        g = build_g_columns(spec, targets, eqs, chunk)
-        tables = accumulate_tables(g, chunk=chunk, workers=workers)
-        return score_candidates(*tables, n1, top_k=top_k,
-                                class_counts=(zeros, ones))
     dtype = _table_dtype(m1, eqs.total, n1)
     size = 1 << m1
     tables = (np.zeros(size, dtype), np.zeros(size, dtype))
@@ -806,8 +784,7 @@ def _score_stage(spec, stage, eqs, top_k, split_bits, chunk, workers):
 
 
 def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
-               split_bits=0, chunk=DEFAULT_CHUNK, workers=1,
-               raw_margin=1.25):
+               split_bits=0, chunk=DEFAULT_CHUNK, raw_margin=1.25):
     """Recover the full initial state from a keystream.
 
     Stages follow the plan's order; at each stage the top_k candidates
@@ -853,8 +830,7 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
         if eqs.total < stage.equations_required:
             warnings = (f"only {eqs.total} relations survive filtering, "
                         f"below the planned {stage.equations_required}",)
-        ranked = _score_stage(spec, stage, eqs, top_k, split_bits, chunk,
-                              workers)
+        ranked = _score_stage(spec, stage, eqs, top_k, split_bits, chunk)
         result.reports.append(StageReport(
             stage=idx, target=stage.target, known=dict(known),
             multiples=tuple(chosen), relations_raw=raw,

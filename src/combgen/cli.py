@@ -173,7 +173,7 @@ def cmd_attack(args):
     t0 = time.perf_counter()
     result = attack.run_attack(
         spec, ks, ap, multiples=stage_mults, top_k=args.top_k,
-        split_bits=args.split_bits, workers=args.threads)
+        split_bits=args.split_bits)
     _log(f"attack took {time.perf_counter() - t0:.2f}s, "
          f"{result.backtracks} backtracks")
     print(f"recovered state: 0x{result.state:x}")
@@ -315,7 +315,6 @@ def build_parser():
     p.add_argument("--plan-only", action="store_true")
     p.add_argument("--top-k", type=int, default=attack.DEFAULT_BEAM)
     p.add_argument("--split-bits", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--multiples", action="append",
                    help="multiple-cache file (repeatable)")
     p.set_defaults(func=cmd_attack)

@@ -249,6 +249,9 @@ def test_accumulate_matches_naive_recount():
             expect[b][v] += 1
     assert np.array_equal(w0, expect[0])
     assert np.array_equal(w1, expect[1])
+    chunked = accumulate_tables(g, chunk=7)
+    assert np.array_equal(chunked[0], expect[0])
+    assert np.array_equal(chunked[1], expect[1])
 
 
 def test_accumulate_single_input_unrolled():
@@ -265,16 +268,6 @@ def test_accumulate_single_input_unrolled():
         np.add.at(direct, g.columns[0][sel], 1)
         direct[0] += total
         assert np.array_equal(w, direct)
-
-
-def test_accumulate_workers_deterministic(toy):
-    ks = toy_keystream(toy, 60000)
-    eqs = harvest_equations(ks, stage1_multiples(toy)[:4])
-    g = build_g_columns(toy, [0], eqs)
-    lone = accumulate_tables(g)
-    multi = accumulate_tables(g, workers=3, chunk=4096)
-    assert np.array_equal(lone[0], multi[0])
-    assert np.array_equal(lone[1], multi[1])
 
 
 def test_candidate_counts_divisibility_guard():
@@ -449,8 +442,7 @@ def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
     ap = plan(toy)
     mults = {0: list(stage1_multiples(toy, 2500)),
              1: list(find_weight4(presets.TOY_POLY_9, 500).found)}
-    result = run_attack(toy, ks, ap, multiples=mults, split_bits=2,
-                        workers=2)
+    result = run_attack(toy, ks, ap, multiples=mults, split_bits=2)
     assert result.success and result.state == TRUE_KEY
 
 

@@ -13,6 +13,7 @@ from combgen.boolfn import (BooleanFunction, autocorrelation,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function, resiliency_order,
                             walsh_spectrum)
+from combgen.boolfn import _float_exact, _fwht_blocked, _fwht_butterfly
 from combgen.errors import ValidationError
 
 
@@ -107,6 +108,62 @@ def test_fwht_matches_naive_oracle(rng):
     arr = w.copy()
     fwht(arr)
     assert [int(arr[u]) for u in range(0, 1 << k, 37)] == naive
+
+
+def _signed_table(rng, k, dtype):
+    """Random signed entries as large as the float64-exact bound allows."""
+    peak = min(1 << 53, int(np.iinfo(dtype).max)) >> k
+    return rng.integers(-peak, peak + 1, size=1 << k).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_fwht_blocked_equals_butterflies(rng, dtype):
+    # sizes cross the radix (4, 5), the first-pass block (16, 17) and a
+    # second pass of two groups (21..23)
+    for k in range(24):
+        a = _signed_table(rng, k, dtype)
+        assert _float_exact(a)
+        want = _fwht_butterfly(a.copy())
+        got = a.copy()
+        _fwht_blocked(got)
+        assert np.array_equal(got, want), f"k={k}"
+
+
+def test_fwht_blocked_equals_list_path(rng):
+    for k in range(13):
+        a = _signed_table(rng, k, np.int64)
+        assert _float_exact(a)
+        want = fwht([int(v) for v in a])
+        assert fwht(a).tolist() == want, f"k={k}"
+
+
+def test_fwht_beyond_float_exact_stays_exact(rng):
+    size = 1 << 10
+    a = (rng.integers((1 << 45) - 1000, (1 << 45) + 1000, size=size)
+         * rng.choice([-1, 1], size=size)).astype(np.int64)
+    assert not _float_exact(a)
+    want = fwht([int(v) for v in a])
+    assert fwht(a).tolist() == want
+
+
+def test_fwht_int32_overflow_wraps(rng):
+    a = rng.integers(-(1 << 30), 1 << 30, size=1 << 12).astype(np.int32)
+    exact = fwht([int(v) for v in a])
+    assert max(abs(v) for v in exact) >= 1 << 31
+    wrapped = [(v + (1 << 31)) % (1 << 32) - (1 << 31) for v in exact]
+    assert fwht(a).tolist() == wrapped
+
+
+def test_fwht_transforms_in_place_and_returns_input(rng):
+    base = rng.integers(-1000, 1000, size=1 << 18).astype(np.int64)
+    before = base.copy()
+    view = base[::2]
+    assert fwht(view) is view
+    assert np.array_equal(base[::2], _fwht_butterfly(before[::2].copy()))
+    assert np.array_equal(base[1::2], before[1::2])
+    wide = np.full(8, 1 << 60, dtype=np.int64)
+    assert not _float_exact(wide)
+    assert fwht(wide) is wide
 
 
 # --------------------------------------------------------- walsh spectrum
