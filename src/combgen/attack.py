@@ -32,6 +32,9 @@ from .multiples import (Weight4Multiple, find_weight4, product_modulus,
 
 DEFAULT_CHUNK = 1 << 20
 DEFAULT_BEAM = 8
+FINAL_WINDOW_EXTRA = 40
+RAW_MARGIN = 1.25
+_RANK_SLICE = 1 << 22
 
 # Printed with every multi-ordering comparison: the first-stage equation
 # count N = m1 * 2**(2n + n1 + 1) scales with the length m1 of whichever
@@ -82,6 +85,15 @@ class AttackPlan:
     keystream_required: int
     notes: tuple
     warnings: tuple
+
+    def check_split_bits(self, split_bits):
+        """Raise unless every scored stage can split its 2**m1
+        candidates into 2**split_bits prefixes."""
+        for st in self.stages:
+            if not st.is_final and not 0 <= split_bits <= st.m1:
+                raise ValidationError(
+                    f"split_bits must lie in [0, {st.m1}] to split register "
+                    f"{st.target}'s candidates, got {split_bits}")
 
     def describe(self):
         lines = [f"attack plan, target order {list(self.order)}"]
@@ -172,7 +184,7 @@ def plan(spec, order=None, delta=None):
         equations = samples << n1
         false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * n + 1)))
         if is_final:
-            est_single = est_multi = est = m1 + 40
+            est_single = est_multi = est = m1 + FINAL_WINDOW_EXTRA
             d_min = 0
         else:
             raw = equations << n_known
@@ -345,6 +357,18 @@ class GColumns:
     def count(self):
         return self.classes.size
 
+    @property
+    def class_counts(self):
+        zeros = int(np.count_nonzero(self.classes == 0))
+        return zeros, self.count - zeros
+
+    def chunks(self):
+        """Yield (columns, classes) slices of DEFAULT_CHUNK relations."""
+        chunk = DEFAULT_CHUNK
+        for lo in range(0, self.count, chunk):
+            sl = slice(lo, lo + chunk)
+            yield [c[sl] for c in self.columns], self.classes[sl]
+
 
 def _target_layout(spec, targets):
     """(register, tap, state offset) per wired input, in input order."""
@@ -376,13 +400,15 @@ def _column_chunk(spec, layout, mult, bases):
     return cols
 
 
-def iter_column_chunks(spec, targets, eqs, chunk=DEFAULT_CHUNK):
-    """Yield (columns, classes) slices without holding everything at once."""
+def iter_column_chunks(spec, targets, eqs):
+    """Yield (columns, classes) slices of DEFAULT_CHUNK relations without
+    holding every column at once."""
     m1, layout = _target_layout(spec, targets)
     if m1 > 40:
         raise ValidationError("packed target state beyond 40 bits")
     if not layout:
         raise ValidationError("target registers feed no inputs")
+    chunk = DEFAULT_CHUNK
     for g in eqs.groups:
         for lo in range(0, g.count, chunk):
             sl = slice(lo, min(lo + chunk, g.count))
@@ -390,7 +416,7 @@ def iter_column_chunks(spec, targets, eqs, chunk=DEFAULT_CHUNK):
                 g.classes[sl]
 
 
-def build_g_columns(spec, targets, eqs, chunk=DEFAULT_CHUNK):
+def build_g_columns(spec, targets, eqs):
     """Materialise all linear-form columns for small stages and tests."""
     m1, layout = _target_layout(spec, targets)
     n1 = len(layout)
@@ -399,7 +425,7 @@ def build_g_columns(spec, targets, eqs, chunk=DEFAULT_CHUNK):
                               "streaming accumulators")
     parts = [[] for _ in range(n1)]
     classes = []
-    for cols, cls in iter_column_chunks(spec, targets, eqs, chunk):
+    for cols, cls in iter_column_chunks(spec, targets, eqs):
         for j, col in enumerate(cols):
             parts[j].append(col)
         classes.append(cls)
@@ -417,11 +443,12 @@ def _table_dtype(m1, total, n1):
     return np.int32
 
 
-def _accumulate_chunk(tables, cols, classes, n1, prefix=None, suffix_bits=0):
+def _accumulate_chunk(tables, cols, classes, n1, prefix, suffix_bits):
     """Add one slice's mask counts into the pair of tables.
 
-    With a prefix, counts are signed by the parity of (prefix AND the
-    mask's high bits) and indexed by the low bits: the memory tradeoff.
+    With no prefix every mask adds one at its own index.  With a prefix,
+    counts are signed by the parity of (prefix AND the mask's high bits)
+    and indexed by the low suffix_bits bits: the memory tradeoff.
     """
     is0 = classes == 0
     split = (is0, ~is0)
@@ -442,22 +469,22 @@ def _accumulate_chunk(tables, cols, classes, n1, prefix=None, suffix_bits=0):
                           1 - 2 * parity)
 
 
-def accumulate_tables(g, dtype=None, chunk=DEFAULT_CHUNK):
+def _fill_tables(chunks, n1, bits, class_counts, prefix=None):
+    """Pair of 2**bits-entry mask-count tables over every chunk, entry 0
+    seeded with the class counts (the all-zero mask of each relation)."""
+    dtype = _table_dtype(bits, sum(class_counts), n1)
+    tables = (np.zeros(1 << bits, dtype), np.zeros(1 << bits, dtype))
+    tables[0][0] += class_counts[0]
+    tables[1][0] += class_counts[1]
+    for cols, classes in chunks:
+        _accumulate_chunk(tables, cols, classes, n1, prefix, bits)
+    return tables
+
+
+def accumulate_tables(g):
     """Mask-count histograms (class 0 and class 1) from materialised
     columns; transforming them scores every candidate at once."""
-    if dtype is None:
-        dtype = _table_dtype(g.m1, g.count, g.n1)
-    size = 1 << g.m1
-    tables = (np.zeros(size, dtype), np.zeros(size, dtype))
-    is0 = g.classes == 0
-    zeros = int(np.count_nonzero(is0))
-    tables[0][0] += zeros
-    tables[1][0] += g.count - zeros
-    for lo in range(0, g.count, chunk):
-        sl = slice(lo, min(lo + chunk, g.count))
-        _accumulate_chunk(tables, [c[sl] for c in g.columns],
-                          g.classes[sl], g.n1)
-    return tables
+    return _fill_tables(g.chunks(), g.n1, g.m1, g.class_counts)
 
 
 def candidate_counts(w0, w1, n1, class_counts=None):
@@ -504,17 +531,18 @@ class CandidateScore:
                 if self.total else 0.0)
 
 
-def _rank_blocks(blocks, top_k, exclude_zero=True, slice_size=1 << 22):
+def _rank_blocks(blocks, top_k, exclude_zero=True):
     """Merge (offset, n0, n1) blocks into the top-k candidate list.
 
-    Blocks are ranked in bounded slices so the float64 z temporaries
-    never rival the count arrays themselves; a 2**27-entry block would
-    otherwise cost several extra GB right when memory is tightest.
+    Blocks are ranked in slices of _RANK_SLICE entries so the float64 z
+    temporaries never rival the count arrays themselves; a 2**27-entry
+    block would otherwise cost several extra GB right when memory is
+    tightest.
     """
     best = []
     for offset, n0, n1c in blocks:
-        for lo in range(0, n0.size, slice_size):
-            sl = slice(lo, min(lo + slice_size, n0.size))
+        for lo in range(0, n0.size, _RANK_SLICE):
+            sl = slice(lo, min(lo + _RANK_SLICE, n0.size))
             a, b = n0[sl], n1c[sl]
             tot = a + b
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -565,61 +593,41 @@ def score_candidates_naive(g, top_k=DEFAULT_BEAM, exclude_zero=True):
     return _rank_blocks([(0, n0, n1c)], top_k, exclude_zero)
 
 
-def _tradeoff_blocks(chunks_factory, m1, n1, total, class_counts, split_bits,
-                     dtype=None):
+def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
     """Yield (offset, n0, n1) per prefix of the split candidate space.
 
     chunks_factory() restarts the (columns, classes) chunk stream; one
     full pass runs per prefix, against tables of 2**(m1 - split_bits)
-    entries."""
+    entries.  With no split the single pass counts masks unsigned.
+    """
     if not 0 <= split_bits <= m1:
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
     suffix_bits = m1 - split_bits
-    if dtype is None:
-        dtype = _table_dtype(suffix_bits, total, n1)
-    size = 1 << suffix_bits
     for prefix in range(1 << split_bits):
-        tables = (np.zeros(size, dtype), np.zeros(size, dtype))
-        tables[0][0] += class_counts[0]
-        tables[1][0] += class_counts[1]
-        for cols, classes in chunks_factory():
-            _accumulate_chunk(tables, cols, classes, n1,
-                              prefix=prefix, suffix_bits=suffix_bits)
+        tables = _fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
+                              prefix if split_bits else None)
         n0, n1c = candidate_counts(*tables, n1, class_counts)
         yield prefix << suffix_bits, n0, n1c
 
 
-def candidate_counts_tradeoff(g, split_bits, chunk=DEFAULT_CHUNK):
+def candidate_counts_tradeoff(g, split_bits):
     """Same counts as candidate_counts(accumulate_tables(g)) using
     2**split_bits accumulation passes over smaller tables."""
     if g.m1 > 26:
         raise ValidationError("materialising counts limited to m1 <= 26")
     n0 = np.empty(1 << g.m1, dtype=np.int64)
     n1c = np.empty(1 << g.m1, dtype=np.int64)
-
-    def chunks():
-        for lo in range(0, g.count, chunk):
-            sl = slice(lo, lo + chunk)
-            yield [c[sl] for c in g.columns], g.classes[sl]
-
-    is0 = int(np.count_nonzero(g.classes == 0))
-    for offset, a, b in _tradeoff_blocks(chunks, g.m1, g.n1, g.count,
-                                         (is0, g.count - is0), split_bits):
+    for offset, a, b in _tradeoff_blocks(g.chunks, g.m1, g.n1,
+                                         g.class_counts, split_bits):
         n0[offset:offset + a.size] = a
         n1c[offset:offset + b.size] = b
     return n0, n1c
 
 
 def score_candidates_tradeoff(g, split_bits, top_k=DEFAULT_BEAM,
-                              exclude_zero=True, chunk=DEFAULT_CHUNK):
-    def chunks():
-        for lo in range(0, g.count, chunk):
-            sl = slice(lo, lo + chunk)
-            yield [c[sl] for c in g.columns], g.classes[sl]
-
-    is0 = int(np.count_nonzero(g.classes == 0))
-    blocks = _tradeoff_blocks(chunks, g.m1, g.n1, g.count,
-                              (is0, g.count - is0), split_bits)
+                              exclude_zero=True):
+    blocks = _tradeoff_blocks(g.chunks, g.m1, g.n1, g.class_counts,
+                              split_bits)
     return _rank_blocks(blocks, top_k, exclude_zero)
 
 
@@ -627,10 +635,10 @@ def score_candidates_tradeoff(g, split_bits, top_k=DEFAULT_BEAM,
 # direct search for the last register
 
 
-def final_direct_search(spec, ks, known, window_extra=40):
+def final_direct_search(spec, ks, known):
     """Recover the one remaining register by filtering all its states.
 
-    Uses a window of length + window_extra keystream bits; each wrong
+    Uses a window of length + FINAL_WINDOW_EXTRA keystream bits; each wrong
     state survives a bit only with the function's agreement probability,
     so the expected number of false survivors is far below one.  Returns
     the surviving states, best matches first.
@@ -645,7 +653,7 @@ def final_direct_search(spec, ks, known, window_extra=40):
     if lf.length > 26:
         raise ValidationError("direct search enumerates 2**length states; "
                               "limited to length <= 26")
-    window = min(bits.size, lf.length + window_extra)
+    window = min(bits.size, lf.length + FINAL_WINDOW_EXTRA)
     if window < lf.length:
         raise ValidationError("window shorter than the register")
     open_inputs = spec.inputs_of_register(r_open)
@@ -700,34 +708,19 @@ class AttackResult:
     seconds: float = 0.0
 
 
-def _choose_multiples(spec, stage, ks_len, supplied, raw_target):
-    """Pick enough verified multiples, lowest degree first."""
-    group = [spec.lfsrs[r].feedback for r in stage.group2]
-    modulus = product_modulus(group)
-    if supplied:
-        mults = sorted(
-            (m for m in supplied if verify_multiple(m, group)),
-            key=lambda m: (m.t3, m.t2, m.t1))
-    else:
-        # the collision scan needs distinct residues, so never look past
-        # the order of X modulo the product
-        period = math.lcm(*((1 << spec.lfsrs[r].length) - 1
-                            for r in stage.group2))
-        cap = min(ks_len - 1, period)
-        bound = math.ceil((6 * 12 * 2.0 ** stage.m2) ** (1 / 3))
-        bound = max(bound, 8)
-        found = ()
-        while True:
-            bound = min(bound, cap)
-            found = find_weight4(modulus, bound).found
-            available = sum(ks_len - m.t3 for m in found)
-            if available >= raw_target or bound >= cap:
-                break
-            bound *= 2
-        mults = list(found)
+def _raw_target(stage):
+    """Raw relations to harvest: the planned count, times 2**n_known for
+    the known-register filter, times RAW_MARGIN to spare."""
+    return math.ceil(stage.equations_required * (1 << stage.n_known)
+                     * RAW_MARGIN)
+
+
+def _choose_multiples(mults, ks_len, raw_target, modulus):
+    """Lowest-degree multiples inside the keystream until they offer
+    raw_target relations."""
     chosen = []
     available = 0
-    for m in mults:
+    for m in sorted(mults, key=lambda m: (m.t3, m.t2, m.t1)):
         if m.t3 >= ks_len:
             continue
         chosen.append(m)
@@ -738,10 +731,10 @@ def _choose_multiples(spec, stage, ks_len, supplied, raw_target):
         raise ValidationError(
             f"no usable weight-4 multiple of modulus 0x{modulus:x} below the "
             f"keystream length; supply caches or more keystream")
-    return chosen, available
+    return chosen
 
 
-def search_stage_multiples(spec, stage, ks_len, raw_margin=1.25):
+def search_stage_multiples(spec, stage, ks_len):
     """Search enough weight-4 multiples for one planned stage.
 
     Returns (modulus, multiples); the same selection run_attack makes
@@ -750,41 +743,35 @@ def search_stage_multiples(spec, stage, ks_len, raw_margin=1.25):
     if stage.is_final:
         raise ValidationError("the final stage uses direct search, not "
                               "multiples")
-    raw_target = math.ceil(stage.equations_required
-                           * (1 << stage.n_known) * raw_margin)
-    group = [spec.lfsrs[r].feedback for r in stage.group2]
-    modulus = product_modulus(group)
-    chosen, _ = _choose_multiples(spec, stage, ks_len, None, raw_target)
-    return modulus, chosen
+    modulus = product_modulus([spec.lfsrs[r].feedback for r in stage.group2])
+    raw_target = _raw_target(stage)
+    # the collision scan needs distinct residues, so never look past
+    # the order of X modulo the product
+    period = math.lcm(*((1 << spec.lfsrs[r].length) - 1
+                        for r in stage.group2))
+    cap = min(ks_len - 1, period)
+    bound = max(math.ceil((6 * 12 * 2.0 ** stage.m2) ** (1 / 3)), 8)
+    while True:
+        bound = min(bound, cap)
+        found = find_weight4(modulus, bound).found
+        if sum(ks_len - m.t3 for m in found) >= raw_target or bound >= cap:
+            break
+        bound *= 2
+    return modulus, _choose_multiples(found, ks_len, raw_target, modulus)
 
 
-def _score_stage(spec, stage, eqs, top_k, split_bits, chunk):
-    """Rank the stage's candidates, by prefix passes over split tables
-    or by streaming every chunk into full tables."""
+def _score_stage(spec, stage, eqs, top_k, split_bits):
+    """Rank the stage's candidates by streaming every column chunk
+    through 2**split_bits prefix passes."""
     targets = (stage.target,)
     m1, layout = _target_layout(spec, targets)
-    n1 = len(layout)
-    zeros, ones = eqs.class_counts
-    if split_bits:
-        def chunks():
-            return iter_column_chunks(spec, targets, eqs, chunk)
-
-        blocks = _tradeoff_blocks(chunks, m1, n1, eqs.total,
-                                  (zeros, ones), split_bits)
-        return _rank_blocks(blocks, top_k)
-    dtype = _table_dtype(m1, eqs.total, n1)
-    size = 1 << m1
-    tables = (np.zeros(size, dtype), np.zeros(size, dtype))
-    tables[0][0] += zeros
-    tables[1][0] += ones
-    for cols, classes in iter_column_chunks(spec, targets, eqs, chunk):
-        _accumulate_chunk(tables, cols, classes, n1)
-    return score_candidates(*tables, n1, top_k=top_k,
-                            class_counts=(zeros, ones))
+    blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, targets, eqs),
+                              m1, len(layout), eqs.class_counts, split_bits)
+    return _rank_blocks(blocks, top_k)
 
 
 def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
-               split_bits=0, chunk=DEFAULT_CHUNK, raw_margin=1.25):
+               split_bits=0):
     """Recover the full initial state from a keystream.
 
     Stages follow the plan's order; at each stage the top_k candidates
@@ -792,9 +779,13 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     backtracking.  `multiples` optionally maps a stage index to a list
     of Weight4Multiple to use instead of searching.  The recovered state
     must regenerate the keystream exactly or the branch is rejected.
+    Each scored stage runs 2**split_bits prefix passes over tables of
+    2**(m1 - split_bits) entries; a split_bits outside [0, m1] of any
+    scored stage is rejected before any work.
     """
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
+    attack_plan.check_split_bits(split_bits)
     bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
     ks = Keystream(bits)
     started = time.perf_counter()
@@ -818,11 +809,15 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 if keystream(spec, state, len(ks)) == ks:
                     return state
             return None
-        raw_target = math.ceil(stage.equations_required
-                               * (1 << stage.n_known) * raw_margin)
+        raw_target = _raw_target(stage)
         supplied = (multiples or {}).get(idx)
-        chosen, _ = _choose_multiples(spec, stage, len(ks), supplied,
-                                      raw_target)
+        if supplied:
+            group = [spec.lfsrs[r].feedback for r in stage.group2]
+            chosen = _choose_multiples(
+                [m for m in supplied if verify_multiple(m, group)], len(ks),
+                raw_target, product_modulus(group))
+        else:
+            _, chosen = search_stage_multiples(spec, stage, len(ks))
         eqs = harvest_equations(ks, chosen, max_equations=raw_target)
         raw = eqs.total
         eqs = filter_known(spec, eqs, known)
@@ -830,7 +825,7 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
         if eqs.total < stage.equations_required:
             warnings = (f"only {eqs.total} relations survive filtering, "
                         f"below the planned {stage.equations_required}",)
-        ranked = _score_stage(spec, stage, eqs, top_k, split_bits, chunk)
+        ranked = _score_stage(spec, stage, eqs, top_k, split_bits)
         result.reports.append(StageReport(
             stage=idx, target=stage.target, known=dict(known),
             multiples=tuple(chosen), relations_raw=raw,

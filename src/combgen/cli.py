@@ -157,6 +157,7 @@ def cmd_attack(args):
     if args.keystream is None:
         raise ValidationError("need --keystream to run the attack "
                               "(or pass --plan-only)")
+    ap.check_split_bits(args.split_bits)
     ks = fileio.load_keystream(args.keystream)
     if len(ks) < ap.keystream_required:
         _log(f"warning: keystream has {len(ks)} bits, below the plan "

@@ -6,7 +6,6 @@ summary.  Unit-level coverage lives in the other test files; nothing
 here should be the only test of a code path.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -18,7 +17,7 @@ from combgen import attack, fileio, presets
 from combgen.boolfn import (BooleanFunction, check_p_spectrum_bounds, fwht,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function)
-from combgen.cli import main
+from combgen.cli import _balanced_tables_3, main
 from combgen.errors import AttackExhaustedError
 from combgen.gf2 import (GeneratorSpec, LfsrSpec, keystream,
                          poly_is_primitive, poly_mul, random_state)
@@ -27,17 +26,10 @@ from combgen.multiples import (expected_count, find_weight4,
                                verify_multiple)
 
 
-def _balanced_3():
-    for ones in itertools.combinations(range(8), 4):
-        table = np.zeros(8, dtype=np.uint8)
-        table[list(ones)] = 1
-        yield BooleanFunction(3, table)
-
-
 def _function_sweep():
     """All 70 balanced 3-variable functions plus 100 seeded random
     balanced ones at each n in {3, 4, 5}."""
-    funcs = list(_balanced_3())
+    funcs = list(_balanced_tables_3())
     rng = np.random.default_rng(0xBA1A)
     for n in (3, 4, 5):
         funcs.extend(random_balanced_function(n, rng) for _ in range(100))
@@ -297,8 +289,7 @@ def test_10_full_size_first_stage_recovery():
     mults = presets.large_multiples_31_37(length - 1)
     eqs = attack.harvest_equations(ks, mults,
                                    max_equations=stage.equations_required)
-    ranked = attack._score_stage(spec, stage, eqs, 8, 2,
-                                 attack.DEFAULT_CHUNK, 1)
+    ranked = attack._score_stage(spec, stage, eqs, 8, 2)
     assert ranked[0].candidate == spec.split_state(state)[0]
     print(f"check 10 PASS: 29-bit register recovered from {eqs.total} "
           f"relations over 2**24 keystream bits, "

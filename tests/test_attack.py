@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import attack, presets
 from combgen.attack import (AttackExhaustedError, accumulate_tables,
                             build_g_columns, candidate_counts,
                             candidate_counts_naive, candidates_tsv,
@@ -226,7 +226,7 @@ def test_accumulate_total_mass(toy):
     assert int(w1.sum()) == c1 << g.n1
 
 
-def test_accumulate_matches_naive_recount():
+def test_accumulate_matches_naive_recount(monkeypatch):
     rng = np.random.default_rng(5)
     spec = GeneratorSpec(
         lfsrs=(LfsrSpec(9, presets.TOY_POLY_9, taps=(3, 8)),),
@@ -249,7 +249,8 @@ def test_accumulate_matches_naive_recount():
             expect[b][v] += 1
     assert np.array_equal(w0, expect[0])
     assert np.array_equal(w1, expect[1])
-    chunked = accumulate_tables(g, chunk=7)
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
+    chunked = accumulate_tables(g)
     assert np.array_equal(chunked[0], expect[0])
     assert np.array_equal(chunked[1], expect[1])
 
@@ -444,6 +445,33 @@ def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
              1: list(find_weight4(presets.TOY_POLY_9, 500).found)}
     result = run_attack(toy, ks, ap, multiples=mults, split_bits=2)
     assert result.success and result.state == TRUE_KEY
+
+
+def test_run_attack_same_candidates_at_every_split(toy):
+    ks = toy_keystream(toy, 1 << 18)
+    ap = plan(toy)
+    mults = {0: list(stage1_multiples(toy, 2500)),
+             1: list(find_weight4(presets.TOY_POLY_9, 500).found)}
+    runs = []
+    for split in (0, 1, 3):
+        result = run_attack(toy, ks, ap, multiples=mults, split_bits=split)
+        # the final stage reports surviving states, the others scores
+        runs.append((result.state, [
+            [(c.candidate, c.n0, c.n1) if r.multiples else c
+             for c in r.candidates] for r in result.reports]))
+    assert runs[0][0] == TRUE_KEY
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("split", [-1, 12])
+def test_run_attack_rejects_bad_split_before_work(toy, monkeypatch, split):
+    # stage 2 targets the 11-bit register, so 12 cannot split it
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("harvested before checking split_bits")
+
+    monkeypatch.setattr(attack, "harvest_equations", no_harvest)
+    with pytest.raises(ValidationError, match="split_bits"):
+        run_attack(toy, toy_keystream(toy, 1 << 16), split_bits=split)
 
 
 def test_run_attack_short_keystream_warns(toy):

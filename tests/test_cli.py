@@ -118,6 +118,19 @@ def test_attack_without_keystream_is_an_input_error(toy_spec_file):
     assert main(["attack", "--spec", toy_spec_file]) == 2
 
 
+def test_attack_bad_split_bits_exits_2_before_work(toy_spec_file,
+                                                  toy_ks_file, monkeypatch):
+    from combgen import attack
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --split-bits")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_work)
+    monkeypatch.setattr(attack, "harvest_equations", no_work)
+    assert main(["attack", "--spec", toy_spec_file, "--keystream",
+                 toy_ks_file, "--split-bits", "12"]) == 2
+
+
 def test_attack_on_junk_returns_3(tmp_path, toy_spec_file):
     junk = tmp_path / "junk.ks"
     rng = np.random.default_rng(1)
