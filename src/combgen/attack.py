@@ -300,6 +300,36 @@ def harvest_equations(ks, mults, max_equations=None):
     return EquationSet(tuple(groups))
 
 
+def _input_words(spec, states, count):
+    """Wired inputs of the registers in `states` (register -> initial
+    state) packed into one word per time step, bit j being input j as in
+    gf2.keystream; inputs of other registers read zero."""
+    words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
+    for r, state in states.items():
+        wired = spec.inputs_of_register(r)
+        if not wired:
+            continue
+        lf = spec.lfsrs[r]
+        bits = sequence_bits(lf.feedback, lf.length, state,
+                             count + max(p for _, p in wired))
+        for j, p in wired:
+            words |= bits[p:p + count].astype(words.dtype) << j
+    return words
+
+
+def _quad_sum(values, mult, bases):
+    """values XOR-summed over each relation's four positions
+    bases + (0, t1, t2, t3)."""
+    return (values[bases] ^ values[bases + mult.t1]
+            ^ values[bases + mult.t2] ^ values[bases + mult.t3])
+
+
+def _relation_span(eqs):
+    """One past the last keystream position any relation reads."""
+    return max((int(g.bases.max()) + g.multiple.t3 + 1
+                for g in eqs.groups if g.count), default=0)
+
+
 def filter_known(spec, eqs, known):
     """Keep relations whose known-register contributions sum to zero.
 
@@ -309,22 +339,10 @@ def filter_known(spec, eqs, known):
     """
     if not known:
         return eqs
+    words = _input_words(spec, known, _relation_span(eqs))
     groups = []
     for g in eqs.groups:
-        keep = np.ones(g.count, dtype=bool)
-        span = int(g.bases[-1]) + g.multiple.t3 + 1 if g.count else 0
-        for r, state in known.items():
-            lf = spec.lfsrs[r]
-            wired = spec.inputs_of_register(r)
-            if not wired:
-                continue
-            max_tap = max(p for _, p in wired)
-            bits = sequence_bits(lf.feedback, lf.length, state, span + max_tap)
-            for _, p in wired:
-                sums = np.zeros(g.count, dtype=np.uint8)
-                for shift in g.multiple.shifts:
-                    sums ^= bits[g.bases + (p + shift)]
-                keep &= sums == 0
+        keep = _quad_sum(words, g.multiple, g.bases) == 0
         if keep.any():
             groups.append(EquationGroup(g.multiple, g.bases[keep],
                                         np.ascontiguousarray(g.classes[keep])))
@@ -392,8 +410,7 @@ def _column_chunk(spec, layout, mult, bases):
     span = int(bases.max()) + mult.t3 + 1 if bases.size else 1
     for _, r, p, offset in layout:
         table = residue_powers(spec.lfsrs[r].feedback, span + p)
-        col = (table[bases + p] ^ table[bases + (p + mult.t1)]
-               ^ table[bases + (p + mult.t2)] ^ table[bases + (p + mult.t3)])
+        col = _quad_sum(table[p:], mult, bases)
         if offset:
             col <<= offset
         cols.append(col)
@@ -604,10 +621,12 @@ def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
     suffix_bits = m1 - split_bits
     for prefix in range(1 << split_bits):
-        tables = _fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
-                              prefix if split_bits else None)
-        n0, n1c = candidate_counts(*tables, n1, class_counts)
-        yield prefix << suffix_bits, n0, n1c
+        # built inside the yield: no local keeps this pass's table pair
+        # alive while the next pass fills its own
+        yield (prefix << suffix_bits, *candidate_counts(
+            *_fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
+                          prefix if split_bits else None),
+            n1, class_counts))
 
 
 def candidate_counts_tradeoff(g, split_bits):
@@ -658,16 +677,7 @@ def final_direct_search(spec, ks, known):
         raise ValidationError("window shorter than the register")
     open_inputs = spec.inputs_of_register(r_open)
     max_tap = max((p for _, p in open_inputs), default=0)
-    known_x = np.zeros(window, dtype=np.int32)
-    for r, state in known.items():
-        lfk = spec.lfsrs[r]
-        wired = spec.inputs_of_register(r)
-        if not wired:
-            continue
-        seq = sequence_bits(lfk.feedback, lfk.length, state,
-                            window + max(p for _, p in wired))
-        for j, p in wired:
-            known_x += seq[p:p + window].astype(np.int32) << j
+    known_x = _input_words(spec, known, window)
     table = residue_powers(lf.feedback, window + max_tap)
     alive = np.arange(1 << lf.length, dtype=np.int64)
     for t in range(window):
@@ -869,25 +879,10 @@ def zero_sum_fraction(spec, state, eqs):
     polynomial this is exactly 1.0; with multiples of only a subgroup it
     drops to about 2**-(inputs wired from uncancelled registers).
     """
-    parts = spec.split_state(state)
-    total = 0
-    nonzero = 0
-    for g in eqs.groups:
-        span = int(g.bases[-1]) + g.multiple.t3 + 1 if g.count else 0
-        bad = np.zeros(g.count, dtype=bool)
-        for r, lf in enumerate(spec.lfsrs):
-            wired = spec.inputs_of_register(r)
-            if not wired:
-                continue
-            seq = sequence_bits(lf.feedback, lf.length, parts[r],
-                                span + max(p for _, p in wired))
-            for _, p in wired:
-                sums = np.zeros(g.count, dtype=np.uint8)
-                for shift in g.multiple.shifts:
-                    sums ^= seq[g.bases + (p + shift)]
-                bad |= sums != 0
-        total += g.count
-        nonzero += int(np.count_nonzero(bad))
-    if total == 0:
+    if eqs.total == 0:
         raise ValidationError("empty relation set")
-    return 1.0 - nonzero / total
+    words = _input_words(spec, dict(enumerate(spec.split_state(state))),
+                         _relation_span(eqs))
+    nonzero = sum(int(np.count_nonzero(_quad_sum(words, g.multiple, g.bases)))
+                  for g in eqs.groups)
+    return 1.0 - nonzero / eqs.total

@@ -107,7 +107,7 @@ def _cache_path(modulus):
     return os.path.join(cache_dir, f"multiples-0x{modulus:x}.txt")
 
 
-def _stage_multiples_with_cache(spec, stage, ks_len, supplied_reports):
+def _stage_multiples_with_cache(spec, idx, stage, ks_len, supplied_reports):
     """Multiples for one stage: explicit files, then cache dir, then search."""
     group = [spec.lfsrs[r].feedback for r in stage.group2]
     modulus = product_modulus(group)
@@ -115,11 +115,12 @@ def _stage_multiples_with_cache(spec, stage, ks_len, supplied_reports):
             for m in rep.found]
     if pool:
         return pool
+    name = f"stage {idx + 1} (register {stage.target})"
     path = _cache_path(modulus)
     if path and os.path.exists(path):
-        _log(f"stage {stage.target}: multiples from cache {path}")
+        _log(f"{name}: multiples from cache {path}")
         return list(fileio.load_multiples_cache(path).found)
-    _log(f"stage {stage.target}: searching multiples of 0x{modulus:x}")
+    _log(f"{name}: searching multiples of 0x{modulus:x}")
     _, chosen = attack.search_stage_multiples(spec, stage, ks_len)
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -170,7 +171,7 @@ def cmd_attack(args):
         if stage.is_final:
             continue
         stage_mults[idx] = _stage_multiples_with_cache(
-            spec, stage, len(ks), supplied_reports)
+            spec, idx, stage, len(ks), supplied_reports)
     t0 = time.perf_counter()
     result = attack.run_attack(
         spec, ks, ap, multiples=stage_mults, top_k=args.top_k,

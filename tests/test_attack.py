@@ -304,6 +304,32 @@ def test_tradeoff_scorer_equals_fast(toy, split):
         [(c.candidate, c.n0, c.n1) for c in alt]
 
 
+def test_tradeoff_passes_hold_one_table_pair():
+    # 2**16-entry int64 tables: a pair is 1 MiB, so a pass that still
+    # holds the previous pass's pair peaks a full pair above the first;
+    # 64 KiB of slack absorbs incidental interpreter allocations
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    cols = [rng.integers(0, 1 << 18, 4000) for _ in range(2)]
+    classes = rng.integers(0, 2, 4000).astype(np.uint8)
+    ones = int(classes.sum())
+    peaks = np.zeros(4, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        blocks = attack._tradeoff_blocks(lambda: iter([(cols, classes)]),
+                                         18, 2, (classes.size - ones, ones),
+                                         2)
+        for i in range(4):
+            tracemalloc.reset_peak()
+            block = next(blocks)
+            peaks[i] = tracemalloc.get_traced_memory()[1]
+            del block
+        assert next(blocks, None) is None
+    finally:
+        tracemalloc.stop()
+    assert peaks[1:].max() <= peaks[0] + (1 << 16)
+
+
 def test_true_candidate_ranks_first(toy):
     g = scored_stage(toy)
     ranked = score_candidates(*accumulate_tables(g), g.n1, top_k=8)
@@ -400,6 +426,70 @@ def test_filter_known_all_filtered_is_an_error(toy):
             raised = True
             break
     assert raised
+
+
+def known_sums_vanish(spec, eqs, states):
+    """Oracle: per group, whether every wired input of the registers in
+    `states` cancels over each relation's four positions, simulated
+    register by register."""
+    from combgen.gf2 import sequence_bits
+    out = []
+    for grp in eqs.groups:
+        span = int(grp.bases.max()) + grp.multiple.t3 + 1
+        ok = np.ones(grp.count, dtype=bool)
+        for r, state in states.items():
+            lf = spec.lfsrs[r]
+            seq = sequence_bits(lf.feedback, lf.length, state,
+                                span + lf.length)
+            for _, p in spec.inputs_of_register(r):
+                s = np.zeros(grp.count, dtype=np.uint8)
+                for shift in grp.multiple.shifts:
+                    s ^= seq[grp.bases + p + shift]
+                ok &= s == 0
+        out.append(ok)
+    return out
+
+
+@pytest.mark.parametrize("known", [{0: 0x10f}, {0: 0x10f, 1: 0x219},
+                                   {0: 0x1a2b, 1: 0x3c}])
+def test_filter_known_keeps_exactly_vanishing_relations(toy, known):
+    ks = toy_keystream(toy, 60000)
+    mods = find_weight4(product_modulus([toy.lfsrs[2]]), 505).found[:3]
+    eqs = harvest_equations(ks, mods)
+    kept = filter_known(toy, eqs, known)
+    expect = [(g.multiple, g.bases[ok], g.classes[ok])
+              for g, ok in zip(eqs.groups, known_sums_vanish(toy, eqs, known))
+              if ok.any()]
+    assert len(kept.groups) == len(expect)
+    for got, (mult, bases, classes) in zip(kept.groups, expect):
+        assert got.multiple == mult
+        assert np.array_equal(got.bases, bases)
+        assert np.array_equal(got.classes, classes)
+
+
+@pytest.mark.parametrize("key", [TRUE_KEY, 0x0A5A5F00D])
+def test_zero_sum_fraction_equals_direct_count(toy, key):
+    ks = toy_keystream(toy, 60000)
+    eqs = harvest_equations(ks, stage1_multiples(toy)[:4])
+    states = dict(enumerate(toy.split_state(key)))
+    nonzero = sum(int(np.count_nonzero(~ok))
+                  for ok in known_sums_vanish(toy, eqs, states))
+    assert 0 < nonzero < eqs.total
+    assert zero_sum_fraction(toy, key, eqs) == 1.0 - nonzero / eqs.total
+
+
+@pytest.mark.parametrize("make_spec, dtype",
+                         [(presets.toy_generator, np.uint8),
+                          (presets.generator_29_31_37, np.uint16)])
+def test_input_words_index_the_keystream(make_spec, dtype):
+    from combgen.gf2 import random_state
+    spec = make_spec()
+    state = random_state(spec, np.random.default_rng(11))
+    words = attack._input_words(spec, dict(enumerate(spec.split_state(state))),
+                                4096)
+    assert words.dtype == dtype
+    assert np.array_equal(spec.function.table[words],
+                          keystream(spec, state, 4096).bits)
 
 
 # ----------------------------------------------------------- final search

@@ -103,15 +103,19 @@ def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
     rc = main(["attack", "--spec", toy_spec_file, "--keystream",
                toy_ks_file])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "recovered state: 0x15543210f" in text
-    assert "keystream regenerated exactly: yes" in text
-    assert "candidate\tn0\tn1\tbias\tzscore" in text
+    out, err = capsys.readouterr()
+    assert "recovered state: 0x15543210f" in out
+    assert "keystream regenerated exactly: yes" in out
+    assert "candidate\tn0\tn1\tbias\tzscore" in out
+    assert "stage 1 (register 0): searching multiples of" in err
+    assert "stage 2 (register 1): searching multiples of 0x211" in err
     # second run hits the on-disk caches and must agree
     rc = main(["attack", "--spec", toy_spec_file, "--keystream",
                toy_ks_file])
     assert rc == 0
-    assert "recovered state: 0x15543210f" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "recovered state: 0x15543210f" in out
+    assert "stage 2 (register 1): multiples from cache" in err
 
 
 def test_attack_without_keystream_is_an_input_error(toy_spec_file):
