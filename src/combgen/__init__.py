@@ -5,8 +5,8 @@ binary polynomials, LFSR simulation, Walsh and autocorrelation spectra,
 and the exact probability spectrum of quadruple sums.  `multiples`
 finds the low-weight feedback multiples the attack conditions on.
 `attack` turns keystream into parity relations, scores partial-state
-candidates with a Walsh transform, and walks the registers one group
-at a time until the full initial state is recovered.
+candidates with a Walsh transform, and walks the registers one at a
+time until the full initial state is recovered.
 
 Every fast path has a brute-force counterpart (`p_spectrum_bruteforce`,
 `find_weight4_bruteforce`, `score_candidates_naive`, the reference

@@ -8,7 +8,9 @@ only relations whose known contribution is zero.  Each surviving
 relation then says: if the candidate target state is right, the four
 target-input sums are all zero with the quadruple-sum advantage of the
 combining function, else (for this package's preset filters, and in
-general up to the spectrum gap) essentially no advantage.
+general up to the spectrum gap) essentially no advantage.  Relations
+flow as one restartable chunk stream: a harvest stores one run per
+multiple, and filtering stores only the survivors.
 
 Scoring all 2**m1 candidates costs one pair of mask histograms and one
 Walsh transform per relation class instead of a per-candidate pass; a
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -238,23 +241,22 @@ def compare_orderings(spec, orders=None, delta=None):
 
 @dataclass(frozen=True, eq=False)
 class EquationGroup:
-    """All harvested relations of one weight-4 multiple.
-
-    bases[i] is the first keystream position of relation i; classes[i]
-    is the observed keystream sum over the four positions.
-    """
+    """The relations of one weight-4 multiple: a harvested group is the
+    run of bases 0 .. count-1 and stores no array; a filtered group
+    stores its surviving bases (int32, first keystream positions) and
+    classes (uint8, keystream sums over the four positions)."""
 
     multiple: Weight4Multiple
-    bases: np.ndarray
-    classes: np.ndarray
-
-    @property
-    def count(self):
-        return self.bases.size
+    count: int
+    bases: np.ndarray | None = None
+    classes: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class EquationSet:
+    """Relation groups over the keystream `bits` they index."""
+
+    bits: np.ndarray
     groups: tuple
 
     @property
@@ -263,8 +265,24 @@ class EquationSet:
 
     @property
     def class_counts(self):
-        ones = sum(int(g.classes.sum()) for g in self.groups)
+        ones = sum(int(np.count_nonzero(classes))
+                   for _, _, classes in _relation_chunks(self))
         return self.total - ones, ones
+
+
+def _relation_chunks(eqs):
+    """Yield (multiple, bases, classes) per DEFAULT_CHUNK relations; the
+    one reader of both group formats.  A run's bases come as a slice, so
+    _quad_sum reads them by contiguous XORs; a filtered group's come as
+    an index array.  Each call restarts the stream."""
+    for g in eqs.groups:
+        for lo in range(0, g.count, DEFAULT_CHUNK):
+            hi = min(lo + DEFAULT_CHUNK, g.count)
+            if g.bases is None:
+                run = slice(lo, hi)
+                yield g.multiple, run, _quad_sum(eqs.bits, g.multiple, run)
+            else:
+                yield g.multiple, g.bases[lo:hi], g.classes[lo:hi]
 
 
 def harvest_equations(ks, mults, max_equations=None):
@@ -272,6 +290,7 @@ def harvest_equations(ks, mults, max_equations=None):
 
     Multiples are consumed in ascending degree; `max_equations` stops
     once that many relations were collected (the last group truncated).
+    A multiple's relations form one run, stored as its count alone.
     """
     bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
     length = bits.size
@@ -287,31 +306,34 @@ def harvest_equations(ks, mults, max_equations=None):
             room = min(room, max_equations - collected)
             if room <= 0:
                 break
-        bases = np.arange(room, dtype=np.int32)
-        classes = (bits[:room] ^ bits[mult.t1:mult.t1 + room]
-                   ^ bits[mult.t2:mult.t2 + room]
-                   ^ bits[mult.t3:mult.t3 + room])
-        groups.append(EquationGroup(mult, bases, classes))
+        groups.append(EquationGroup(mult, room))
         collected += room
     if not groups:
         raise ValidationError("no relations: every multiple outruns the "
                               "keystream (need more keystream or lower-degree "
                               "multiples)")
-    return EquationSet(tuple(groups))
+    return EquationSet(bits, tuple(groups))
 
 
 def _input_words(spec, states, count):
     """Wired inputs of the registers in `states` (register -> initial
     state) packed into one word per time step, bit j being input j as in
-    gf2.keystream; inputs of other registers read zero."""
+    gf2.keystream; inputs of other registers read zero.  Registers run
+    a DEFAULT_CHUNK slab at a time from their state at the slab's start
+    (its next `length` output bits), so no residue table outgrows a slab.
+    """
     words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
     for r, state in states.items():
         wired = spec.inputs_of_register(r)
         if not wired:
             continue
         lf = spec.lfsrs[r]
-        bits = sequence_bits(lf.feedback, lf.length, state,
-                             count + max(p for _, p in wired))
+        bits = np.empty(count + max(p for _, p in wired), dtype=np.uint8)
+        for lo in range(0, bits.size, DEFAULT_CHUNK):
+            n = min(DEFAULT_CHUNK, bits.size - lo)
+            seq = sequence_bits(lf.feedback, lf.length, state, n + lf.length)
+            bits[lo:lo + n] = seq[:n]
+            state = sum(int(b) << i for i, b in enumerate(seq[n:]))
         for j, p in wired:
             words |= bits[p:p + count].astype(words.dtype) << j
     return words
@@ -319,15 +341,14 @@ def _input_words(spec, states, count):
 
 def _quad_sum(values, mult, bases):
     """values XOR-summed over each relation's four positions
-    bases + (0, t1, t2, t3)."""
+    bases + (0, t1, t2, t3); `bases` is an index array or a run's slice."""
+    if isinstance(bases, slice):
+        lo, hi = bases.start, bases.stop
+        return (values[lo:hi] ^ values[lo + mult.t1:hi + mult.t1]
+                ^ values[lo + mult.t2:hi + mult.t2]
+                ^ values[lo + mult.t3:hi + mult.t3])
     return (values[bases] ^ values[bases + mult.t1]
             ^ values[bases + mult.t2] ^ values[bases + mult.t3])
-
-
-def _relation_span(eqs):
-    """One past the last keystream position any relation reads."""
-    return max((int(g.bases.max()) + g.multiple.t3 + 1
-                for g in eqs.groups if g.count), default=0)
 
 
 def filter_known(spec, eqs, known):
@@ -335,21 +356,28 @@ def filter_known(spec, eqs, known):
 
     `known` maps register index -> recovered initial state.  Each wired
     input of a known register must individually cancel over the four
-    relation positions, which holds for about 2**-n_known of them.
+    relation positions, which holds for about 2**-n_known of them; the
+    survivors are stored, 5 bytes each.
     """
     if not known:
         return eqs
-    words = _input_words(spec, known, _relation_span(eqs))
+    words = _input_words(spec, known, eqs.bits.size)
     groups = []
-    for g in eqs.groups:
-        keep = _quad_sum(words, g.multiple, g.bases) == 0
-        if keep.any():
-            groups.append(EquationGroup(g.multiple, g.bases[keep],
-                                        np.ascontiguousarray(g.classes[keep])))
+    for mult, chunks in groupby(_relation_chunks(eqs), key=lambda c: c[0]):
+        bases, classes = [], []
+        for _, b, c in chunks:
+            keep = np.flatnonzero(_quad_sum(words, mult, b) == 0)
+            bases.append((keep + b.start).astype(np.int32)
+                         if isinstance(b, slice) else b[keep])
+            classes.append(c[keep])
+        bases = np.concatenate(bases)
+        if bases.size:
+            groups.append(EquationGroup(mult, bases.size, bases,
+                                        np.concatenate(classes)))
     if not groups:
         raise ValidationError("known-register filtering left no relations; "
                               "harvest more keystream or more multiples")
-    return EquationSet(tuple(groups))
+    return EquationSet(eqs.bits, tuple(groups))
 
 
 # --------------------------------------------------------------------------
@@ -358,16 +386,15 @@ def filter_known(spec, eqs, known):
 
 @dataclass(frozen=True, eq=False)
 class GColumns:
-    """Per-relation linear forms of the packed target state.
+    """Per-relation linear forms of the target register's state.
 
     columns[j][i] is the mask whose dot product with the candidate state
-    gives target-wired input j's sum over relation i's four positions;
-    classes[i] is the observed keystream sum.
+    gives the target's j-th wired input's sum over relation i's four
+    positions; classes[i] is the observed keystream sum.
     """
 
     m1: int
     n1: int
-    targets: tuple
     columns: tuple
     classes: np.ndarray
 
@@ -388,68 +415,40 @@ class GColumns:
             yield [c[sl] for c in self.columns], self.classes[sl]
 
 
-def _target_layout(spec, targets):
-    """(register, tap, state offset) per wired input, in input order."""
+def _target(spec, targets):
+    """The one register a stage scores, and its wired taps in input
+    order."""
     targets = tuple(targets)
-    offsets = {}
-    pos = 0
-    for r in targets:
-        offsets[r] = pos
-        pos += spec.lfsrs[r].length
-    layout = []
-    for r in targets:
-        for j, p in spec.inputs_of_register(r):
-            layout.append((j, r, p, offsets[r]))
-    layout.sort()
-    return pos, layout
-
-
-def _column_chunk(spec, layout, mult, bases):
-    """Linear-form masks for one slice of one group's relations."""
-    cols = []
-    span = int(bases.max()) + mult.t3 + 1 if bases.size else 1
-    for _, r, p, offset in layout:
-        table = residue_powers(spec.lfsrs[r].feedback, span + p)
-        col = _quad_sum(table[p:], mult, bases)
-        if offset:
-            col <<= offset
-        cols.append(col)
-    return cols
+    if len(targets) != 1:
+        raise ValidationError(f"a stage scores one register, got targets "
+                              f"{list(targets)}")
+    taps = [p for _, p in spec.inputs_of_register(targets[0])]
+    if not taps:
+        raise ValidationError(f"register {targets[0]} feeds no inputs")
+    return spec.lfsrs[targets[0]], taps
 
 
 def iter_column_chunks(spec, targets, eqs):
-    """Yield (columns, classes) slices of DEFAULT_CHUNK relations without
-    holding every column at once."""
-    m1, layout = _target_layout(spec, targets)
-    if m1 > 40:
-        raise ValidationError("packed target state beyond 40 bits")
-    if not layout:
-        raise ValidationError("target registers feed no inputs")
-    chunk = DEFAULT_CHUNK
-    for g in eqs.groups:
-        for lo in range(0, g.count, chunk):
-            sl = slice(lo, min(lo + chunk, g.count))
-            yield _column_chunk(spec, layout, g.multiple, g.bases[sl]), \
-                g.classes[sl]
+    """Yield (columns, classes) per relation chunk without holding every
+    column at once; `targets` names the one scored register."""
+    lf, taps = _target(spec, targets)
+    table = residue_powers(lf.feedback, eqs.bits.size + max(taps))
+    for mult, bases, classes in _relation_chunks(eqs):
+        yield [_quad_sum(table[p:], mult, bases) for p in taps], classes
 
 
 def build_g_columns(spec, targets, eqs):
     """Materialise all linear-form columns for small stages and tests."""
-    m1, layout = _target_layout(spec, targets)
-    n1 = len(layout)
-    if eqs.total * max(n1, 1) > 1 << 28:
+    lf, taps = _target(spec, targets)
+    if eqs.total * len(taps) > 1 << 28:
         raise ValidationError("stage too large to materialise; use the "
                               "streaming accumulators")
-    parts = [[] for _ in range(n1)]
-    classes = []
-    for cols, cls in iter_column_chunks(spec, targets, eqs):
-        for j, col in enumerate(cols):
-            parts[j].append(col)
-        classes.append(cls)
+    chunks = list(iter_column_chunks(spec, targets, eqs))
     return GColumns(
-        m1=m1, n1=n1, targets=tuple(targets),
-        columns=tuple(np.concatenate(p) for p in parts),
-        classes=np.concatenate(classes))
+        m1=lf.length, n1=len(taps),
+        columns=tuple(np.concatenate(part)
+                      for part in zip(*(cols for cols, _ in chunks))),
+        classes=np.concatenate([classes for _, classes in chunks]))
 
 
 def _table_dtype(m1, total, n1):
@@ -465,25 +464,25 @@ def _accumulate_chunk(tables, cols, classes, n1, prefix, suffix_bits):
 
     With no prefix every mask adds one at its own index.  With a prefix,
     counts are signed by the parity of (prefix AND the mask's high bits)
-    and indexed by the low suffix_bits bits: the memory tradeoff.
+    and indexed by the low suffix_bits bits: the memory tradeoff.  The
+    2**n1 - 1 nonzero masks are visited in Gray-code order, each one XOR
+    from the last.
     """
     is0 = classes == 0
     split = (is0, ~is0)
+    one = tables[0].dtype.type(1)
     for y in range(1, 1 << n1):
-        v = None
-        for j in range(n1):
-            if y >> j & 1:
-                v = cols[j].copy() if v is None else v ^ cols[j]
+        v = cols[0] if y == 1 else v ^ cols[(y & -y).bit_length() - 1]
         for b in (0, 1):
             vb = v[split[b]]
             if prefix is None:
-                np.add.at(tables[b], vb, 1)
+                np.add.at(tables[b], vb, one)
             else:
                 hi = vb >> suffix_bits
                 parity = (np.bitwise_count(hi & prefix) & 1).astype(
                     tables[b].dtype)
                 np.add.at(tables[b], vb & ((1 << suffix_bits) - 1),
-                          1 - 2 * parity)
+                          one - 2 * parity)
 
 
 def _fill_tables(chunks, n1, bits, class_counts, prefix=None):
@@ -774,9 +773,9 @@ def _score_stage(spec, stage, eqs, top_k, split_bits):
     """Rank the stage's candidates by streaming every column chunk
     through 2**split_bits prefix passes."""
     targets = (stage.target,)
-    m1, layout = _target_layout(spec, targets)
     blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, targets, eqs),
-                              m1, len(layout), eqs.class_counts, split_bits)
+                              stage.m1, stage.n1, eqs.class_counts,
+                              split_bits)
     return _rank_blocks(blocks, top_k)
 
 
@@ -882,7 +881,7 @@ def zero_sum_fraction(spec, state, eqs):
     if eqs.total == 0:
         raise ValidationError("empty relation set")
     words = _input_words(spec, dict(enumerate(spec.split_state(state))),
-                         _relation_span(eqs))
-    nonzero = sum(int(np.count_nonzero(_quad_sum(words, g.multiple, g.bases)))
-                  for g in eqs.groups)
+                         eqs.bits.size)
+    nonzero = sum(int(np.count_nonzero(_quad_sum(words, mult, bases)))
+                  for mult, bases, _ in _relation_chunks(eqs))
     return 1.0 - nonzero / eqs.total

@@ -7,13 +7,18 @@ here should be the only test of a code path.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from combgen import attack, fileio, presets
+import combgen
+from combgen import attack, fileio, gf2, presets
 from combgen.boolfn import (BooleanFunction, check_p_spectrum_bounds, fwht,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function)
@@ -294,3 +299,55 @@ def test_10_full_size_first_stage_recovery():
     print(f"check 10 PASS: 29-bit register recovered from {eqs.total} "
           f"relations over 2**24 keystream bits, "
           f"z={ranked[0].zscore:.1f} vs runner-up {ranked[1].zscore:.1f}")
+
+
+# Harvest plus filter of 2**30 relations, alone in a child process so its
+# peak RSS is the pipeline's own: argv is the packed keystream file, its
+# bit count and register 0's state.  The peak is read as VmHWM, which
+# starts afresh at exec (ru_maxrss would carry the parent's peak over).
+_STAGE2_FILTER_CHILD = """
+import sys, time
+import numpy as np
+from combgen import attack, presets
+from combgen.gf2 import Keystream
+from combgen.multiples import Weight4Multiple
+
+bits = np.unpackbits(np.load(sys.argv[1]), count=int(sys.argv[2]))
+rng = np.random.default_rng(0x5EC0)
+mults = [Weight4Multiple(*sorted(int(t) for t in
+                                 rng.choice(1 << 15, 3, replace=False)))
+         for _ in range(32)]
+t0 = time.perf_counter()
+eqs = attack.harvest_equations(Keystream(bits), mults, max_equations=1 << 30)
+kept = attack.filter_known(presets.generator_29_31_37(), eqs,
+                           {0: int(sys.argv[3])})
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status
+               if line.startswith("VmHWM:"))
+print(eqs.total, kept.total, time.perf_counter() - t0, hwm)
+"""
+
+
+@pytest.mark.large_scale
+def test_11_full_size_stage2_filter_in_bounded_memory(tmp_path):
+    spec = presets.generator_29_31_37()
+    state = random_state(spec, np.random.default_rng(0x5EC0))
+    length = (1 << 25) + (1 << 15)
+    path = tmp_path / "ks.npy"
+    np.save(path, np.packbits(keystream(spec, state, length).bits))
+    gf2.clear_residue_cache()
+    src = str(Path(combgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _STAGE2_FILTER_CHILD, str(path), str(length),
+         str(spec.split_state(state)[0])],
+        capture_output=True, text=True, check=True, env=env)
+    raw, kept, seconds, rss_kb = out.stdout.split()
+    raw, kept, rss = int(raw), int(kept), int(rss_kb) * 1024
+    assert raw == 1 << 30
+    # register 0 feeds three inputs, so one relation in eight survives
+    assert abs(kept / raw - 1 / 8) < 1e-3
+    assert rss < 10 ** 9
+    print(f"check 11 PASS: harvest + filter of {raw} relations kept {kept} "
+          f"in {float(seconds):.1f} s, peak RSS {rss / 2 ** 20:.0f} MiB")

@@ -5,6 +5,7 @@ filter) where everything is small enough for exact oracles.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def toy_keystream(toy, nbits=1 << 19, key=TRUE_KEY):
 def stage1_multiples(toy, bound=1500):
     modulus = product_modulus([toy.lfsrs[1], toy.lfsrs[2]])
     return find_weight4(modulus, bound).found
+
+
+def group_arrays(eqs):
+    """(multiple, bases, classes) per group, gathered from the relation
+    stream's chunks."""
+    out = []
+    for mult, chunks in groupby(attack._relation_chunks(eqs),
+                                key=lambda c: c[0]):
+        bases, classes = [], []
+        for _, b, c in chunks:
+            bases.append(np.arange(b.start, b.stop)
+                         if isinstance(b, slice) else b)
+            classes.append(c)
+        out.append((mult, np.concatenate(bases), np.concatenate(classes)))
+    return out
 
 
 def single_register_spec():
@@ -104,7 +120,7 @@ def test_harvest_boundary_single_equation():
     mult = Weight4Multiple(1, 2, 5)
     eqs = harvest_equations(bits, [mult])
     assert eqs.total == 1
-    assert eqs.groups[0].classes[0] == 0  # 1^1^1^1
+    assert group_arrays(eqs)[0][2][0] == 0  # 1^1^1^1
 
 
 def test_harvest_class_bits_match_direct_indexing(toy, rng):
@@ -112,13 +128,13 @@ def test_harvest_class_bits_match_direct_indexing(toy, rng):
     mults = stage1_multiples(toy)[:3]
     eqs = harvest_equations(ks, mults)
     bits = ks.bits
-    for g in eqs.groups:
-        t1, t2, t3 = g.multiple.t1, g.multiple.t2, g.multiple.t3
-        for i in rng.integers(0, g.count, size=40):
-            base = int(g.bases[i])
+    for mult, bases, classes in group_arrays(eqs):
+        t1, t2, t3 = mult.t1, mult.t2, mult.t3
+        for i in rng.integers(0, bases.size, size=40):
+            base = int(bases[i])
             z = (int(bits[base]) ^ int(bits[base + t1])
                  ^ int(bits[base + t2]) ^ int(bits[base + t3]))
-            assert z == int(g.classes[i])
+            assert z == int(classes[i])
 
 
 def test_harvest_max_equations_truncates(toy):
@@ -134,6 +150,22 @@ def test_harvest_rejects_too_short_keystream():
         harvest_equations(bits, [Weight4Multiple(1, 2, 5)])
 
 
+def test_harvest_allocates_nothing_per_relation(toy):
+    # 2**22 relations over 4 multiples: int32 bases and uint8 classes
+    # would take 20 MiB; a run is recorded by its count alone
+    import tracemalloc
+    ks = toy_keystream(toy, (1 << 20) + 64)
+    mults = [Weight4Multiple(3 + i, 17 + 2 * i, 40 + 3 * i) for i in range(4)]
+    tracemalloc.start()
+    try:
+        eqs = harvest_equations(ks, mults, max_equations=1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eqs.total == 1 << 22
+    assert peak < 1 << 20
+
+
 def test_full_product_multiple_conditions_every_relation(toy):
     mod_all = product_modulus(toy.lfsrs)
     report = find_weight4(mod_all, 8192)
@@ -146,7 +178,7 @@ def test_full_product_multiple_conditions_every_relation(toy):
     # with probability P0, not certainty: f is nonlinear
     from combgen.boolfn import p_spectrum
     p0 = float(p_spectrum(toy.function).p0)
-    frac0 = 1.0 - float(eqs.groups[0].classes.mean())
+    frac0 = 1.0 - float(group_arrays(eqs)[0][2].mean())
     assert abs(frac0 - p0) < 4 / math.sqrt(eqs.total)
 
 
@@ -182,15 +214,15 @@ def test_true_key_dot_products_match_simulation(toy):
     lf = toy.lfsrs[0]
     taps = toy.inputs_of_register(0)
     i = 0
-    for grp in eqs.groups:
+    for mult, bases, _ in group_arrays(eqs):
         seq = np.asarray(
             keystream_of_register(lf, u_true,
-                                  int(grp.bases.max()) + grp.multiple.t3
+                                  int(bases.max()) + mult.t3
                                   + max(p for _, p in taps) + 1))
-        for base in grp.bases:
+        for base in bases:
             for j, (_, p) in enumerate(taps):
                 direct = 0
-                for shift in grp.multiple.shifts:
+                for shift in mult.shifts:
                     direct ^= int(seq[int(base) + p + shift])
                 hyp = bin(int(g.columns[j][i]) & u_true).count("1") & 1
                 assert hyp == direct
@@ -210,6 +242,13 @@ def test_columns_are_register_local(toy):
     g = build_g_columns(toy, [1], eqs)
     assert g.m1 == 11
     assert all(int(c.max()) < (1 << 11) for c in g.columns)
+
+
+def test_columns_reject_more_than_one_target(toy):
+    ks = toy_keystream(toy, 20000)
+    eqs = harvest_equations(ks, stage1_multiples(toy)[:1], max_equations=200)
+    with pytest.raises(ValidationError, match="one register"):
+        build_g_columns(toy, [0, 1], eqs)
 
 
 # ----------------------------------------------------------- accumulation
@@ -269,6 +308,21 @@ def test_accumulate_single_input_unrolled():
         np.add.at(direct, g.columns[0][sel], 1)
         direct[0] += total
         assert np.array_equal(w, direct)
+
+
+@pytest.mark.parametrize("prefix, bits", [(None, 12), (0b101, 9)])
+def test_accumulate_int32_tables_equal_int64(prefix, bits):
+    rng = np.random.default_rng(8)
+    cols = [rng.integers(0, 1 << 12, 5000) for _ in range(3)]
+    classes = rng.integers(0, 2, 5000).astype(np.uint8)
+    pairs = []
+    for dtype in (np.int32, np.int64):
+        tables = (np.zeros(1 << bits, dtype), np.zeros(1 << bits, dtype))
+        attack._accumulate_chunk(tables, cols, classes, 3, prefix, bits)
+        pairs.append(tables)
+    for t32, t64 in zip(*pairs):
+        assert t32.dtype == np.int32
+        assert np.array_equal(t32, t64)
 
 
 def test_candidate_counts_divisibility_guard():
@@ -390,13 +444,13 @@ def test_filter_known_survivors_have_zero_known_sums(toy):
     # recheck by direct simulation of register 0 over the four positions
     from combgen.gf2 import sequence_bits
     lf = toy.lfsrs[0]
-    for grp in kept.groups:
-        span = int(grp.bases.max()) + grp.multiple.t3 + 10
+    for mult, bases, _ in group_arrays(kept):
+        span = int(bases.max()) + mult.t3 + 10
         seq = sequence_bits(lf.feedback, lf.length, u0, span)
-        for base in grp.bases[:200]:
+        for base in bases[:200]:
             for _, p in toy.inputs_of_register(0):
                 s = 0
-                for shift in grp.multiple.shifts:
+                for shift in mult.shifts:
                     s ^= int(seq[int(base) + p + shift])
                 assert s == 0
 
@@ -428,23 +482,48 @@ def test_filter_known_all_filtered_is_an_error(toy):
     assert raised
 
 
+@pytest.mark.parametrize("raw", [1 << 20, 1 << 22])
+def test_filter_known_peak_is_kept_plus_chunks(toy, monkeypatch, raw):
+    # 2**16-relation chunks over a 2**20-bit keystream: the input words
+    # and register bits (about 3 bytes per keystream bit) take 48 chunks
+    # of the allowance; nothing else may grow with the group size or the
+    # raw relation count beyond the kept arrays themselves
+    import tracemalloc
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 16)
+    ks = toy_keystream(toy, (1 << 20) + 64)
+    mults = [Weight4Multiple(3 + i, 17 + 2 * i, 40 + 3 * i)
+             for i in range(raw >> 20)]
+    eqs = harvest_equations(ks, mults, max_equations=raw)
+    filter_known(toy, eqs, {0: 0x10f})  # warm the residue cache
+    tracemalloc.start()
+    try:
+        kept = filter_known(toy, eqs, {0: 0x10f})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eqs.total == raw
+    assert kept.total * 5 == sum(g.bases.nbytes + g.classes.nbytes
+                                 for g in kept.groups)
+    assert peak <= kept.total * 5 + 64 * attack.DEFAULT_CHUNK
+
+
 def known_sums_vanish(spec, eqs, states):
     """Oracle: per group, whether every wired input of the registers in
     `states` cancels over each relation's four positions, simulated
     register by register."""
     from combgen.gf2 import sequence_bits
     out = []
-    for grp in eqs.groups:
-        span = int(grp.bases.max()) + grp.multiple.t3 + 1
-        ok = np.ones(grp.count, dtype=bool)
+    for mult, bases, _ in group_arrays(eqs):
+        span = int(bases.max()) + mult.t3 + 1
+        ok = np.ones(bases.size, dtype=bool)
         for r, state in states.items():
             lf = spec.lfsrs[r]
             seq = sequence_bits(lf.feedback, lf.length, state,
                                 span + lf.length)
             for _, p in spec.inputs_of_register(r):
-                s = np.zeros(grp.count, dtype=np.uint8)
-                for shift in grp.multiple.shifts:
-                    s ^= seq[grp.bases + p + shift]
+                s = np.zeros(bases.size, dtype=np.uint8)
+                for shift in mult.shifts:
+                    s ^= seq[bases + p + shift]
                 ok &= s == 0
         out.append(ok)
     return out
@@ -457,14 +536,17 @@ def test_filter_known_keeps_exactly_vanishing_relations(toy, known):
     mods = find_weight4(product_modulus([toy.lfsrs[2]]), 505).found[:3]
     eqs = harvest_equations(ks, mods)
     kept = filter_known(toy, eqs, known)
-    expect = [(g.multiple, g.bases[ok], g.classes[ok])
-              for g, ok in zip(eqs.groups, known_sums_vanish(toy, eqs, known))
+    expect = [(mult, bases[ok], classes[ok])
+              for (mult, bases, classes), ok in
+              zip(group_arrays(eqs), known_sums_vanish(toy, eqs, known))
               if ok.any()]
-    assert len(kept.groups) == len(expect)
-    for got, (mult, bases, classes) in zip(kept.groups, expect):
-        assert got.multiple == mult
-        assert np.array_equal(got.bases, bases)
-        assert np.array_equal(got.classes, classes)
+    got = group_arrays(kept)
+    assert len(got) == len(expect)
+    for (mult, bases, classes), (emult, ebases, eclasses) in zip(got, expect):
+        assert mult == emult
+        assert bases.dtype == np.int32 and classes.dtype == np.uint8
+        assert np.array_equal(bases, ebases)
+        assert np.array_equal(classes, eclasses)
 
 
 @pytest.mark.parametrize("key", [TRUE_KEY, 0x0A5A5F00D])
@@ -490,6 +572,13 @@ def test_input_words_index_the_keystream(make_spec, dtype):
     assert words.dtype == dtype
     assert np.array_equal(spec.function.table[words],
                           keystream(spec, state, 4096).bits)
+
+
+def test_input_words_same_in_slabs(toy, monkeypatch):
+    states = dict(enumerate(toy.split_state(TRUE_KEY)))
+    whole = attack._input_words(toy, states, 3000)
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
+    assert np.array_equal(attack._input_words(toy, states, 3000), whole)
 
 
 # ----------------------------------------------------------- final search
@@ -551,6 +640,25 @@ def test_run_attack_same_candidates_at_every_split(toy):
              for c in r.candidates] for r in result.reports]))
     assert runs[0][0] == TRUE_KEY
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("split", [0, 2])
+def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
+    # filtered toy stage 2: stored bases and classes, walked 7 at a time
+    ap = plan(toy)
+    stage = ap.stages[1]
+    ks = toy_keystream(toy, 1 << 14)
+    mults = find_weight4(presets.TOY_POLY_9, 500).found
+    eqs = filter_known(toy, harvest_equations(ks, mults, max_equations=6000),
+                       {0: toy.split_state(TRUE_KEY)[0]})
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
+    size = 1 << stage.m1
+    got = attack._score_stage(toy, stage, eqs, size, split)
+    g = build_g_columns(toy, [stage.target], eqs)
+    n0, n1c = candidate_counts_naive(g)
+    assert sorted(c.candidate for c in got) == list(range(size))
+    for c in got:
+        assert (c.n0, c.n1) == (n0[c.candidate], n1c[c.candidate])
 
 
 @pytest.mark.parametrize("split", [-1, 12])
