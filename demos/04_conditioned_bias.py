@@ -44,10 +44,7 @@ print(f"fraction of relations whose full input sum is zero: {frac:.4f} "
       f"(expect ~2**-{stage.n1} = {2.0 ** -stage.n1:.2f})")
 
 # Score all 2**13 candidates at once and look at the true one.
-g = attack.build_g_columns(spec, (stage.target,), eqs)
-w0, w1 = attack.accumulate_tables(g)
-ranked = attack.score_candidates(w0, w1, g.n1, top_k=5,
-                                 class_counts=eqs.class_counts)
+ranked = attack.score_stage(spec, stage.target, eqs, top_k=5)
 print("\ntop candidates:")
 print(attack.candidates_tsv(ranked))
 

@@ -9,17 +9,17 @@ candidates with a Walsh transform, and walks the registers one at a
 time until the full initial state is recovered.
 
 Every fast path has a brute-force counterpart (`p_spectrum_bruteforce`,
-`find_weight4_bruteforce`, `score_candidates_naive`, the reference
-keystream loop) so results can be checked exactly at small sizes.
+`find_weight4_bruteforce`, `score_candidates_naive` for `score_stage`,
+the reference keystream loop) so results can be checked exactly at
+small sizes.
 """
 
 from .attack import (AttackPlan, AttackResult, CandidateScore, EquationGroup,
-                     EquationSet, StagePlan, StageReport, accumulate_tables,
-                     build_g_columns, candidate_counts, candidate_counts_naive,
-                     candidate_counts_tradeoff, compare_orderings,
-                     candidates_tsv, filter_known, final_direct_search,
-                     harvest_equations, plan, run_attack, score_candidates,
-                     score_candidates_naive, score_candidates_tradeoff,
+                     EquationSet, StagePlan, StageReport, build_g_columns,
+                     candidate_counts, candidate_counts_naive,
+                     candidates_tsv, compare_orderings, filter_known,
+                     final_direct_search, harvest_equations, plan,
+                     run_attack, score_candidates_naive, score_stage,
                      search_stage_multiples, zero_sum_fraction)
 from .boolfn import (AutocorrSpectrum, BooleanFunction, PSpectrum,
                      PSpectrumBounds, WalshSpectrum, autocorrelation,
@@ -62,12 +62,10 @@ __all__ = [
     "ValidationError",
     "WalshSpectrum",
     "Weight4Multiple",
-    "accumulate_tables",
     "autocorrelation",
     "build_g_columns",
     "candidate_counts",
     "candidate_counts_naive",
-    "candidate_counts_tradeoff",
     "candidates_tsv",
     "check_p_spectrum_bounds",
     "compare_orderings",
@@ -103,9 +101,8 @@ __all__ = [
     "save_generator_spec",
     "save_keystream",
     "save_multiples_cache",
-    "score_candidates",
     "score_candidates_naive",
-    "score_candidates_tradeoff",
+    "score_stage",
     "search_stage_multiples",
     "sequence_bits",
     "verify_multiple",

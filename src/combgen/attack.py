@@ -12,9 +12,10 @@ general up to the spectrum gap) essentially no advantage.  Relations
 flow as one restartable chunk stream: a harvest stores one run per
 multiple, and filtering stores only the survivors.
 
-Scoring all 2**m1 candidates costs one pair of mask histograms and one
-Walsh transform per relation class instead of a per-candidate pass; a
-split parameter trades table memory for repeated accumulation passes.
+`score_stage` scores all 2**m1 candidates with one pair of mask
+histograms and one Walsh transform per relation class instead of a
+per-candidate pass (`score_candidates_naive`, its oracle); a split
+parameter trades table memory for repeated accumulation passes.
 The last register is recovered by direct search on a short window.
 """
 
@@ -212,7 +213,7 @@ def plan(spec, order=None, delta=None):
         ))
     warnings.append(
         "an all-zero register state gives no usable statistic; candidate 0 "
-        "is never ranked and such keys are not recoverable")
+        "ranks last, so such keys are recovered only with top_k = 2**m1")
     return AttackPlan(
         order=order, stages=tuple(stages),
         keystream_required=max(st.keystream_estimate for st in stages),
@@ -402,48 +403,31 @@ class GColumns:
     def count(self):
         return self.classes.size
 
-    @property
-    def class_counts(self):
-        zeros = int(np.count_nonzero(self.classes == 0))
-        return zeros, self.count - zeros
 
-    def chunks(self):
-        """Yield (columns, classes) slices of DEFAULT_CHUNK relations."""
-        chunk = DEFAULT_CHUNK
-        for lo in range(0, self.count, chunk):
-            sl = slice(lo, lo + chunk)
-            yield [c[sl] for c in self.columns], self.classes[sl]
-
-
-def _target(spec, targets):
-    """The one register a stage scores, and its wired taps in input
-    order."""
-    targets = tuple(targets)
-    if len(targets) != 1:
-        raise ValidationError(f"a stage scores one register, got targets "
-                              f"{list(targets)}")
-    taps = [p for _, p in spec.inputs_of_register(targets[0])]
+def _target(spec, target):
+    """The register a stage scores, and its wired taps in input order."""
+    taps = [p for _, p in spec.inputs_of_register(target)]
     if not taps:
-        raise ValidationError(f"register {targets[0]} feeds no inputs")
-    return spec.lfsrs[targets[0]], taps
+        raise ValidationError(f"register {target} feeds no inputs")
+    return spec.lfsrs[target], taps
 
 
-def iter_column_chunks(spec, targets, eqs):
-    """Yield (columns, classes) per relation chunk without holding every
-    column at once; `targets` names the one scored register."""
-    lf, taps = _target(spec, targets)
+def iter_column_chunks(spec, target, eqs):
+    """Yield (columns, classes) per relation chunk of register `target`
+    without holding every column at once."""
+    lf, taps = _target(spec, target)
     table = residue_powers(lf.feedback, eqs.bits.size + max(taps))
     for mult, bases, classes in _relation_chunks(eqs):
         yield [_quad_sum(table[p:], mult, bases) for p in taps], classes
 
 
-def build_g_columns(spec, targets, eqs):
+def build_g_columns(spec, target, eqs):
     """Materialise all linear-form columns for small stages and tests."""
-    lf, taps = _target(spec, targets)
+    lf, taps = _target(spec, target)
     if eqs.total * len(taps) > 1 << 28:
-        raise ValidationError("stage too large to materialise; use the "
-                              "streaming accumulators")
-    chunks = list(iter_column_chunks(spec, targets, eqs))
+        raise ValidationError("stage too large to materialise; score it "
+                              "with score_stage")
+    chunks = list(iter_column_chunks(spec, target, eqs))
     return GColumns(
         m1=lf.length, n1=len(taps),
         columns=tuple(np.concatenate(part)
@@ -497,20 +481,13 @@ def _fill_tables(chunks, n1, bits, class_counts, prefix=None):
     return tables
 
 
-def accumulate_tables(g):
-    """Mask-count histograms (class 0 and class 1) from materialised
-    columns; transforming them scores every candidate at once."""
-    return _fill_tables(g.chunks(), g.n1, g.m1, g.class_counts)
-
-
-def candidate_counts(w0, w1, n1, class_counts=None):
+def candidate_counts(w0, w1, n1, class_counts):
     """Turn mask-count tables into per-candidate (n0, n1) relation counts.
 
     Transforms in place (the tables are consumed).  Every transformed
     entry must be divisible by 2**n1 and land in [0, class count]; a
     violation means corrupted tables and raises.
     """
-    counts = []
     mask = (1 << n1) - 1
     for b, w in enumerate((w0, w1)):
         fwht(w)
@@ -521,10 +498,9 @@ def candidate_counts(w0, w1, n1, class_counts=None):
         w >>= n1
         if int(w.min()) < 0:
             raise InvariantError("negative relation count")
-        if class_counts is not None and int(w.max()) > class_counts[b]:
+        if int(w.max()) > class_counts[b]:
             raise InvariantError("relation count exceeds class size")
-        counts.append(w)
-    return counts[0], counts[1]
+    return w0, w1
 
 
 @dataclass(frozen=True)
@@ -547,8 +523,8 @@ class CandidateScore:
                 if self.total else 0.0)
 
 
-def _rank_blocks(blocks, top_k, exclude_zero=True):
-    """Merge (offset, n0, n1) blocks into the top-k candidate list.
+def _rank_blocks(blocks, top_k):
+    """Merge (offset, n0, n1) blocks into score_stage's top-k list.
 
     Blocks are ranked in slices of _RANK_SLICE entries so the float64 z
     temporaries never rival the count arrays themselves; a 2**27-entry
@@ -564,7 +540,7 @@ def _rank_blocks(blocks, top_k, exclude_zero=True):
             with np.errstate(invalid="ignore", divide="ignore"):
                 z = np.where(tot > 0,
                              (a - b) / np.sqrt(np.maximum(tot, 1)), -np.inf)
-            if exclude_zero and offset == 0 and lo == 0:
+            if offset == 0 and lo == 0:
                 z[0] = -np.inf
             k = min(top_k, z.size)
             idx = np.argpartition(z, z.size - k)[z.size - k:]
@@ -576,15 +552,6 @@ def _rank_blocks(blocks, top_k, exclude_zero=True):
         # drop the block before the generator builds the next one
         n0 = n1c = a = b = tot = z = None
     return [CandidateScore(candidate=c, n0=a, n1=b) for _, c, a, b in best]
-
-
-def score_candidates(w0, w1, n1, top_k=DEFAULT_BEAM, exclude_zero=True,
-                     class_counts=None):
-    """Rank candidates from accumulated tables: by (n0-n1)/sqrt(n0+n1)
-    descending, ties broken by candidate value.  Candidate 0 matches
-    every relation and is excluded by default."""
-    n0, n1c = candidate_counts(w0, w1, n1, class_counts)
-    return _rank_blocks([(0, n0, n1c)], top_k, exclude_zero)
 
 
 def candidate_counts_naive(g):
@@ -604,9 +571,10 @@ def candidate_counts_naive(g):
     return n0, n1c
 
 
-def score_candidates_naive(g, top_k=DEFAULT_BEAM, exclude_zero=True):
+def score_candidates_naive(g, top_k=DEFAULT_BEAM):
+    """Oracle ranking: score_stage's order from candidate_counts_naive."""
     n0, n1c = candidate_counts_naive(g)
-    return _rank_blocks([(0, n0, n1c)], top_k, exclude_zero)
+    return _rank_blocks([(0, n0, n1c)], top_k)
 
 
 def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
@@ -628,25 +596,26 @@ def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
             n1, class_counts))
 
 
-def candidate_counts_tradeoff(g, split_bits):
-    """Same counts as candidate_counts(accumulate_tables(g)) using
-    2**split_bits accumulation passes over smaller tables."""
-    if g.m1 > 26:
-        raise ValidationError("materialising counts limited to m1 <= 26")
-    n0 = np.empty(1 << g.m1, dtype=np.int64)
-    n1c = np.empty(1 << g.m1, dtype=np.int64)
-    for offset, a, b in _tradeoff_blocks(g.chunks, g.m1, g.n1,
-                                         g.class_counts, split_bits):
-        n0[offset:offset + a.size] = a
-        n1c[offset:offset + b.size] = b
-    return n0, n1c
+def check_top_k(top_k):
+    """Raise unless top_k keeps at least one candidate."""
+    if top_k < 1:
+        raise ValidationError(f"top_k must be at least 1, got {top_k}")
 
 
-def score_candidates_tradeoff(g, split_bits, top_k=DEFAULT_BEAM,
-                              exclude_zero=True):
-    blocks = _tradeoff_blocks(g.chunks, g.m1, g.n1, g.class_counts,
+def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
+    """Top-k of register `target`'s 2**m1 candidate states against `eqs`
+    by (n0-n1)/sqrt(n0+n1) descending, ties broken by candidate value;
+    candidate 0 matches every relation and ranks below any with one.
+
+    Column chunks stream through 2**split_bits prefix passes, each over
+    one pair of 2**(m1 - split_bits)-entry tables.
+    """
+    check_top_k(top_k)
+    lf, taps = _target(spec, target)
+    blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, target, eqs),
+                              lf.length, len(taps), eqs.class_counts,
                               split_bits)
-    return _rank_blocks(blocks, top_k, exclude_zero)
+    return _rank_blocks(blocks, top_k)
 
 
 # --------------------------------------------------------------------------
@@ -769,16 +738,6 @@ def search_stage_multiples(spec, stage, ks_len):
     return modulus, _choose_multiples(found, ks_len, raw_target, modulus)
 
 
-def _score_stage(spec, stage, eqs, top_k, split_bits):
-    """Rank the stage's candidates by streaming every column chunk
-    through 2**split_bits prefix passes."""
-    targets = (stage.target,)
-    blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, targets, eqs),
-                              stage.m1, stage.n1, eqs.class_counts,
-                              split_bits)
-    return _rank_blocks(blocks, top_k)
-
-
 def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                split_bits=0):
     """Recover the full initial state from a keystream.
@@ -789,9 +748,10 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     of Weight4Multiple to use instead of searching.  The recovered state
     must regenerate the keystream exactly or the branch is rejected.
     Each scored stage runs 2**split_bits prefix passes over tables of
-    2**(m1 - split_bits) entries; a split_bits outside [0, m1] of any
-    scored stage is rejected before any work.
+    2**(m1 - split_bits) entries; a top_k below 1, or a split_bits
+    outside [0, m1] of any scored stage, is rejected before any work.
     """
+    check_top_k(top_k)
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
     attack_plan.check_split_bits(split_bits)
@@ -834,7 +794,7 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
         if eqs.total < stage.equations_required:
             warnings = (f"only {eqs.total} relations survive filtering, "
                         f"below the planned {stage.equations_required}",)
-        ranked = _score_stage(spec, stage, eqs, top_k, split_bits)
+        ranked = score_stage(spec, stage.target, eqs, top_k, split_bits)
         result.reports.append(StageReport(
             stage=idx, target=stage.target, known=dict(known),
             multiples=tuple(chosen), relations_raw=raw,

@@ -36,11 +36,11 @@ def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _parse_state(text):
+def _parse_hex(text, what):
     try:
         return int(text, 16)
     except ValueError:
-        raise ValidationError(f"bad state {text!r}, expected hex") from None
+        raise ValidationError(f"bad {what} {text!r}, expected hex") from None
 
 
 def _parse_int_list(text):
@@ -53,7 +53,7 @@ def _parse_int_list(text):
 def cmd_gen(args):
     spec = fileio.load_generator_spec(args.spec)
     if args.state is not None:
-        state = _parse_state(args.state)
+        state = _parse_hex(args.state, "state")
     else:
         rng = np.random.default_rng(args.seed)
         state = random_state(spec, rng)
@@ -69,7 +69,7 @@ def cmd_gen(args):
 
 def cmd_multiples(args):
     if args.modulus is not None:
-        modulus = int(args.modulus, 16)
+        modulus = _parse_hex(args.modulus, "modulus")
     else:
         if args.spec is None or args.registers is None:
             raise ValidationError("need --modulus, or --spec with "
@@ -158,6 +158,7 @@ def cmd_attack(args):
     if args.keystream is None:
         raise ValidationError("need --keystream to run the attack "
                               "(or pass --plan-only)")
+    attack.check_top_k(args.top_k)
     ap.check_split_bits(args.split_bits)
     ks = fileio.load_keystream(args.keystream)
     if len(ks) < ap.keystream_required:
@@ -277,7 +278,7 @@ def cmd_verify(args):
 def cmd_check(args):
     spec = fileio.load_generator_spec(args.spec)
     ks = fileio.load_keystream(args.keystream)
-    state = _parse_state(args.state)
+    state = _parse_hex(args.state, "state")
     regen = keystream(spec, state, len(ks))
     if regen == ks:
         print(f"state 0x{state:x} regenerates all {len(ks)} bits: MATCH")

@@ -167,7 +167,7 @@ def find_weight4(modulus, degree_bound, limit=None):
 
     Exact and exhaustive within the bound.  The report lists multiples
     sorted by degree; `limit`, if given, truncates the sorted list (the
-    scan itself always covers the full bound).
+    scan itself always covers the full bound) and must not be negative.
     """
     deg = poly_degree(modulus)
     if deg < 1:
@@ -180,6 +180,8 @@ def find_weight4(modulus, degree_bound, limit=None):
     if degree_bound > 1 << 24:
         raise ValidationError("collision scan is quadratic; bound over 2**24 "
                               "is not practical here")
+    if limit is not None and limit < 0:
+        raise ValidationError(f"limit must not be negative, got {limit}")
     residues = _residue_list(modulus, degree_bound)
     if deg <= _NUMPY_DEGREE_LIMIT:
         raw = _scan_numpy(residues, degree_bound)

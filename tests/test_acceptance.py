@@ -94,7 +94,9 @@ def _dense_transform(tables):
 
 
 def test_03_transform_matches_dense_oracle():
-    t0 = time.perf_counter()
+    # the time bound covers the fwht calls only: the dense oracle is
+    # quadratic and its run time says nothing about the transform
+    elapsed = 0.0
     rng = np.random.default_rng(0xF417)
     for k in range(1, 15):
         tables = rng.integers(-(1 << 20), 1 << 20,
@@ -102,10 +104,11 @@ def test_03_transform_matches_dense_oracle():
         expect = _dense_transform(tables)
         for i in range(tables.shape[0]):
             got = tables[i].copy()
+            t0 = time.perf_counter()
             fwht(got)
+            elapsed += time.perf_counter() - t0
             assert np.array_equal(got, expect[i]), f"mismatch at k={k}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
+    assert elapsed < 1.0
     scipy_linalg = pytest.importorskip("scipy.linalg")
     for k in range(1, 9):
         size = 1 << k
@@ -115,7 +118,7 @@ def test_03_transform_matches_dense_oracle():
         assert np.array_equal(scipy_linalg.hadamard(size, dtype=np.int64),
                               signs.astype(np.int64))
     print(f"check 03 PASS: fwht == dense transform, 20 tables at each "
-          f"k=1..14, exact, {elapsed:.2f}s (+ hadamard cross-check)")
+          f"k=1..14, exact, fwht {elapsed:.2f}s (+ hadamard cross-check)")
 
 
 def test_04_multiple_search_sound_and_complete():
@@ -176,33 +179,25 @@ def _scoring_stage_12():
 def test_06_scoring_paths_agree_exactly():
     spec, eqs = _scoring_stage_12()
     assert eqs.total >= 10 ** 4
-    g = attack.build_g_columns(spec, (0,), eqs)
+    g = attack.build_g_columns(spec, 0, eqs)
     assert g.m1 == 12 and g.n1 == 2
     size = 1 << g.m1
-    w0, w1 = attack.accumulate_tables(g)
-    for w in (w0, w1):
+    tables = attack._fill_tables(attack.iter_column_chunks(spec, 0, eqs),
+                                 g.n1, g.m1, eqs.class_counts)
+    for w in tables:
         t = w.astype(np.int64)
         fwht(t)
         assert not np.any(t & ((1 << g.n1) - 1))
     n0_ref, n1_ref = attack.candidate_counts_naive(g)
-    fast = attack.candidate_counts(w0.copy(), w1.copy(), g.n1,
-                                   eqs.class_counts)
-    assert np.array_equal(fast[0], n0_ref)
-    assert np.array_equal(fast[1], n1_ref)
+    ranked_ref = attack.score_candidates_naive(g, top_k=size)
+    assert sorted(c.candidate for c in ranked_ref) == list(range(size))
+    for c in ranked_ref:
+        assert (c.n0, c.n1) == (n0_ref[c.candidate], n1_ref[c.candidate])
     for s in (0, 4, 12):
-        split = attack.candidate_counts_tradeoff(g, s)
-        assert np.array_equal(split[0], n0_ref), f"split={s}"
-        assert np.array_equal(split[1], n1_ref), f"split={s}"
-    ranked_ref = attack.score_candidates_naive(g, top_k=size,
-                                               exclude_zero=False)
-    assert attack.score_candidates(w0, w1, g.n1, top_k=size,
-                                   exclude_zero=False,
-                                   class_counts=eqs.class_counts) == ranked_ref
-    for s in (0, 4, 12):
-        assert attack.score_candidates_tradeoff(
-            g, s, top_k=size, exclude_zero=False) == ranked_ref
-    print(f"check 06 PASS: table/streaming/naive scorers identical on all "
-          f"{size} candidates, {eqs.total} relations, counts divisible "
+        ranked = attack.score_stage(spec, 0, eqs, top_k=size, split_bits=s)
+        assert ranked == ranked_ref, f"split={s}"
+    print(f"check 06 PASS: streaming scorer at splits 0/4/12 == naive on "
+          f"all {size} candidates, {eqs.total} relations, counts divisible "
           f"by 2**{g.n1}")
 
 
@@ -294,7 +289,7 @@ def test_10_full_size_first_stage_recovery():
     mults = presets.large_multiples_31_37(length - 1)
     eqs = attack.harvest_equations(ks, mults,
                                    max_equations=stage.equations_required)
-    ranked = attack._score_stage(spec, stage, eqs, 8, 2)
+    ranked = attack.score_stage(spec, stage.target, eqs, 8, 2)
     assert ranked[0].candidate == spec.split_state(state)[0]
     print(f"check 10 PASS: 29-bit register recovered from {eqs.total} "
           f"relations over 2**24 keystream bits, "

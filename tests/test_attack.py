@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from combgen import attack, presets
-from combgen.attack import (AttackExhaustedError, accumulate_tables,
-                            build_g_columns, candidate_counts,
-                            candidate_counts_naive, candidates_tsv,
-                            compare_orderings, filter_known,
-                            final_direct_search, harvest_equations, plan,
-                            run_attack, score_candidates,
-                            score_candidates_naive, score_candidates_tradeoff,
+from combgen.attack import (AttackExhaustedError, build_g_columns,
+                            candidate_counts, candidate_counts_naive,
+                            candidates_tsv, compare_orderings, filter_known,
+                            final_direct_search, harvest_equations,
+                            iter_column_chunks, plan, run_attack,
+                            score_candidates_naive, score_stage,
                             search_stage_multiples, zero_sum_fraction)
 from combgen.boolfn import BooleanFunction
 from combgen.errors import ValidationError, InvariantError
@@ -51,6 +50,14 @@ def group_arrays(eqs):
             classes.append(c)
         out.append((mult, np.concatenate(bases), np.concatenate(classes)))
     return out
+
+
+def table_pair(spec, target, eqs):
+    """The unsplit class-0/class-1 mask-count tables score_stage builds
+    for register `target`."""
+    lf, taps = attack._target(spec, target)
+    return attack._fill_tables(iter_column_chunks(spec, target, eqs),
+                               len(taps), lf.length, eqs.class_counts)
 
 
 def single_register_spec():
@@ -200,7 +207,7 @@ def test_g_column_by_hand():
     spec = single_register_spec()
     ks = Keystream(np.zeros(5, dtype=np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(1, 2, 4)])
-    g = build_g_columns(spec, [0], eqs)
+    g = build_g_columns(spec, 0, eqs)
     assert g.m1 == 3 and g.n1 == 1
     assert g.columns[0][0] == 1
 
@@ -209,7 +216,7 @@ def test_true_key_dot_products_match_simulation(toy):
     mults = stage1_multiples(toy)[:2]
     ks = toy_keystream(toy, 30000)
     eqs = harvest_equations(ks, mults, max_equations=1000)
-    g = build_g_columns(toy, [0], eqs)
+    g = build_g_columns(toy, 0, eqs)
     u_true = toy.split_state(TRUE_KEY)[0]
     lf = toy.lfsrs[0]
     taps = toy.inputs_of_register(0)
@@ -239,16 +246,9 @@ def test_columns_are_register_local(toy):
     mults = stage1_multiples(toy)[:1]
     ks = toy_keystream(toy, 20000)
     eqs = harvest_equations(ks, mults, max_equations=200)
-    g = build_g_columns(toy, [1], eqs)
+    g = build_g_columns(toy, 1, eqs)
     assert g.m1 == 11
     assert all(int(c.max()) < (1 << 11) for c in g.columns)
-
-
-def test_columns_reject_more_than_one_target(toy):
-    ks = toy_keystream(toy, 20000)
-    eqs = harvest_equations(ks, stage1_multiples(toy)[:1], max_equations=200)
-    with pytest.raises(ValidationError, match="one register"):
-        build_g_columns(toy, [0, 1], eqs)
 
 
 # ----------------------------------------------------------- accumulation
@@ -258,11 +258,10 @@ def test_accumulate_total_mass(toy):
     ks = toy_keystream(toy, 30000)
     eqs = harvest_equations(ks, stage1_multiples(toy)[:2],
                             max_equations=5000)
-    g = build_g_columns(toy, [0], eqs)
-    w0, w1 = accumulate_tables(g)
+    w0, w1 = table_pair(toy, 0, eqs)
     c0, c1 = eqs.class_counts
-    assert int(w0.sum()) == c0 << g.n1
-    assert int(w1.sum()) == c1 << g.n1
+    assert int(w0.sum()) == c0 << 2
+    assert int(w1.sum()) == c1 << 2
 
 
 def test_accumulate_matches_naive_recount(monkeypatch):
@@ -274,8 +273,8 @@ def test_accumulate_matches_naive_recount(monkeypatch):
     ks = Keystream(rng.integers(0, 2, size=2000).astype(np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(5, 19, 37)],
                             max_equations=300)
-    g = build_g_columns(spec, [0], eqs)
-    w0, w1 = accumulate_tables(g)
+    g = build_g_columns(spec, 0, eqs)
+    w0, w1 = table_pair(spec, 0, eqs)
     expect = [np.zeros(512, dtype=np.int64), np.zeros(512, dtype=np.int64)]
     for i in range(g.count):
         b = int(g.classes[i])
@@ -289,7 +288,7 @@ def test_accumulate_matches_naive_recount(monkeypatch):
     assert np.array_equal(w0, expect[0])
     assert np.array_equal(w1, expect[1])
     monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
-    chunked = accumulate_tables(g)
+    chunked = table_pair(spec, 0, eqs)
     assert np.array_equal(chunked[0], expect[0])
     assert np.array_equal(chunked[1], expect[1])
 
@@ -299,8 +298,8 @@ def test_accumulate_single_input_unrolled():
     rng = np.random.default_rng(6)
     ks = Keystream(rng.integers(0, 2, size=400).astype(np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(2, 5, 11)])
-    g = build_g_columns(spec, [0], eqs)
-    w0, w1 = accumulate_tables(g)
+    g = build_g_columns(spec, 0, eqs)
+    w0, w1 = table_pair(spec, 0, eqs)
     c0, c1 = eqs.class_counts
     for b, (w, total) in enumerate(((w0, c0), (w1, c1))):
         direct = np.zeros(8, dtype=np.int64)
@@ -329,7 +328,17 @@ def test_candidate_counts_divisibility_guard():
     w0 = np.array([3, 1, 1, 1], dtype=np.int64)  # not a valid accumulation
     w1 = np.zeros(4, dtype=np.int64)
     with pytest.raises(InvariantError):
-        candidate_counts(w0, w1, n1=2)
+        candidate_counts(w0, w1, 2, (6, 0))
+
+
+def test_candidate_counts_range_guard():
+    # one relation whose columns are all zero: every candidate counts it
+    w0 = np.array([4, 0, 0, 0], dtype=np.int64)
+    w1 = np.zeros(4, dtype=np.int64)
+    assert candidate_counts(w0.copy(), w1.copy(), 2, (1, 0))[0].tolist() \
+        == [1, 1, 1, 1]
+    with pytest.raises(InvariantError, match="class size"):
+        candidate_counts(w0, w1, 2, (0, 0))
 
 
 # ------------------------------------------------------------------ score
@@ -337,25 +346,23 @@ def test_candidate_counts_divisibility_guard():
 
 def scored_stage(toy, nbits=1 << 18, max_eq=300000):
     ks = toy_keystream(toy, nbits)
-    eqs = harvest_equations(ks, stage1_multiples(toy), max_equations=max_eq)
-    return build_g_columns(toy, [0], eqs)
+    return harvest_equations(ks, stage1_multiples(toy), max_equations=max_eq)
 
 
 def test_fast_scorer_equals_naive(toy):
-    g = scored_stage(toy, max_eq=8000)
-    n0_fast, n1_fast = candidate_counts(*accumulate_tables(g), g.n1)
-    n0_ref, n1_ref = candidate_counts_naive(g)
-    assert np.array_equal(n0_fast, n0_ref)
-    assert np.array_equal(n1_fast, n1_ref)
+    eqs = scored_stage(toy, max_eq=8000)
+    ranked = score_stage(toy, 0, eqs, top_k=1 << 13)
+    n0_ref, n1_ref = candidate_counts_naive(build_g_columns(toy, 0, eqs))
+    assert sorted(c.candidate for c in ranked) == list(range(1 << 13))
+    for c in ranked:
+        assert (c.n0, c.n1) == (n0_ref[c.candidate], n1_ref[c.candidate])
 
 
 @pytest.mark.parametrize("split", [0, 1, 4, 13])
 def test_tradeoff_scorer_equals_fast(toy, split):
-    g = scored_stage(toy, max_eq=6000)
-    top = score_candidates(*accumulate_tables(g), g.n1, top_k=10)
-    alt = score_candidates_tradeoff(g, split, top_k=10)
-    assert [(c.candidate, c.n0, c.n1) for c in top] == \
-        [(c.candidate, c.n0, c.n1) for c in alt]
+    eqs = scored_stage(toy, max_eq=6000)
+    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=10)
+    assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
 
 
 def test_tradeoff_passes_hold_one_table_pair():
@@ -385,40 +392,36 @@ def test_tradeoff_passes_hold_one_table_pair():
 
 
 def test_true_candidate_ranks_first(toy):
-    g = scored_stage(toy)
-    ranked = score_candidates(*accumulate_tables(g), g.n1, top_k=8)
+    ranked = score_stage(toy, 0, scored_stage(toy), top_k=8)
     assert ranked[0].candidate == toy.split_state(TRUE_KEY)[0]
     assert ranked[0].zscore > ranked[1].zscore + 3
     assert all(c.candidate != 0 for c in ranked)
 
 
 def test_candidate_zero_counts_everything(toy):
-    g = scored_stage(toy, max_eq=4000)
-    n0, n1c = candidate_counts(*accumulate_tables(g), g.n1)
-    assert int(n0[0] + n1c[0]) == g.count
+    # and, as it says nothing about the state, lists last
+    eqs = scored_stage(toy, max_eq=4000)
+    ranked = score_stage(toy, 0, eqs, top_k=1 << 13)
+    assert ranked[-1].candidate == 0
+    assert ranked[-1].total == eqs.total
 
 
 def test_true_candidate_bias_matches_p_spectrum(toy):
     from combgen.boolfn import p_spectrum
-    g = scored_stage(toy)
-    ranked = score_candidates(*accumulate_tables(g), g.n1, top_k=1)
-    top = ranked[0]
+    top = score_stage(toy, 0, scored_stage(toy), top_k=1)[0]
     expected = 2 * (float(p_spectrum(toy.function).p0) - 0.5)
     assert abs(top.bias - expected) < 4 / math.sqrt(top.total)
 
 
 def test_naive_scorer_top_list_matches(toy):
-    g = scored_stage(toy, max_eq=5000)
-    a = score_candidates(*accumulate_tables(g), g.n1, top_k=6)
-    b = score_candidates_naive(g, top_k=6)
-    assert [(c.candidate, c.n0, c.n1) for c in a] == \
-        [(c.candidate, c.n0, c.n1) for c in b]
+    eqs = scored_stage(toy, max_eq=5000)
+    assert score_stage(toy, 0, eqs, top_k=6) == \
+        score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=6)
 
 
 def test_candidates_tsv_shape(toy):
-    g = scored_stage(toy, max_eq=3000)
-    text = candidates_tsv(score_candidates(*accumulate_tables(g), g.n1,
-                                           top_k=3))
+    text = candidates_tsv(score_stage(toy, 0, scored_stage(toy, max_eq=3000),
+                                      top_k=3))
     lines = text.splitlines()
     assert lines[0] == "candidate\tn0\tn1\tbias\tzscore"
     assert len(lines) == 4 and lines[1].startswith("0x")
@@ -653,12 +656,32 @@ def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
                        {0: toy.split_state(TRUE_KEY)[0]})
     monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
     size = 1 << stage.m1
-    got = attack._score_stage(toy, stage, eqs, size, split)
-    g = build_g_columns(toy, [stage.target], eqs)
+    got = score_stage(toy, stage.target, eqs, size, split)
+    g = build_g_columns(toy, stage.target, eqs)
     n0, n1c = candidate_counts_naive(g)
     assert sorted(c.candidate for c in got) == list(range(size))
     for c in got:
         assert (c.n0, c.n1) == (n0[c.candidate], n1c[c.candidate])
+
+
+def test_stage_scorer_rejects_bad_top_k_before_work(toy, monkeypatch):
+    def no_columns(*args, **kwargs):
+        raise AssertionError("built columns before checking top_k")
+
+    eqs = scored_stage(toy, nbits=1 << 14, max_eq=500)
+    monkeypatch.setattr(attack, "iter_column_chunks", no_columns)
+    with pytest.raises(ValidationError, match="top_k"):
+        score_stage(toy, 0, eqs, top_k=0)
+
+
+def test_run_attack_rejects_bad_top_k_before_work(toy, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched multiples before checking top_k")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_search)
+    monkeypatch.setattr(attack, "harvest_equations", no_search)
+    with pytest.raises(ValidationError, match="top_k"):
+        run_attack(toy, toy_keystream(toy, 1 << 16), top_k=0)
 
 
 @pytest.mark.parametrize("split", [-1, 12])

@@ -82,6 +82,14 @@ def test_multiples_by_raw_modulus(capsys):
     assert "modulus: 0x201b" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("modulus, limit", [("zz", "5"), ("0x201b", "-1")])
+def test_multiples_bad_input_exits_2(modulus, limit, capsys):
+    rc = main(["multiples", "--modulus", modulus, "--degree-bound", "300",
+               "--limit", limit])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_multiples_bad_register_index(toy_spec_file):
     rc = main(["multiples", "--spec", toy_spec_file, "--registers", "7",
                "--degree-bound", "64"])
@@ -133,6 +141,19 @@ def test_attack_bad_split_bits_exits_2_before_work(toy_spec_file,
     monkeypatch.setattr(attack, "harvest_equations", no_work)
     assert main(["attack", "--spec", toy_spec_file, "--keystream",
                  toy_ks_file, "--split-bits", "12"]) == 2
+
+
+def test_attack_bad_top_k_exits_2_before_work(toy_spec_file, toy_ks_file,
+                                              monkeypatch):
+    from combgen import attack
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --top-k")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_work)
+    monkeypatch.setattr(attack, "harvest_equations", no_work)
+    assert main(["attack", "--spec", toy_spec_file, "--keystream",
+                 toy_ks_file, "--top-k", "0"]) == 2
 
 
 def test_attack_on_junk_returns_3(tmp_path, toy_spec_file):

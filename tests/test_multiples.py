@@ -94,6 +94,8 @@ def test_find_weight4_limit():
     assert full.count > 3
     cut = find_weight4(presets.TOY_POLY_13, 400, limit=3)
     assert cut.found == full.found[:3]
+    with pytest.raises(ValidationError, match="limit"):
+        find_weight4(presets.TOY_POLY_13, 400, limit=-1)
 
 
 def test_find_weight4_below_minimum_degree_is_empty():
