@@ -12,8 +12,8 @@ general up to the spectrum gap) essentially no advantage.  Relations
 flow as one restartable chunk stream: a harvest stores one run per
 multiple, and filtering stores only the survivors.
 
-`score_stage` scores all 2**m1 candidates with one pair of mask
-histograms and one Walsh transform per relation class instead of a
+`score_stage` scores all 2**m1 candidates with one mask-count array,
+a row per relation class, and one Walsh transform per row instead of a
 per-candidate pass (`score_candidates_naive`, its oracle); a split
 parameter trades table memory for repeated accumulation passes.
 The last register is recovered by direct search on a short window.
@@ -435,47 +435,37 @@ def build_g_columns(spec, target, eqs):
         classes=np.concatenate([classes for _, classes in chunks]))
 
 
-def _table_dtype(m1, total, n1):
-    if m1 <= 24:
-        return np.int64
-    if total * (1 << n1) >= 1 << 31:
-        raise ValidationError("relation count overflows int32 tables")
-    return np.int32
+def _table_dtype(total, n1):
+    """int32 when total * 2**n1, which bounds every entry of the count
+    array and every partial sum of its transform, fits; else int64."""
+    return np.int32 if total << n1 < 1 << 31 else np.int64
 
 
 def _accumulate_chunk(tables, cols, classes, n1, prefix, suffix_bits):
-    """Add one slice's mask counts into the pair of tables.
-
-    With no prefix every mask adds one at its own index.  With a prefix,
-    counts are signed by the parity of (prefix AND the mask's high bits)
-    and indexed by the low suffix_bits bits: the memory tradeoff.  The
-    2**n1 - 1 nonzero masks are visited in Gray-code order, each one XOR
-    from the last.
-    """
-    is0 = classes == 0
-    split = (is0, ~is0)
-    one = tables[0].dtype.type(1)
+    """Add one chunk's mask counts into the (2, 2**suffix_bits) count
+    array, row = class.  Each mask adds its sign, the parity of (prefix
+    AND its high bits), at its low suffix_bits bits, so prefix 0 adds
+    plain ones; the 2**n1 - 1 nonzero masks run in Gray-code order, one
+    XOR each."""
+    flat = tables.reshape(-1)
+    rows = classes.astype(cols[0].dtype) << suffix_bits
+    low = (1 << suffix_bits) - 1
+    one = tables.dtype.type(1)
     for y in range(1, 1 << n1):
         v = cols[0] if y == 1 else v ^ cols[(y & -y).bit_length() - 1]
-        for b in (0, 1):
-            vb = v[split[b]]
-            if prefix is None:
-                np.add.at(tables[b], vb, one)
-            else:
-                hi = vb >> suffix_bits
-                parity = (np.bitwise_count(hi & prefix) & 1).astype(
-                    tables[b].dtype)
-                np.add.at(tables[b], vb & ((1 << suffix_bits) - 1),
-                          one - 2 * parity)
+        sign = one
+        if prefix:
+            sign = one - 2 * (np.bitwise_count((v >> suffix_bits) & prefix)
+                              & 1).astype(tables.dtype)
+        np.add.at(flat, rows | (v & low), sign)
 
 
-def _fill_tables(chunks, n1, bits, class_counts, prefix=None):
-    """Pair of 2**bits-entry mask-count tables over every chunk, entry 0
-    seeded with the class counts (the all-zero mask of each relation)."""
-    dtype = _table_dtype(bits, sum(class_counts), n1)
-    tables = (np.zeros(1 << bits, dtype), np.zeros(1 << bits, dtype))
-    tables[0][0] += class_counts[0]
-    tables[1][0] += class_counts[1]
+def _fill_tables(chunks, n1, bits, class_counts, prefix=0):
+    """(2, 2**bits) mask-count array over every chunk, row b counting the
+    class-b relations; entry 0 of each row is seeded with its class count
+    (the all-zero mask of each relation)."""
+    tables = np.zeros((2, 1 << bits), _table_dtype(sum(class_counts), n1))
+    tables[:, 0] = class_counts
     for cols, classes in chunks:
         _accumulate_chunk(tables, cols, classes, n1, prefix, bits)
     return tables
@@ -581,19 +571,18 @@ def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
     """Yield (offset, n0, n1) per prefix of the split candidate space.
 
     chunks_factory() restarts the (columns, classes) chunk stream; one
-    full pass runs per prefix, against tables of 2**(m1 - split_bits)
-    entries.  With no split the single pass counts masks unsigned.
+    full pass runs per prefix, against one (2, 2**(m1 - split_bits))
+    count array.
     """
     if not 0 <= split_bits <= m1:
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
     suffix_bits = m1 - split_bits
     for prefix in range(1 << split_bits):
-        # built inside the yield: no local keeps this pass's table pair
+        # built inside the yield: no local keeps this pass's count array
         # alive while the next pass fills its own
         yield (prefix << suffix_bits, *candidate_counts(
             *_fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
-                          prefix if split_bits else None),
-            n1, class_counts))
+                          prefix), n1, class_counts))
 
 
 def check_top_k(top_k):
@@ -608,7 +597,7 @@ def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
     candidate 0 matches every relation and ranks below any with one.
 
     Column chunks stream through 2**split_bits prefix passes, each over
-    one pair of 2**(m1 - split_bits)-entry tables.
+    one (2, 2**(m1 - split_bits)) count array.
     """
     check_top_k(top_k)
     lf, taps = _target(spec, target)

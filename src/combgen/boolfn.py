@@ -57,10 +57,10 @@ def fwht(table):
     memory does the lowest 16 levels in cache-sized row slabs and a
     second pass does every higher level in column slabs.
     Every intermediate value is a signed sum of input entries, so its
-    magnitude is at most max|a| * 2**k.  When that bound is at most both
-    2**53 and the dtype's maximum, every float64 product and sum is an
-    exact integer in whatever order BLAS adds, and the result equals
-    the integer transform exactly.  Any other array (a larger bound, an
+    magnitude is at most sum|a|.  When sum|a| is below 2**53 and at most
+    the dtype's maximum, every float64 product and sum is an exact
+    integer in whatever order BLAS adds, and the result equals the
+    integer transform exactly.  Any other array (a larger sum, an
     unsigned or float dtype) falls back to k passes of numpy integer
     butterflies, which wrap on overflow like any numpy sum: callers
     pick a dtype wide enough for the result.
@@ -90,12 +90,20 @@ def _fwht_array(a):
 
 
 def _float_exact(a):
-    """True when a is a signed integer array whose transform, and every
-    intermediate sum of it, float64 and a's dtype both hold exactly."""
+    """True when a is a signed integer array whose sum|a|, which bounds
+    every sum the transform forms, float64 and a's dtype hold exactly.
+    A float64 slab sum of |a| is exact below 2**53 and at least 2**53
+    otherwise, dtype minima included."""
     if not np.issubdtype(a.dtype, np.signedinteger):
         return False
-    peak = max(int(a.max()), -int(a.min()))
-    return peak * a.size <= min(_FLOAT_EXACT, int(np.iinfo(a.dtype).max))
+    limit = min(_FLOAT_EXACT, int(np.iinfo(a.dtype).max))
+    total = 0
+    for lo in range(0, a.size, _FWHT_SLAB):
+        part = np.abs(a[lo:lo + _FWHT_SLAB], dtype=np.float64).sum()
+        total += int(part)
+        if part >= _FLOAT_EXACT or total > limit:
+            return False
+    return True
 
 
 @functools.cache

@@ -38,9 +38,12 @@ def _log(msg):
 
 def _parse_hex(text, what):
     try:
-        return int(text, 16)
+        value = int(text, 16)
+        if value >= 0:
+            return value
     except ValueError:
-        raise ValidationError(f"bad {what} {text!r}, expected hex") from None
+        pass
+    raise ValidationError(f"bad {what} {text!r}, expected non-negative hex")
 
 
 def _parse_int_list(text):
@@ -254,6 +257,9 @@ def cmd_verify(args):
     else:
         if args.n > 6:
             raise ValidationError("brute-force legs are capped at n=6")
+        if args.trials < 1:
+            raise ValidationError(f"--trials must be at least 1, got "
+                                  f"{args.trials}")
         rng = np.random.default_rng(args.seed)
         funcs = [random_balanced_function(args.n, rng)
                  for _ in range(args.trials)]

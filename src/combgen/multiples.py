@@ -162,6 +162,19 @@ def _scan_python(residues, bound):
     return hits
 
 
+def _check_modulus(modulus):
+    """The degree of a modulus that can divide a weight-4 multiple."""
+    if modulus < 0:
+        raise ValidationError(f"modulus must not be negative, got {modulus}")
+    deg = poly_degree(modulus)
+    if deg < 1:
+        raise ValidationError("modulus must have degree >= 1")
+    if not modulus & 1:
+        raise ValidationError("modulus with zero constant term divides no "
+                              "weight-4 multiple")
+    return deg
+
+
 def find_weight4(modulus, degree_bound, limit=None):
     """All weight-4 multiples of modulus with degree <= degree_bound.
 
@@ -169,12 +182,7 @@ def find_weight4(modulus, degree_bound, limit=None):
     sorted by degree; `limit`, if given, truncates the sorted list (the
     scan itself always covers the full bound) and must not be negative.
     """
-    deg = poly_degree(modulus)
-    if deg < 1:
-        raise ValidationError("modulus must have degree >= 1")
-    if not modulus & 1:
-        raise ValidationError("modulus with zero constant term divides no "
-                              "weight-4 multiple")
+    deg = _check_modulus(modulus)
     if degree_bound < 3:
         raise ValidationError("degree bound below the minimum weight-4 degree")
     if degree_bound > 1 << 24:
@@ -206,12 +214,7 @@ def find_weight4_bruteforce(modulus, degree_bound):
     Cost grows as degree_bound**3; for cross-checking the collision scan
     at small bounds.
     """
-    deg = poly_degree(modulus)
-    if deg < 1:
-        raise ValidationError("modulus must have degree >= 1")
-    if not modulus & 1:
-        raise ValidationError("modulus with zero constant term divides no "
-                              "weight-4 multiple")
+    deg = _check_modulus(modulus)
     if degree_bound > 1 << 9:
         raise ValidationError("cubic enumeration limited to bound <= 512")
     residues = _residue_list(modulus, degree_bound)

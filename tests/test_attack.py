@@ -10,7 +10,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from combgen import attack, presets
+from combgen import attack, boolfn, presets
 from combgen.attack import (AttackExhaustedError, build_g_columns,
                             candidate_counts, candidate_counts_naive,
                             candidates_tsv, compare_orderings, filter_known,
@@ -309,19 +309,32 @@ def test_accumulate_single_input_unrolled():
         assert np.array_equal(w, direct)
 
 
-@pytest.mark.parametrize("prefix, bits", [(None, 12), (0b101, 9)])
+@pytest.mark.parametrize("prefix, bits", [(0, 12), (0b101, 9)])
 def test_accumulate_int32_tables_equal_int64(prefix, bits):
     rng = np.random.default_rng(8)
     cols = [rng.integers(0, 1 << 12, 5000) for _ in range(3)]
     classes = rng.integers(0, 2, 5000).astype(np.uint8)
-    pairs = []
+    arrays = []
     for dtype in (np.int32, np.int64):
-        tables = (np.zeros(1 << bits, dtype), np.zeros(1 << bits, dtype))
+        tables = np.zeros((2, 1 << bits), dtype)
         attack._accumulate_chunk(tables, cols, classes, 3, prefix, bits)
-        pairs.append(tables)
-    for t32, t64 in zip(*pairs):
-        assert t32.dtype == np.int32
-        assert np.array_equal(t32, t64)
+        arrays.append(tables)
+    assert arrays[0].dtype == np.int32
+    assert np.array_equal(arrays[0], arrays[1])
+
+
+@pytest.mark.parametrize("preset", [presets.toy_generator,
+                                    presets.generator_29_31_37])
+def test_table_dtype_follows_relation_bound(preset):
+    # one rule at every register length (m1 = 13 for the toy, 29 at full
+    # size): int32 exactly when relations * 2**n1 < 2**31
+    stage = plan(preset()).stages[0]
+    edge = 1 << (31 - stage.n1)
+    assert attack._table_dtype(edge - 1, stage.n1) is np.int32
+    assert attack._table_dtype(edge, stage.n1) is np.int64
+    planned = math.ceil(stage.equations_required * attack.RAW_MARGIN)
+    assert planned < edge
+    assert attack._table_dtype(planned, stage.n1) is np.int32
 
 
 def test_candidate_counts_divisibility_guard():
@@ -365,9 +378,20 @@ def test_tradeoff_scorer_equals_fast(toy, split):
     assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
 
 
+@pytest.mark.parametrize("split", [0, 2])
+def test_score_stage_never_reaches_butterflies(toy, monkeypatch, split):
+    def no_butterflies(a):
+        raise AssertionError("fell back to the butterflies")
+
+    eqs = scored_stage(toy, max_eq=6000)
+    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=10)
+    monkeypatch.setattr(boolfn, "_fwht_butterfly", no_butterflies)
+    assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
+
+
 def test_tradeoff_passes_hold_one_table_pair():
-    # 2**16-entry int64 tables: a pair is 1 MiB, so a pass that still
-    # holds the previous pass's pair peaks a full pair above the first;
+    # a (2, 2**16) int32 count array is 512 KiB, so a pass that still
+    # holds the previous pass's array peaks a full array above the first;
     # 64 KiB of slack absorbs incidental interpreter allocations
     import tracemalloc
     rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import boolfn, presets
 from combgen.boolfn import (BooleanFunction, autocorrelation,
                             check_p_spectrum_bounds, fwht, nonlinearity,
                             p_spectrum, p_spectrum_bruteforce,
@@ -151,6 +151,36 @@ def test_fwht_int32_overflow_wraps(rng):
     exact = fwht([int(v) for v in a])
     assert max(abs(v) for v in exact) >= 1 << 31
     wrapped = [(v + (1 << 31)) % (1 << 32) - (1 << 31) for v in exact]
+    assert fwht(a).tolist() == wrapped
+
+
+def test_fwht_blocked_path_bounded_by_l1_norm(rng, monkeypatch):
+    # sum|a| <= 2**31 - 1 although max|a| * size = 2**42: the int32 table
+    # takes the blocked path, and the butterflies are never reached
+    def no_butterflies(a):
+        raise AssertionError("fell back to the butterflies")
+
+    a = rng.integers(-1000, 1001, size=1 << 12).astype(np.int32)
+    a[7] = 1 << 30
+    assert int(np.abs(a.astype(np.int64)).sum()) <= (1 << 31) - 1
+    want = fwht([int(v) for v in a])
+    monkeypatch.setattr(boolfn, "_fwht_butterfly", no_butterflies)
+    assert _float_exact(a)
+    assert fwht(a).tolist() == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_fwht_dtype_minimum_never_blocked(dtype, monkeypatch):
+    def no_blocked(a):
+        raise AssertionError("sent a dtype minimum to the blocked path")
+
+    a = np.zeros(8, dtype)
+    a[3] = np.iinfo(dtype).min
+    assert not _float_exact(a)
+    bits = 8 * a.itemsize
+    wrapped = [(v + (1 << bits - 1)) % (1 << bits) - (1 << bits - 1)
+               for v in fwht([int(v) for v in a])]
+    monkeypatch.setattr(boolfn, "_fwht_blocked", no_blocked)
     assert fwht(a).tolist() == wrapped
 
 

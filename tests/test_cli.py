@@ -82,9 +82,11 @@ def test_multiples_by_raw_modulus(capsys):
     assert "modulus: 0x201b" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("modulus, limit", [("zz", "5"), ("0x201b", "-1")])
+@pytest.mark.parametrize("modulus, limit", [("zz", "5"), ("0x201b", "-1"),
+                                           ("-0x201b", "5")])
 def test_multiples_bad_input_exits_2(modulus, limit, capsys):
-    rc = main(["multiples", "--modulus", modulus, "--degree-bound", "300",
+    # --modulus=VALUE, so argparse reads a leading minus as a value
+    rc = main(["multiples", f"--modulus={modulus}", "--degree-bound", "300",
                "--limit", limit])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -216,6 +218,23 @@ def test_verify_exhaustive_n3(capsys):
 
 def test_verify_exhaustive_rejects_other_arity():
     assert main(["verify", "--n", "4", "--exhaustive"]) == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(trials, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a function before checking --trials")
+
+    monkeypatch.setattr("combgen.cli.random_balanced_function", no_draw)
+    assert main(["verify", "--n", "4", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "checked" not in out
+
+
+def test_check_rejects_negative_state(toy_spec_file, toy_ks_file, capsys):
+    assert main(["check", "--spec", toy_spec_file, "--keystream",
+                 toy_ks_file, "--state=-0x15543210f"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_match_and_mismatch(toy_spec_file, toy_ks_file):

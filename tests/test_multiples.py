@@ -89,6 +89,12 @@ def test_find_weight4_report_is_sorted():
     assert report.expected == expected_count(13, 400)
 
 
+@pytest.mark.parametrize("search", [find_weight4, find_weight4_bruteforce])
+def test_weight4_search_rejects_negative_modulus(search):
+    with pytest.raises(ValidationError, match="negative"):
+        search(-0x201b, 300)
+
+
 def test_find_weight4_limit():
     full = find_weight4(presets.TOY_POLY_13, 400)
     assert full.count > 3
