@@ -30,7 +30,8 @@ import numpy as np
 
 from .boolfn import autocorrelation, fwht
 from .errors import AttackExhaustedError, InvariantError, ValidationError
-from .gf2 import Keystream, keystream, residue_powers, sequence_bits
+from .gf2 import Keystream, input_words, keystream, residue_powers
+from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (Weight4Multiple, find_weight4, product_modulus,
                         verify_multiple)
 
@@ -293,14 +294,13 @@ def harvest_equations(ks, mults, max_equations=None):
     once that many relations were collected (the last group truncated).
     A multiple's relations form one run, stored as its count alone.
     """
-    bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
-    length = bits.size
-    if length >= 1 << 31:
+    bits = Keystream.of(ks).bits
+    if bits.size >= 1 << 31:
         raise ValidationError("keystream beyond 2^31 bits is unsupported")
     groups = []
     collected = 0
     for mult in sorted(mults, key=lambda m: (m.t3, m.t2, m.t1)):
-        room = length - mult.t3
+        room = bits.size - mult.t3
         if room <= 0:
             continue
         if max_equations is not None:
@@ -314,30 +314,6 @@ def harvest_equations(ks, mults, max_equations=None):
                               "keystream (need more keystream or lower-degree "
                               "multiples)")
     return EquationSet(bits, tuple(groups))
-
-
-def _input_words(spec, states, count):
-    """Wired inputs of the registers in `states` (register -> initial
-    state) packed into one word per time step, bit j being input j as in
-    gf2.keystream; inputs of other registers read zero.  Registers run
-    a DEFAULT_CHUNK slab at a time from their state at the slab's start
-    (its next `length` output bits), so no residue table outgrows a slab.
-    """
-    words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
-    for r, state in states.items():
-        wired = spec.inputs_of_register(r)
-        if not wired:
-            continue
-        lf = spec.lfsrs[r]
-        bits = np.empty(count + max(p for _, p in wired), dtype=np.uint8)
-        for lo in range(0, bits.size, DEFAULT_CHUNK):
-            n = min(DEFAULT_CHUNK, bits.size - lo)
-            seq = sequence_bits(lf.feedback, lf.length, state, n + lf.length)
-            bits[lo:lo + n] = seq[:n]
-            state = sum(int(b) << i for i, b in enumerate(seq[n:]))
-        for j, p in wired:
-            words |= bits[p:p + count].astype(words.dtype) << j
-    return words
 
 
 def _quad_sum(values, mult, bases):
@@ -362,7 +338,7 @@ def filter_known(spec, eqs, known):
     """
     if not known:
         return eqs
-    words = _input_words(spec, known, eqs.bits.size)
+    words = input_words(spec, known, eqs.bits.size)
     groups = []
     for mult, chunks in groupby(_relation_chunks(eqs), key=lambda c: c[0]):
         bases, classes = [], []
@@ -619,7 +595,7 @@ def final_direct_search(spec, ks, known):
     so the expected number of false survivors is far below one.  Returns
     the surviving states, best matches first.
     """
-    bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
+    bits = Keystream.of(ks).bits
     unknown = [r for r in range(len(spec.lfsrs)) if r not in known]
     if len(unknown) != 1:
         raise ValidationError(f"direct search needs exactly one unknown "
@@ -633,9 +609,8 @@ def final_direct_search(spec, ks, known):
     if window < lf.length:
         raise ValidationError("window shorter than the register")
     open_inputs = spec.inputs_of_register(r_open)
-    max_tap = max((p for _, p in open_inputs), default=0)
-    known_x = _input_words(spec, known, window)
-    table = residue_powers(lf.feedback, window + max_tap)
+    known_x = input_words(spec, known, window)
+    table = residue_powers(lf.feedback, window + max(lf.taps, default=0))
     alive = np.arange(1 << lf.length, dtype=np.int64)
     for t in range(window):
         x = np.full(alive.size, known_x[t], dtype=np.int32)
@@ -736,18 +711,34 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     backtracking.  `multiples` optionally maps a stage index to a list
     of Weight4Multiple to use instead of searching.  The recovered state
     must regenerate the keystream exactly or the branch is rejected.
-    Each scored stage runs 2**split_bits prefix passes over tables of
-    2**(m1 - split_bits) entries; a top_k below 1, or a split_bits
-    outside [0, m1] of any scored stage, is rejected before any work.
+    Each scored stage's multiples are chosen and harvested once before
+    the search; a visit filters, scores in 2**split_bits prefix passes
+    and recurses.  A top_k below 1, or a split_bits outside [0, m1] of
+    any scored stage, is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
     attack_plan.check_split_bits(split_bits)
-    bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
-    ks = Keystream(bits)
+    ks = Keystream.of(ks)
     started = time.perf_counter()
     result = AttackResult(success=False, state=None, order=attack_plan.order)
+    # multiples and raw relations per scored stage, made once for all visits
+    harvests = {}
+    for idx, stage in enumerate(attack_plan.stages):
+        if stage.is_final:
+            continue
+        raw_target = _raw_target(stage)
+        supplied = (multiples or {}).get(idx)
+        if supplied:
+            group = [spec.lfsrs[r].feedback for r in stage.group2]
+            chosen = _choose_multiples(
+                [m for m in supplied if verify_multiple(m, group)], len(ks),
+                raw_target, product_modulus(group))
+        else:
+            _, chosen = search_stage_multiples(spec, stage, len(ks))
+        harvests[idx] = chosen, harvest_equations(
+            ks, chosen, max_equations=raw_target)
 
     def solve(idx, known):
         stage = attack_plan.stages[idx]
@@ -760,23 +751,12 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 candidates=tuple(survivors[:top_k]),
                 seconds=time.perf_counter() - t0))
             for cand in survivors:
-                parts = dict(known)
-                parts[stage.target] = cand
-                state = spec.join_state([parts[r]
-                                         for r in range(len(spec.lfsrs))])
+                parts = {**known, stage.target: cand}
+                state = spec.join_state([parts[r] for r in sorted(parts)])
                 if keystream(spec, state, len(ks)) == ks:
                     return state
             return None
-        raw_target = _raw_target(stage)
-        supplied = (multiples or {}).get(idx)
-        if supplied:
-            group = [spec.lfsrs[r].feedback for r in stage.group2]
-            chosen = _choose_multiples(
-                [m for m in supplied if verify_multiple(m, group)], len(ks),
-                raw_target, product_modulus(group))
-        else:
-            _, chosen = search_stage_multiples(spec, stage, len(ks))
-        eqs = harvest_equations(ks, chosen, max_equations=raw_target)
+        chosen, eqs = harvests[idx]
         raw = eqs.total
         eqs = filter_known(spec, eqs, known)
         warnings = ()
@@ -829,8 +809,8 @@ def zero_sum_fraction(spec, state, eqs):
     """
     if eqs.total == 0:
         raise ValidationError("empty relation set")
-    words = _input_words(spec, dict(enumerate(spec.split_state(state))),
-                         eqs.bits.size)
+    words = input_words(spec, dict(enumerate(spec.split_state(state))),
+                        eqs.bits.size)
     nonzero = sum(int(np.count_nonzero(_quad_sum(words, mult, bases)))
                   for mult, bases, _ in _relation_chunks(eqs))
     return 1.0 - nonzero / eqs.total

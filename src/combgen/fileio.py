@@ -78,7 +78,7 @@ def load_generator_spec(path):
 
 
 def save_keystream(path, ks):
-    bits = ks.bits if isinstance(ks, Keystream) else np.asarray(ks, np.uint8)
+    bits = Keystream.of(ks).bits
     header = KEYSTREAM_MAGIC + bytes([KEYSTREAM_VERSION])
     header += struct.pack("<Q", bits.size)
     payload = np.packbits(bits, bitorder="little").tobytes()

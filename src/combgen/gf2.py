@@ -126,11 +126,11 @@ def poly_is_primitive(p):
 
 # --- residue tables -------------------------------------------------------
 #
-# X**t mod P for consecutive t, as an int64 array.  These tables back both
-# bulk sequence generation and the attack's linear-form columns, so they
-# are cached per polynomial and grown on demand, to exactly the length
-# asked for.  Growth runs under a lock; the arrays themselves are
-# immutable once published.
+# X**t mod P for consecutive t, as an int64 array.  These tables back
+# sequence_bits, which asks for at most one slab plus the register length,
+# and the attack's linear-form columns, so they are cached per polynomial
+# and grown on demand, to exactly the length asked for.  Growth runs under
+# a lock; the arrays themselves are immutable once published.
 #
 # Growth is by block doubling: with s entries known, r[s + i] is
 # r[i] * (X**s mod P) for the next min(s, count - s) entries.  Multiplying
@@ -144,6 +144,7 @@ def poly_is_primitive(p):
 _residue_cache = {}
 _residue_lock = threading.Lock()
 _RESIDUE_SLICE = 1 << 15
+_SLAB = 1 << 20
 
 
 def _check_residue_degree(poly):
@@ -232,14 +233,22 @@ def sequence_bits(poly, length, init, count):
     """First `count` output bits of the LFSR, fast bulk path.
 
     Bit t is the parity of (X**t mod poly) AND init, per the convention
-    in the module docstring.
+    in the module docstring.  Each _SLAB bits start from the state the
+    previous slab hands over, its next `length` bits (the last slab
+    computes none), so no residue table outgrows a slab plus `length`.
     """
     if not 0 <= init < 1 << length:
         raise ValidationError(f"initial state out of range for length {length}")
     if poly_degree(poly) != length:
         raise ValidationError("feedback degree does not match length")
-    r = residue_powers(poly, count)
-    return (np.bitwise_count(r & init) & 1).astype(np.uint8)
+    out = np.empty(max(count, 0), dtype=np.uint8)
+    for lo in range(0, out.size, _SLAB):
+        n = min(_SLAB, out.size - lo)
+        r = residue_powers(poly, n if lo + n == out.size else n + length)
+        np.bitwise_and(np.bitwise_count(r[:n] & init), 1, out=out[lo:lo + n])
+        init = sum(((int(v) & init).bit_count() & 1) << i
+                   for i, v in enumerate(r[n:]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -318,10 +327,6 @@ class GeneratorSpec:
         """Arity of the combining function."""
         return self.function.n
 
-    def state_offset(self, r):
-        """Bit offset of register r's state inside the packed full state."""
-        return sum(lf.length for lf in self.lfsrs[:r])
-
     def split_state(self, state):
         """Unpack a full m-bit state int into per-register ints."""
         if not 0 <= state < 1 << self.m:
@@ -356,10 +361,18 @@ class Keystream:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1 or (bits.size and bits.max() > 1):
+        raw = np.asarray(self.bits)
+        bits = np.ascontiguousarray(raw, dtype=np.uint8)
+        # the cast wraps 256 to 0 and 0.5 to 0: compare with the input
+        if (bits.ndim != 1 or (bits.size and bits.max() > 1)
+                or (raw.dtype != np.uint8 and not np.array_equal(raw, bits))):
             raise ValidationError("keystream bits must be one-dimensional 0/1")
         object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def of(cls, ks):
+        """`ks`, or the Keystream of a raw bit array, checked 1-D, 0/1."""
+        return ks if isinstance(ks, cls) else cls(ks)
 
     def __len__(self):
         return self.bits.size
@@ -393,22 +406,28 @@ def lfsr_sequence(spec, init, count):
     return out
 
 
+def input_words(spec, states, count):
+    """The one packer of register outputs: wired inputs of the registers
+    in `states` (register -> initial state), one word per time step, bit
+    j being input j of f; other registers' inputs read zero."""
+    words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
+    for r, state in states.items():
+        lf = spec.lfsrs[r]
+        bits = sequence_bits(lf.feedback, lf.length, state,
+                             count + max(lf.taps, default=0))
+        for j, p in spec.inputs_of_register(r):
+            words |= np.left_shift(bits[p:p + count], j, dtype=words.dtype)
+    return words
+
+
 def keystream(spec, state, count):
-    """Generator output z_t = f(wired tap bits), fast bulk path."""
+    """Generator output z_t = f(wired tap bits), fast bulk path: the
+    truth-table lookup of input_words over every register."""
     parts = spec.split_state(state)
     if count < 0:
         raise ValidationError("count must be nonnegative")
-    x = np.zeros(count, dtype=np.int32)
-    if count:
-        for r, lf in enumerate(spec.lfsrs):
-            wired = spec.inputs_of_register(r)
-            if not wired:
-                continue
-            span = count + max(p for _, p in wired)
-            bits = sequence_bits(lf.feedback, lf.length, parts[r], span)
-            for j, p in wired:
-                x |= bits[p:p + count].astype(np.int32) << j
-    return Keystream(spec.function.table[x])
+    return Keystream(
+        spec.function.table[input_words(spec, dict(enumerate(parts)), count)])
 
 
 def keystream_reference(spec, state, count):

@@ -10,7 +10,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from combgen import attack, boolfn, presets
+from combgen import attack, boolfn, gf2, presets
 from combgen.attack import (AttackExhaustedError, build_g_columns,
                             candidate_counts, candidate_counts_naive,
                             candidates_tsv, compare_orderings, filter_known,
@@ -155,6 +155,19 @@ def test_harvest_rejects_too_short_keystream():
     bits = Keystream(np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValidationError):
         harvest_equations(bits, [Weight4Multiple(1, 2, 5)])
+
+
+@pytest.mark.parametrize("raw", [np.array([0, 1, 2, 1, 0, 1, 1, 0]),
+                                 np.ones((2, 8), dtype=np.uint8)])
+def test_raw_keystream_arrays_are_validated(toy, raw):
+    # a 2 used to reach score_stage and die in np.add.at; a 2-D array
+    # was read as its flattening
+    with pytest.raises(ValidationError, match="one-dimensional 0/1"):
+        harvest_equations(raw, [Weight4Multiple(1, 2, 5)])
+    with pytest.raises(ValidationError, match="one-dimensional 0/1"):
+        final_direct_search(toy, raw, {0: 1, 1: 1})
+    with pytest.raises(ValidationError, match="one-dimensional 0/1"):
+        run_attack(toy, raw)
 
 
 def test_harvest_allocates_nothing_per_relation(toy):
@@ -511,12 +524,14 @@ def test_filter_known_all_filtered_is_an_error(toy):
 
 @pytest.mark.parametrize("raw", [1 << 20, 1 << 22])
 def test_filter_known_peak_is_kept_plus_chunks(toy, monkeypatch, raw):
-    # 2**16-relation chunks over a 2**20-bit keystream: the input words
+    # 2**16-relation chunks and register-output slabs over a 2**20-bit
+    # keystream: the input words
     # and register bits (about 3 bytes per keystream bit) take 48 chunks
     # of the allowance; nothing else may grow with the group size or the
     # raw relation count beyond the kept arrays themselves
     import tracemalloc
     monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 16)
+    monkeypatch.setattr(gf2, "_SLAB", 1 << 16)
     ks = toy_keystream(toy, (1 << 20) + 64)
     mults = [Weight4Multiple(3 + i, 17 + 2 * i, 40 + 3 * i)
              for i in range(raw >> 20)]
@@ -594,8 +609,8 @@ def test_input_words_index_the_keystream(make_spec, dtype):
     from combgen.gf2 import random_state
     spec = make_spec()
     state = random_state(spec, np.random.default_rng(11))
-    words = attack._input_words(spec, dict(enumerate(spec.split_state(state))),
-                                4096)
+    words = gf2.input_words(spec, dict(enumerate(spec.split_state(state))),
+                            4096)
     assert words.dtype == dtype
     assert np.array_equal(spec.function.table[words],
                           keystream(spec, state, 4096).bits)
@@ -603,9 +618,9 @@ def test_input_words_index_the_keystream(make_spec, dtype):
 
 def test_input_words_same_in_slabs(toy, monkeypatch):
     states = dict(enumerate(toy.split_state(TRUE_KEY)))
-    whole = attack._input_words(toy, states, 3000)
-    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
-    assert np.array_equal(attack._input_words(toy, states, 3000), whole)
+    whole = gf2.input_words(toy, states, 3000)
+    monkeypatch.setattr(gf2, "_SLAB", 7)
+    assert np.array_equal(gf2.input_words(toy, states, 3000), whole)
 
 
 # ----------------------------------------------------------- final search
@@ -736,6 +751,35 @@ def test_run_attack_exhausts_on_unrelated_bits(toy):
         run_attack(toy, junk, top_k=2)
     assert info.value.result is not None
     assert info.value.result.backtracks > 0
+
+
+def test_backtrack_searches_each_stage_once(toy, monkeypatch):
+    # the true stage-1 candidate is forced to rank third, so stage 2 is
+    # visited three times; its multiples and relations are made once
+    true0 = toy.split_state(TRUE_KEY)[0]
+    searched = []
+    real_search, real_score = (attack.search_stage_multiples,
+                               attack.score_stage)
+
+    def counted_search(spec, stage, ks_len):
+        searched.append(stage.target)
+        return real_search(spec, stage, ks_len)
+
+    def demoted_score(spec, target, eqs, top_k, split_bits):
+        ranked = real_score(spec, target, eqs, top_k, split_bits)
+        if target != 0:
+            return ranked
+        rest = [c for c in ranked if c.candidate != true0]
+        assert len(rest) == len(ranked) - 1
+        return rest[:2] + [c for c in ranked if c.candidate == true0] \
+            + rest[2:]
+
+    monkeypatch.setattr(attack, "search_stage_multiples", counted_search)
+    monkeypatch.setattr(attack, "score_stage", demoted_score)
+    result = run_attack(toy, toy_keystream(toy))
+    assert result.state == TRUE_KEY
+    assert sorted(searched) == [0, 1]
+    assert [r.target for r in result.reports if r.multiples].count(1) == 3
 
 
 def test_search_stage_multiples_returns_verified(toy):

@@ -7,10 +7,11 @@ X^3 + X + 1.
 import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import gf2, presets
 from combgen.errors import ValidationError
-from combgen.gf2 import (GeneratorSpec, LfsrSpec, clear_residue_cache,
-                         keystream, keystream_reference, lfsr_sequence,
+from combgen.gf2 import (GeneratorSpec, Keystream, LfsrSpec,
+                         clear_residue_cache, keystream, keystream_reference,
+                         lfsr_sequence,
                          poly_degree, poly_divmod, poly_from_exponents,
                          poly_gcd, poly_is_primitive, poly_mul, poly_mulmod,
                          poly_rem, random_state, residue_powers,
@@ -305,6 +306,42 @@ def test_keystream_frozen_vector(toy):
     word = 0xE58964A74DAD829F
     expect = [(word >> t) & 1 for t in range(64)]
     assert list(keystream(toy, 0x15543210F, 64)) == expect
+
+
+@pytest.mark.parametrize("make_spec", [presets.toy_generator,
+                                       presets.generator_29_31_37])
+def test_slabbed_paths_equal_oracles(make_spec, monkeypatch):
+    # 7-bit slabs: every register hands its state over dozens of times
+    spec = make_spec()
+    state = random_state(spec, np.random.default_rng(3))
+    monkeypatch.setattr(gf2, "_SLAB", 7)
+    assert keystream(spec, state, 300) == keystream_reference(spec, state,
+                                                              300)
+    for lf, part in zip(spec.lfsrs, spec.split_state(state)):
+        for count in (0, 6, 7, 8, 7 * lf.length, 200):
+            assert np.array_equal(
+                sequence_bits(lf.feedback, lf.length, part, count),
+                lfsr_sequence(lf, part, count))
+
+
+def test_keystream_caches_no_table_beyond_a_slab(toy):
+    count = gf2._SLAB * 3 // 2
+    clear_residue_cache()
+    try:
+        keystream(toy, 0x15543210F, count)
+        assert gf2._residue_cache
+        for lf in toy.lfsrs:
+            size = gf2._residue_cache[lf.feedback].size
+            assert size <= gf2._SLAB + lf.length + max(lf.taps)
+    finally:
+        clear_residue_cache()
+
+
+@pytest.mark.parametrize("raw", [[0, 1, 2], [0, 1, 256], [0.5, 1.0],
+                                 [[0, 1], [1, 0]]])
+def test_keystream_bits_must_be_flat_zero_one(raw):
+    with pytest.raises(ValidationError):
+        Keystream(np.asarray(raw))
 
 
 def test_keystream_rejects_out_of_range_state(toy):
