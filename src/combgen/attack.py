@@ -21,7 +21,9 @@ The last register is recovered by direct search on a short window.
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -30,16 +32,19 @@ import numpy as np
 
 from .boolfn import autocorrelation, fwht
 from .errors import AttackExhaustedError, InvariantError, ValidationError
+from .fileio import load_multiples_cache, save_multiples_cache
 from .gf2 import Keystream, input_words, keystream, residue_powers
 from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
-from .multiples import (Weight4Multiple, find_weight4, product_modulus,
-                        verify_multiple)
+from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
+                        find_weight4, product_modulus, verify_multiple)
 
 DEFAULT_CHUNK = 1 << 20
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
 RAW_MARGIN = 1.25
 _RANK_SLICE = 1 << 22
+
+_log = logging.getLogger("combgen")
 
 # Printed with every multi-ordering comparison: the first-stage equation
 # count N = m1 * 2**(2n + n1 + 1) scales with the length m1 of whichever
@@ -73,7 +78,6 @@ class StagePlan:
     samples_worstcase: int
     equations_worstcase: int
     expected_false_survivors: float
-    min_multiple_degree: int
     keystream_single: int
     keystream_multi: int
     keystream_estimate: int
@@ -190,7 +194,6 @@ def plan(spec, order=None, delta=None):
         false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * n + 1)))
         if is_final:
             est_single = est_multi = est = m1 + FINAL_WINDOW_EXTRA
-            d_min = 0
         else:
             raw = equations << n_known
             d_min = math.ceil((6 * 2.0 ** m2) ** (1 / 3))
@@ -204,7 +207,6 @@ def plan(spec, order=None, delta=None):
             samples_worstcase=math.ceil(samples * blowup),
             equations_worstcase=math.ceil(equations * blowup),
             expected_false_survivors=false_surv,
-            min_multiple_degree=d_min,
             keystream_single=est_single, keystream_multi=est_multi,
             keystream_estimate=est,
             attack_time_log2=math.log2(m1) + n1 + m1,
@@ -679,8 +681,8 @@ def _choose_multiples(mults, ks_len, raw_target, modulus):
 def search_stage_multiples(spec, stage, ks_len):
     """Search enough weight-4 multiples for one planned stage.
 
-    Returns (modulus, multiples); the same selection run_attack makes
-    when none are supplied, exposed so callers can persist it.
+    Returns (modulus, multiples); run_attack searches with it where no
+    supplied or cached multiples serve a stage, and caches the result.
     """
     if stage.is_final:
         raise ValidationError("the final stage uses direct search, not "
@@ -702,25 +704,64 @@ def search_stage_multiples(spec, stage, ks_len):
     return modulus, _choose_multiples(found, ks_len, raw_target, modulus)
 
 
+def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
+    """Multiples for one scored stage: the supplied ones, else the cached
+    ones, else a search cached in cache_dir.  Outside multiples must cancel
+    the group2 registers but not the target, or its candidates all tie."""
+    group = [spec.lfsrs[r].feedback for r in stage.group2]
+    modulus = product_modulus(group)
+    name = f"stage {idx + 1} (register {stage.target})"
+
+    def usable(mults):
+        return [m for m in mults if verify_multiple(m, group)
+                and not verify_multiple(m, [spec.lfsrs[stage.target]])]
+
+    pool = usable(supplied)
+    path = cache_dir and os.path.join(cache_dir,
+                                      f"multiples-0x{modulus:x}.txt")
+    if not pool and path and os.path.exists(path):
+        _log.info(f"{name}: multiples from cache {path}")
+        pool = usable(load_multiples_cache(path).found)
+    if pool:
+        return _choose_multiples(pool, ks_len, _raw_target(stage), modulus)
+    _log.info(f"{name}: searching multiples of 0x{modulus:x}")
+    t0 = time.perf_counter()
+    _, chosen = search_stage_multiples(spec, stage, ks_len)
+    top = max(m.t3 for m in chosen)
+    _log.info(f"{name}: {len(chosen)} multiples up to degree {top} in "
+              f"{time.perf_counter() - t0:.2f}s")
+    if path:
+        os.makedirs(cache_dir, exist_ok=True)
+        save_multiples_cache(path, MultipleSearchReport(
+            modulus=modulus, degree_bound=top, found=tuple(chosen),
+            expected=expected_count(stage.m2, top)))
+        _log.info(f"saved cache {path}")
+    return chosen
+
+
 def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
-               split_bits=0):
+               split_bits=0, cache_dir=None):
     """Recover the full initial state from a keystream.
 
     Stages follow the plan's order; at each stage the top_k candidates
     are tried depth-first, so a stage-1 miss can be repaired by
-    backtracking.  `multiples` optionally maps a stage index to a list
-    of Weight4Multiple to use instead of searching.  The recovered state
-    must regenerate the keystream exactly or the branch is rejected.
-    Each scored stage's multiples are chosen and harvested once before
-    the search; a visit filters, scores in 2**split_bits prefix passes
-    and recurses.  A top_k below 1, or a split_bits outside [0, m1] of
-    any scored stage, is rejected before any work.
+    backtracking, and the recovered state must regenerate the keystream
+    exactly.  Each scored stage's multiples are chosen and harvested
+    once, before the search: from `multiples` (stage index -> list of
+    Weight4Multiple), else from `cache_dir`, else by a search saved to
+    `cache_dir`; progress goes to the "combgen" logger.  A visit scores
+    in 2**split_bits prefix passes.  A top_k below 1, or a split_bits
+    outside [0, m1] of any scored stage, is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
     attack_plan.check_split_bits(split_bits)
     ks = Keystream.of(ks)
+    if len(ks) < attack_plan.keystream_required:
+        _log.warning(f"warning: keystream has {len(ks)} bits, below the "
+                     f"plan estimate {attack_plan.keystream_required}; "
+                     f"proceeding with degraded confidence")
     started = time.perf_counter()
     result = AttackResult(success=False, state=None, order=attack_plan.order)
     # multiples and raw relations per scored stage, made once for all visits
@@ -728,17 +769,10 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     for idx, stage in enumerate(attack_plan.stages):
         if stage.is_final:
             continue
-        raw_target = _raw_target(stage)
-        supplied = (multiples or {}).get(idx)
-        if supplied:
-            group = [spec.lfsrs[r].feedback for r in stage.group2]
-            chosen = _choose_multiples(
-                [m for m in supplied if verify_multiple(m, group)], len(ks),
-                raw_target, product_modulus(group))
-        else:
-            _, chosen = search_stage_multiples(spec, stage, len(ks))
+        chosen = _stage_multiples(spec, idx, stage, len(ks),
+                                  (multiples or {}).get(idx) or (), cache_dir)
         harvests[idx] = chosen, harvest_equations(
-            ks, chosen, max_equations=raw_target)
+            ks, chosen, max_equations=_raw_target(stage))
 
     def solve(idx, known):
         stage = attack_plan.stages[idx]

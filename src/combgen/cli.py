@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import logging
 import math
 import os
 import sys
@@ -27,13 +28,12 @@ from .boolfn import (BooleanFunction, autocorrelation, check_p_spectrum_bounds,
                      walsh_spectrum)
 from .errors import AttackExhaustedError, InvariantError, ValidationError
 from .gf2 import keystream, random_state
-from .multiples import MultipleSearchReport, product_modulus
+from .multiples import product_modulus
 
 CACHE_DIR_ENV = "COMBGEN_CACHE_DIR"
 
-
-def _log(msg):
-    print(msg, file=sys.stderr)
+# progress from the CLI and the library alike; main shows it on stderr
+_log = logging.getLogger("combgen")
 
 
 def _parse_hex(text, what):
@@ -62,7 +62,8 @@ def cmd_gen(args):
         state = random_state(spec, rng)
     t0 = time.perf_counter()
     ks = keystream(spec, state, args.count)
-    _log(f"generated {args.count} bits in {time.perf_counter() - t0:.2f}s")
+    _log.info(f"generated {args.count} bits in "
+              f"{time.perf_counter() - t0:.2f}s")
     fileio.save_keystream(args.out, ks)
     print(f"state: 0x{state:x}")
     print(f"bits: {len(ks)}")
@@ -88,7 +89,7 @@ def cmd_multiples(args):
     t0 = time.perf_counter()
     report = multiples.find_weight4(modulus, args.degree_bound,
                                     limit=args.limit)
-    _log(f"scan took {time.perf_counter() - t0:.2f}s")
+    _log.info(f"scan took {time.perf_counter() - t0:.2f}s")
     print(f"modulus: 0x{modulus:x}")
     print(f"degree bound: {args.degree_bound}")
     print(f"found: {report.count}   expected by density: "
@@ -101,39 +102,6 @@ def cmd_multiples(args):
         fileio.save_multiples_cache(args.out, report)
         print(f"wrote {args.out}")
     return 0
-
-
-def _cache_path(modulus):
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if not cache_dir:
-        return None
-    return os.path.join(cache_dir, f"multiples-0x{modulus:x}.txt")
-
-
-def _stage_multiples_with_cache(spec, idx, stage, ks_len, supplied_reports):
-    """Multiples for one stage: explicit files, then cache dir, then search."""
-    group = [spec.lfsrs[r].feedback for r in stage.group2]
-    modulus = product_modulus(group)
-    pool = [m for rep in supplied_reports if rep.modulus == modulus
-            for m in rep.found]
-    if pool:
-        return pool
-    name = f"stage {idx + 1} (register {stage.target})"
-    path = _cache_path(modulus)
-    if path and os.path.exists(path):
-        _log(f"{name}: multiples from cache {path}")
-        return list(fileio.load_multiples_cache(path).found)
-    _log(f"{name}: searching multiples of 0x{modulus:x}")
-    _, chosen = attack.search_stage_multiples(spec, stage, ks_len)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fileio.save_multiples_cache(path, MultipleSearchReport(
-            modulus=modulus, degree_bound=max(m.t3 for m in chosen),
-            found=tuple(chosen),
-            expected=multiples.expected_count(stage.m2,
-                                              max(m.t3 for m in chosen))))
-        _log(f"saved cache {path}")
-    return chosen
 
 
 def _print_orderings(spec):
@@ -161,27 +129,17 @@ def cmd_attack(args):
     if args.keystream is None:
         raise ValidationError("need --keystream to run the attack "
                               "(or pass --plan-only)")
-    attack.check_top_k(args.top_k)
-    ap.check_split_bits(args.split_bits)
     ks = fileio.load_keystream(args.keystream)
-    if len(ks) < ap.keystream_required:
-        _log(f"warning: keystream has {len(ks)} bits, below the plan "
-             f"estimate {ap.keystream_required}; proceeding with degraded "
-             f"confidence")
-    supplied_reports = [fileio.load_multiples_cache(p)
-                        for p in args.multiples or []]
-    stage_mults = {}
-    for idx, stage in enumerate(ap.stages):
-        if stage.is_final:
-            continue
-        stage_mults[idx] = _stage_multiples_with_cache(
-            spec, idx, stage, len(ks), supplied_reports)
+    # one pool for every stage; run_attack keeps what fits each stage
+    pool = [m for p in args.multiples or []
+            for m in fileio.load_multiples_cache(p).found]
     t0 = time.perf_counter()
     result = attack.run_attack(
-        spec, ks, ap, multiples=stage_mults, top_k=args.top_k,
-        split_bits=args.split_bits)
-    _log(f"attack took {time.perf_counter() - t0:.2f}s, "
-         f"{result.backtracks} backtracks")
+        spec, ks, ap, multiples=dict.fromkeys(range(len(ap.stages)), pool),
+        top_k=args.top_k, split_bits=args.split_bits,
+        cache_dir=os.environ.get(CACHE_DIR_ENV))
+    _log.info(f"attack took {time.perf_counter() - t0:.2f}s, "
+              f"{result.backtracks} backtracks")
     print(f"recovered state: 0x{result.state:x}")
     for r, part in enumerate(spec.split_state(result.state)):
         print(f"  register {r}: 0x{part:x}")
@@ -353,6 +311,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    level = _log.level
+    _log.addHandler(handler)
+    _log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -367,6 +329,9 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _log.removeHandler(handler)
+        _log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from combgen.attack import (AttackExhaustedError, build_g_columns,
 from combgen.boolfn import BooleanFunction
 from combgen.errors import ValidationError, InvariantError
 from combgen.gf2 import GeneratorSpec, Keystream, LfsrSpec, keystream
-from combgen.multiples import Weight4Multiple, find_weight4, product_modulus
+from combgen.multiples import (Weight4Multiple, find_weight4, product_modulus,
+                              verify_multiple)
 
 P3 = 0b1011
 
@@ -780,6 +781,37 @@ def test_backtrack_searches_each_stage_once(toy, monkeypatch):
     assert result.state == TRUE_KEY
     assert sorted(searched) == [0, 1]
     assert [r.target for r in result.reports if r.multiples].count(1) == 3
+
+
+def test_run_attack_drops_multiples_that_cancel_the_target(toy):
+    # stage 1's multiples of P11*P9 cancel register 2 but also stage 2's
+    # target, register 1, so every stage-2 candidate would tie
+    ks = toy_keystream(toy)
+    ap = plan(toy)
+    _, m0 = search_stage_multiples(toy, ap.stages[0], len(ks))
+    result = run_attack(toy, ks, ap, multiples={0: m0, 1: m0})
+    assert result.state == TRUE_KEY
+    stage2 = [m for r in result.reports if r.stage == 1 for m in r.multiples]
+    assert stage2 and not any(verify_multiple(m, [toy.lfsrs[1]])
+                              for m in stage2)
+
+
+def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch):
+    ks = toy_keystream(toy)
+    first = run_attack(toy, ks, cache_dir=str(tmp_path))
+    moduli = [product_modulus([toy.lfsrs[1], toy.lfsrs[2]]),
+              toy.lfsrs[2].feedback]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"multiples-0x{m:x}.txt" for m in moduli)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched multiples despite the cache")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_search)
+    second = run_attack(toy, ks, cache_dir=str(tmp_path))
+    assert second.state == first.state == TRUE_KEY
+    assert ([r.multiples for r in second.reports]
+            == [r.multiples for r in first.reports])
 
 
 def test_search_stage_multiples_returns_verified(toy):

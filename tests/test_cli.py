@@ -1,5 +1,7 @@
 """Command-line surface, exercised through main(argv)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,8 @@ def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
     assert "candidate\tn0\tn1\tbias\tzscore" in out
     assert "stage 1 (register 0): searching multiples of" in err
     assert "stage 2 (register 1): searching multiples of 0x211" in err
+    assert re.search(r"^stage 2 \(register 1\): \d+ multiples up to degree "
+                     r"\d+ in \d+\.\d\ds$", err, re.M)
     # second run hits the on-disk caches and must agree
     rc = main(["attack", "--spec", toy_spec_file, "--keystream",
                toy_ks_file])
@@ -126,6 +130,25 @@ def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
     out, err = capsys.readouterr()
     assert "recovered state: 0x15543210f" in out
     assert "stage 2 (register 1): multiples from cache" in err
+
+
+def test_attack_with_supplied_multiples_file(tmp_path, toy_spec_file,
+                                            toy_ks_file, capsys,
+                                            monkeypatch):
+    # stage 1's file also lands in stage 2's pool, where its multiples
+    # cancel the target too; stage 2 searches its own
+    monkeypatch.delenv("COMBGEN_CACHE_DIR", raising=False)
+    s1 = str(tmp_path / "s1.txt")
+    assert main(["multiples", "--spec", toy_spec_file, "--registers", "1,2",
+                 "--degree-bound", "512", "--out", s1]) == 0
+    capsys.readouterr()
+    rc = main(["attack", "--spec", toy_spec_file, "--keystream",
+               toy_ks_file, "--multiples", s1])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert "recovered state: 0x15543210f" in out
+    assert "stage 1 (register 0)" not in err
+    assert "stage 2 (register 1): searching multiples of 0x211" in err
 
 
 def test_attack_without_keystream_is_an_input_error(toy_spec_file):
