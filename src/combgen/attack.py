@@ -289,33 +289,37 @@ def _relation_chunks(eqs):
                 yield g.multiple, g.bases[lo:hi], g.classes[lo:hi]
 
 
+def _lowest_degree(mults, ks_len, wanted=None):
+    """(multiple, relations) for the distinct multiples inside a ks_len-bit
+    keystream, lowest degree first, until they offer `wanted` relations
+    (the last offer cut to fit); every stage picks its multiples here."""
+    picked = []
+    room = math.inf if wanted is None else wanted
+    for m in sorted(set(mults)):
+        if m.t3 >= ks_len or room <= 0:
+            break
+        picked.append((m, min(ks_len - m.t3, room)))
+        room -= picked[-1][1]
+    return picked
+
+
 def harvest_equations(ks, mults, max_equations=None):
     """Extract 4-position relations for each multiple from a keystream.
 
-    Multiples are consumed in ascending degree; `max_equations` stops
-    once that many relations were collected (the last group truncated).
-    A multiple's relations form one run, stored as its count alone.
+    Distinct multiples are consumed in ascending degree until
+    `max_equations` relations (the last group truncated).  A multiple's
+    relations form one run, stored as its count alone.
     """
     bits = Keystream.of(ks).bits
     if bits.size >= 1 << 31:
         raise ValidationError("keystream beyond 2^31 bits is unsupported")
-    groups = []
-    collected = 0
-    for mult in sorted(mults, key=lambda m: (m.t3, m.t2, m.t1)):
-        room = bits.size - mult.t3
-        if room <= 0:
-            continue
-        if max_equations is not None:
-            room = min(room, max_equations - collected)
-            if room <= 0:
-                break
-        groups.append(EquationGroup(mult, room))
-        collected += room
+    groups = tuple(EquationGroup(m, count) for m, count
+                   in _lowest_degree(mults, bits.size, max_equations))
     if not groups:
         raise ValidationError("no relations: every multiple outruns the "
                               "keystream (need more keystream or lower-degree "
                               "multiples)")
-    return EquationSet(bits, tuple(groups))
+    return EquationSet(bits, groups)
 
 
 def _quad_sum(values, mult, bases):
@@ -659,30 +663,12 @@ def _raw_target(stage):
                      * RAW_MARGIN)
 
 
-def _choose_multiples(mults, ks_len, raw_target, modulus):
-    """Lowest-degree multiples inside the keystream until they offer
-    raw_target relations."""
-    chosen = []
-    available = 0
-    for m in sorted(mults, key=lambda m: (m.t3, m.t2, m.t1)):
-        if m.t3 >= ks_len:
-            continue
-        chosen.append(m)
-        available += ks_len - m.t3
-        if available >= raw_target:
-            break
-    if not chosen:
-        raise ValidationError(
-            f"no usable weight-4 multiple of modulus 0x{modulus:x} below the "
-            f"keystream length; supply caches or more keystream")
-    return chosen
-
-
 def search_stage_multiples(spec, stage, ks_len):
     """Search enough weight-4 multiples for one planned stage.
 
-    Returns (modulus, multiples); run_attack searches with it where no
-    supplied or cached multiples serve a stage, and caches the result.
+    Doubles the degree bound until the multiples found offer the stage's
+    raw relation target in ks_len bits, and returns (modulus, the
+    lowest-degree prefix of them that meets it); run_attack caches that.
     """
     if stage.is_final:
         raise ValidationError("the final stage uses direct search, not "
@@ -697,16 +683,22 @@ def search_stage_multiples(spec, stage, ks_len):
     bound = max(math.ceil((6 * 12 * 2.0 ** stage.m2) ** (1 / 3)), 8)
     while True:
         bound = min(bound, cap)
-        found = find_weight4(modulus, bound).found
-        if sum(ks_len - m.t3 for m in found) >= raw_target or bound >= cap:
+        picked = _lowest_degree(find_weight4(modulus, bound).found, ks_len,
+                                raw_target)
+        if sum(n for _, n in picked) >= raw_target or bound >= cap:
             break
         bound *= 2
-    return modulus, _choose_multiples(found, ks_len, raw_target, modulus)
+    if not picked:
+        raise ValidationError(
+            f"no usable weight-4 multiple of modulus 0x{modulus:x} below the "
+            f"keystream length; supply caches or more keystream")
+    return modulus, [m for m, _ in picked]
 
 
 def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
-    """Multiples for one scored stage: the supplied ones, else the cached
-    ones, else a search cached in cache_dir.  Outside multiples must cancel
+    """A pool of multiples for one scored stage: the supplied ones, else
+    the cached ones if they offer its raw relation target at ks_len bits,
+    else a search that rewrites the cache.  Outside multiples must cancel
     the group2 registers but not the target, or its candidates all tie."""
     group = [spec.lfsrs[r].feedback for r in stage.group2]
     modulus = product_modulus(group)
@@ -717,17 +709,23 @@ def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
                 and not verify_multiple(m, [spec.lfsrs[stage.target]])]
 
     pool = usable(supplied)
+    if pool:
+        return pool
     path = cache_dir and os.path.join(cache_dir,
                                       f"multiples-0x{modulus:x}.txt")
-    if not pool and path and os.path.exists(path):
+    if path and os.path.exists(path):
         _log.info(f"{name}: multiples from cache {path}")
         pool = usable(load_multiples_cache(path).found)
-    if pool:
-        return _choose_multiples(pool, ks_len, _raw_target(stage), modulus)
+        raw_target = _raw_target(stage)
+        offered = sum(n for _, n in _lowest_degree(pool, ks_len, raw_target))
+        if offered >= raw_target:
+            return pool
+        _log.info(f"{name}: cached multiples offer {offered} of {raw_target} "
+                  f"relations")
     _log.info(f"{name}: searching multiples of 0x{modulus:x}")
     t0 = time.perf_counter()
     _, chosen = search_stage_multiples(spec, stage, ks_len)
-    top = max(m.t3 for m in chosen)
+    top = chosen[-1].t3
     _log.info(f"{name}: {len(chosen)} multiples up to degree {top} in "
               f"{time.perf_counter() - t0:.2f}s")
     if path:
@@ -764,15 +762,15 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                      f"proceeding with degraded confidence")
     started = time.perf_counter()
     result = AttackResult(success=False, state=None, order=attack_plan.order)
-    # multiples and raw relations per scored stage, made once for all visits
+    # raw relations per scored stage, harvested once for all visits
     harvests = {}
     for idx, stage in enumerate(attack_plan.stages):
         if stage.is_final:
             continue
-        chosen = _stage_multiples(spec, idx, stage, len(ks),
-                                  (multiples or {}).get(idx) or (), cache_dir)
-        harvests[idx] = chosen, harvest_equations(
-            ks, chosen, max_equations=_raw_target(stage))
+        pool = _stage_multiples(spec, idx, stage, len(ks),
+                                (multiples or {}).get(idx) or (), cache_dir)
+        harvests[idx] = harvest_equations(ks, pool,
+                                          max_equations=_raw_target(stage))
 
     def solve(idx, known):
         stage = attack_plan.stages[idx]
@@ -790,9 +788,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 if keystream(spec, state, len(ks)) == ks:
                     return state
             return None
-        chosen, eqs = harvests[idx]
-        raw = eqs.total
-        eqs = filter_known(spec, eqs, known)
+        raw = harvests[idx]
+        eqs = filter_known(spec, raw, known)
         warnings = ()
         if eqs.total < stage.equations_required:
             warnings = (f"only {eqs.total} relations survive filtering, "
@@ -800,7 +797,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
         ranked = score_stage(spec, stage.target, eqs, top_k, split_bits)
         result.reports.append(StageReport(
             stage=idx, target=stage.target, known=dict(known),
-            multiples=tuple(chosen), relations_raw=raw,
+            multiples=tuple(g.multiple for g in raw.groups),
+            relations_raw=raw.total,
             relations_used=eqs.total, candidates=tuple(ranked),
             seconds=time.perf_counter() - t0, warnings=warnings))
         for rank, cand in enumerate(ranked):

@@ -136,7 +136,6 @@ def load_multiples_cache(path):
         except ValueError:
             raise ValidationError(f"{path}: bad line {ln!r}") from None
         found.append(Weight4Multiple(t1, t2, t3))
-    found.sort(key=lambda m: (m.t3, m.t2, m.t1))
     return MultipleSearchReport(
-        modulus=modulus, degree_bound=bound, found=tuple(found),
+        modulus=modulus, degree_bound=bound, found=tuple(sorted(found)),
         expected=expected_count(poly_degree(modulus), bound))

@@ -24,13 +24,17 @@ from .gf2 import poly_degree, poly_gcd, poly_mul, x_power_mod
 _NUMPY_DEGREE_LIMIT = 62
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Weight4Multiple:
-    """Exponents of a multiple 1 + X**t1 + X**t2 + X**t3, 0 < t1 < t2 < t3."""
+    """Exponents of a multiple 1 + X**t1 + X**t2 + X**t3, 0 < t1 < t2 < t3,
+    sorting in degree order: t3, then t2, then t1."""
 
     t1: int
     t2: int
     t3: int
+
+    def __lt__(self, other):
+        return (self.t3, self.t2, self.t1) < (other.t3, other.t2, other.t1)
 
     def __post_init__(self):
         if not 0 < self.t1 < self.t2 < self.t3:
@@ -195,12 +199,8 @@ def find_weight4(modulus, degree_bound, limit=None):
         raw = _scan_numpy(residues, degree_bound)
     else:
         raw = _scan_python(residues, degree_bound)
-    triples = set()
-    for a, b, c in raw:
-        if c != a and c != b:
-            triples.add(tuple(sorted((int(a), int(b), int(c)))))
-    found = sorted(Weight4Multiple(*t) for t in triples)
-    found.sort(key=lambda m: (m.t3, m.t2, m.t1))
+    found = sorted({Weight4Multiple(*sorted(map(int, hit))) for hit in raw
+                    if len(set(hit)) == 3})
     if limit is not None:
         found = found[:limit]
     return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,
@@ -225,7 +225,7 @@ def find_weight4_bruteforce(modulus, degree_bound):
             for t3 in range(t2 + 1, degree_bound + 1):
                 if partial == residues[t3 - 1]:
                     found.append(Weight4Multiple(t1, t2, t3))
-    found.sort(key=lambda m: (m.t3, m.t2, m.t1))
+    found.sort()
     return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,
                                 found=tuple(found),
                                 expected=expected_count(deg, degree_bound))
