@@ -41,6 +41,7 @@ from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
 DEFAULT_CHUNK = 1 << 20
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
+FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
 RAW_MARGIN = 1.25
 _RANK_SLICE = 1 << 22
 
@@ -501,7 +502,9 @@ def _rank_blocks(blocks, top_k):
     Blocks are ranked in slices of _RANK_SLICE entries so the float64 z
     temporaries never rival the count arrays themselves; a 2**27-entry
     block would otherwise cost several extra GB right when memory is
-    tightest.
+    tightest.  Each slice keeps every z above its k-th largest, then the
+    ties at that z in candidate order, so the answer is independent of
+    the slicing and of split_bits.
     """
     best = []
     for offset, n0, n1c in blocks:
@@ -515,8 +518,9 @@ def _rank_blocks(blocks, top_k):
             if offset == 0 and lo == 0:
                 z[0] = -np.inf
             k = min(top_k, z.size)
-            idx = np.argpartition(z, z.size - k)[z.size - k:]
-            for i in idx:
+            kth = np.partition(z, z.size - k)[z.size - k]
+            above = np.flatnonzero(z > kth)
+            for i in (*above, *np.flatnonzero(z == kth)[:k - above.size]):
                 best.append((float(z[i]), int(offset + lo + i),
                              int(a[i]), int(b[i])))
             best.sort(key=lambda t: (-t[0], t[1]))
@@ -544,9 +548,16 @@ def candidate_counts_naive(g):
 
 
 def score_candidates_naive(g, top_k=DEFAULT_BEAM):
-    """Oracle ranking: score_stage's order from candidate_counts_naive."""
+    """Oracle ranking: every candidate from candidate_counts_naive sorted
+    by (-z, candidate), candidate 0 and candidates that match no relation
+    last, as score_stage documents."""
     n0, n1c = candidate_counts_naive(g)
-    return _rank_blocks([(0, n0, n1c)], top_k)
+    scores = [CandidateScore(u, int(a), int(b))
+              for u, (a, b) in enumerate(zip(n0, n1c))]
+
+    def z(s):
+        return s.zscore if s.candidate and s.total else -math.inf
+    return sorted(scores, key=lambda s: (-z(s), s.candidate))[:top_k]
 
 
 def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
@@ -608,9 +619,9 @@ def final_direct_search(spec, ks, known):
                               f"register, got {unknown}")
     r_open = unknown[0]
     lf = spec.lfsrs[r_open]
-    if lf.length > 26:
-        raise ValidationError("direct search enumerates 2**length states; "
-                              "limited to length <= 26")
+    if lf.length > FINAL_SEARCH_MAX_BITS:
+        raise ValidationError(f"direct search enumerates 2**length states; "
+                              f"limited to length <= {FINAL_SEARCH_MAX_BITS}")
     window = min(bits.size, lf.length + FINAL_WINDOW_EXTRA)
     if window < lf.length:
         raise ValidationError("window shorter than the register")
@@ -744,17 +755,25 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     Stages follow the plan's order; at each stage the top_k candidates
     are tried depth-first, so a stage-1 miss can be repaired by
     backtracking, and the recovered state must regenerate the keystream
-    exactly.  Each scored stage's multiples are chosen and harvested
-    once, before the search: from `multiples` (stage index -> list of
-    Weight4Multiple), else from `cache_dir`, else by a search saved to
+    exactly.  Each scored stage's multiples are harvested once, before
+    the search, lowest degree first up to its raw relation target: from
+    `multiples` (stage index -> list of Weight4Multiple), else from
+    `cache_dir` if they reach the target, else by a search saved to
     `cache_dir`; progress goes to the "combgen" logger.  A visit scores
-    in 2**split_bits prefix passes.  A top_k below 1, or a split_bits
-    outside [0, m1] of any scored stage, is rejected before any work.
+    in 2**split_bits prefix passes.  A top_k below 1, a split_bits
+    outside [0, m1] of any scored stage, or a final register longer than
+    FINAL_SEARCH_MAX_BITS is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
     attack_plan.check_split_bits(split_bits)
+    final = attack_plan.stages[-1]
+    if final.m1 > FINAL_SEARCH_MAX_BITS:
+        raise ValidationError(
+            f"stage {len(attack_plan.stages)} (register {final.target}) "
+            f"would enumerate 2^{final.m1} states; the final direct search "
+            f"is limited to {FINAL_SEARCH_MAX_BITS}-bit registers")
     ks = Keystream.of(ks)
     if len(ks) < attack_plan.keystream_required:
         _log.warning(f"warning: keystream has {len(ks)} bits, below the "

@@ -392,6 +392,29 @@ def test_tradeoff_scorer_equals_fast(toy, split):
     assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
 
 
+@pytest.mark.parametrize("split", [0, 2, 4, 8])
+def test_score_stage_breaks_exact_ties_by_candidate(toy, split):
+    # candidates 0x1b5 and 0xa4c tie at n0 = 48, n1 = 25 for 8th place;
+    # the smaller value must win at every split, as in the oracle
+    ks = toy_keystream(toy, 1 << 15, key=0x1077819DA)
+    _, mults = search_stage_multiples(toy, plan(toy).stages[0], len(ks))
+    eqs = harvest_equations(ks, mults, max_equations=300)
+    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=8)
+    assert (ref[-1].candidate, ref[-1].n0, ref[-1].n1) == (0x1B5, 48, 25)
+    assert score_stage(toy, 0, eqs, top_k=8, split_bits=split) == ref
+
+
+def test_naive_ranking_puts_zero_and_unmatched_candidates_last():
+    # candidate 0 matches every relation and candidate 1 matches none
+    g = attack.GColumns(m1=2, n1=1, columns=(np.array([1, 1, 3]),),
+                        classes=np.array([0, 0, 1], dtype=np.uint8))
+    ranked = score_candidates_naive(g, top_k=4)
+    assert [c.candidate for c in ranked] == [2, 3, 0, 1]
+    assert score_candidates_naive(g, top_k=2) == ranked[:2]
+    blocks = [(0, *candidate_counts_naive(g))]
+    assert attack._rank_blocks(blocks, 4) == ranked
+
+
 @pytest.mark.parametrize("split", [0, 2])
 def test_score_stage_never_reaches_butterflies(toy, monkeypatch, split):
     def no_butterflies(a):
@@ -735,6 +758,19 @@ def test_run_attack_rejects_bad_split_before_work(toy, monkeypatch, split):
         run_attack(toy, toy_keystream(toy, 1 << 16), split_bits=split)
 
 
+def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch):
+    # the paper instance's last register has 37 bits, beyond the final
+    # direct search; nothing may be searched or harvested first
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the final stage")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_work)
+    monkeypatch.setattr(attack, "harvest_equations", no_work)
+    bits = np.random.default_rng(5).integers(0, 2, 4000, dtype=np.uint8)
+    with pytest.raises(ValidationError, match=r"stage 3 \(register 2\)"):
+        run_attack(presets.generator_29_31_37(), Keystream(bits))
+
+
 def test_run_attack_short_keystream_warns(toy):
     ks = toy_keystream(toy, 1200)
     try:
@@ -812,6 +848,48 @@ def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch):
     assert second.state == first.state == TRUE_KEY
     assert ([r.multiples for r in second.reports]
             == [r.multiples for r in first.reports])
+
+
+def test_run_attack_cache_serves_a_shorter_keystream_in_full(
+        toy, tmp_path, caplog):
+    # a cache written on 2**19 bits holds few multiples; at 2**15 bits
+    # they offer too few relations, so the stage searches again
+    run_attack(toy, toy_keystream(toy), cache_dir=str(tmp_path))
+    ap = plan(toy)
+    with caplog.at_level("INFO", logger="combgen"):
+        try:
+            reports = run_attack(toy, toy_keystream(toy, 1 << 15), ap,
+                                 cache_dir=str(tmp_path)).reports
+        except AttackExhaustedError as exc:
+            reports = exc.result.reports
+    scored = {r.stage: r.relations_raw for r in reports if r.multiples}
+    assert scored == {0: attack._raw_target(ap.stages[0]),
+                      1: attack._raw_target(ap.stages[1])}
+    assert sorted(scored.values()) == [532480, 1802240]
+    assert caplog.text.count("cached multiples offer") == 2
+
+
+def test_run_attack_harvests_a_repeated_multiple_once(toy):
+    ks = toy_keystream(toy)
+    ap = plan(toy)
+    _, m0 = search_stage_multiples(toy, ap.stages[0], len(ks))
+
+    def stage1_multiples_used(pool):
+        result = run_attack(toy, ks, ap, multiples={0: pool})
+        assert result.state == TRUE_KEY
+        return [r.multiples for r in result.reports if r.stage == 0]
+
+    once = stage1_multiples_used(m0)
+    assert len(set(once[0])) > 1
+    assert stage1_multiples_used(m0 + m0) == once
+
+
+def test_search_stage_multiples_that_finds_none_names_the_modulus(toy):
+    # 20 bits leave the scan a degree bound of 19, below any multiple
+    stage = plan(toy).stages[0]
+    modulus = product_modulus([toy.lfsrs[1], toy.lfsrs[2]])
+    with pytest.raises(ValidationError, match=f"0x{modulus:x}"):
+        search_stage_multiples(toy, stage, 20)
 
 
 def test_search_stage_multiples_returns_verified(toy):

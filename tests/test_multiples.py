@@ -89,6 +89,15 @@ def test_find_weight4_report_is_sorted():
     assert report.expected == expected_count(13, 400)
 
 
+def test_weight4_multiples_sort_in_degree_order():
+    assert sorted([Weight4Multiple(1, 5, 9), Weight4Multiple(2, 3, 8)]) == [
+        Weight4Multiple(2, 3, 8), Weight4Multiple(1, 5, 9)]
+    assert sorted([Weight4Multiple(2, 5, 9), Weight4Multiple(3, 4, 9),
+                   Weight4Multiple(1, 5, 9)]) == [
+        Weight4Multiple(3, 4, 9), Weight4Multiple(1, 5, 9),
+        Weight4Multiple(2, 5, 9)]
+
+
 @pytest.mark.parametrize("search", [find_weight4, find_weight4_bruteforce])
 def test_weight4_search_rejects_negative_modulus(search):
     with pytest.raises(ValidationError, match="negative"):
