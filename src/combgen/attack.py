@@ -496,37 +496,84 @@ class CandidateScore:
                 if self.total else 0.0)
 
 
+def _zscores(a, b):
+    """(a - b) / sqrt(a + b) in float64, -inf where a + b is 0."""
+    tot = a + b
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(tot > 0, (a - b) / np.sqrt(np.maximum(tot, 1)),
+                        -np.inf)
+
+
+def _margins(a, b, skip_first, out=None):
+    """d = a - b, its first entry set below any margin when skip_first."""
+    d = np.subtract(a, b, out=out)
+    if skip_first:
+        d[0] = np.iinfo(d.dtype).min
+    return d
+
+
+def _kth_largest(values, k):
+    return np.partition(values, values.size - k)[values.size - k]
+
+
 def _rank_blocks(blocks, top_k):
     """Merge (offset, n0, n1) blocks into score_stage's top-k list.
 
-    Blocks are ranked in slices of _RANK_SLICE entries so the float64 z
-    temporaries never rival the count arrays themselves; a 2**27-entry
-    block would otherwise cost several extra GB right when memory is
-    tightest.  Each slice keeps every z above its k-th largest, then the
-    ties at that z in candidate order, so the answer is independent of
-    the slicing and of split_bits.
+    Blocks are ranked in slices of _RANK_SLICE entries, each through one
+    integer temporary d = n0 - n1 (candidate 0 excluded).  A floor below
+    which no z can enter the list is the running list's k-th z once it
+    is full and positive, else the k-th largest exact z of the slice's
+    top_k largest d.  For a floor f > 0, z >= f needs
+    d >= f * sqrt(n0 + n1), and n0 + n1 is at least min n0 + min n1 and
+    at least d, so only the candidates with d at or above
+    f * sqrt(max(min n0 + min n1, f**2)), less a rounding margin, get a
+    float z; with no positive floor the whole slice does.  Of those,
+    every z above the k-th largest is kept, then the ties at that z in
+    candidate order, so the answer is independent of the slicing and of
+    split_bits.
     """
     best = []
     for offset, n0, n1c in blocks:
         for lo in range(0, n0.size, _RANK_SLICE):
             sl = slice(lo, min(lo + _RANK_SLICE, n0.size))
             a, b = n0[sl], n1c[sl]
-            tot = a + b
-            with np.errstate(invalid="ignore", divide="ignore"):
-                z = np.where(tot > 0,
-                             (a - b) / np.sqrt(np.maximum(tot, 1)), -np.inf)
-            if offset == 0 and lo == 0:
-                z[0] = -np.inf
+            has_zero = offset == 0 and lo == 0
+            d = _margins(a, b, has_zero)
+            floor = best[-1][0] if len(best) == top_k else -math.inf
+            if floor <= 0:
+                # the k-th largest d, then d again: partition reorders it
+                k = min(top_k, d.size)
+                d.partition(d.size - k)
+                dk = int(d[d.size - k])
+                _margins(a, b, has_zero, out=d)
+                if dk > 0:
+                    top = np.flatnonzero(d >= dk)
+                    floor = float(_kth_largest(_zscores(a[top], b[top]), k))
+            if floor > 0:
+                # the margin covers the float rounding of z and the bound
+                tot_min = max(int(a.min()) + int(b.min()), floor * floor)
+                keep = np.flatnonzero(
+                    d >= math.ceil(floor * math.sqrt(tot_min) * (1 - 1e-9)))
+                d = None
+                if not keep.size:
+                    continue
+                z = _zscores(a[keep], b[keep])
+            else:
+                keep = d = None
+                z = _zscores(a, b)
+                if has_zero:
+                    z[0] = -np.inf
             k = min(top_k, z.size)
-            kth = np.partition(z, z.size - k)[z.size - k]
+            kth = _kth_largest(z, k)
             above = np.flatnonzero(z > kth)
             for i in (*above, *np.flatnonzero(z == kth)[:k - above.size]):
-                best.append((float(z[i]), int(offset + lo + i),
-                             int(a[i]), int(b[i])))
+                j = i if keep is None else keep[i]
+                best.append((float(z[i]), int(offset + lo + j),
+                             int(a[j]), int(b[j])))
             best.sort(key=lambda t: (-t[0], t[1]))
             best = best[:top_k]
         # drop the block before the generator builds the next one
-        n0 = n1c = a = b = tot = z = None
+        n0 = n1c = a = b = d = z = None
     return [CandidateScore(candidate=c, n0=a, n1=b) for _, c, a, b in best]
 
 
@@ -761,8 +808,9 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     `cache_dir` if they reach the target, else by a search saved to
     `cache_dir`; progress goes to the "combgen" logger.  A visit scores
     in 2**split_bits prefix passes.  A top_k below 1, a split_bits
-    outside [0, m1] of any scored stage, or a final register longer than
-    FINAL_SEARCH_MAX_BITS is rejected before any work.
+    outside [0, m1] of any scored stage, a final register longer than
+    FINAL_SEARCH_MAX_BITS, or a keystream shorter than the final stage's
+    window of m1 + FINAL_WINDOW_EXTRA bits is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
@@ -775,6 +823,11 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
             f"would enumerate 2^{final.m1} states; the final direct search "
             f"is limited to {FINAL_SEARCH_MAX_BITS}-bit registers")
     ks = Keystream.of(ks)
+    window = final.m1 + FINAL_WINDOW_EXTRA
+    if len(ks) < window:
+        raise ValidationError(
+            f"keystream has {len(ks)} bits; the final direct search on "
+            f"register {final.target} needs at least {window}")
     if len(ks) < attack_plan.keystream_required:
         _log.warning(f"warning: keystream has {len(ks)} bits, below the "
                      f"plan estimate {attack_plan.keystream_required}; "

@@ -242,6 +242,9 @@ def cmd_verify(args):
 def cmd_check(args):
     spec = fileio.load_generator_spec(args.spec)
     ks = fileio.load_keystream(args.keystream)
+    if not len(ks):
+        raise ValidationError(f"{args.keystream} holds no keystream bits to "
+                              f"check")
     state = _parse_hex(args.state, "state")
     regen = keystream(spec, state, len(ks))
     if regen == ks:

@@ -415,6 +415,64 @@ def test_naive_ranking_puts_zero_and_unmatched_candidates_last():
     assert attack._rank_blocks(blocks, 4) == ranked
 
 
+def full_sort_ranking(blocks, top_k):
+    """Every candidate of the blocks sorted by (-z, candidate), candidate
+    0 and candidates with n0 + n1 = 0 at z = -inf."""
+    scores = [attack.CandidateScore(offset + i, int(a), int(b))
+              for offset, n0, n1c in blocks
+              for i, (a, b) in enumerate(zip(n0, n1c))]
+
+    def z(s):
+        return s.zscore if s.candidate and s.total else -math.inf
+    return sorted(scores, key=lambda s: (-z(s), s.candidate))[:top_k]
+
+
+# (n0, n1) rows of three blocks.  Block 0: with top_k = 3 the largest
+# n0 - n1 belong to R (z 2), X (z 4) and Y (z 2), so the slice floor is
+# 2 and the pruning threshold 2 * sqrt(min n0 + min n1) = 2 * 6 = 12;
+# T sits exactly on it (n0 - n1 = 12, z = 2) and wins the tie at z = 2
+# by candidate value, and S (z 3.88) outranks R and Y on a small total.
+# Candidate 0 would score highest if it were not excluded.  Block 1 has
+# one positive n0 - n1 (another z = 2 tie) and empty rows; block 2 holds
+# the best z (10), three more z = 2 ties, an empty row and negative
+# margins, so the k-th place is a tie across slices and blocks.
+RANK_BLOCKS = (
+    ((2000, 100), (24, 12), (24, 24), (240, 160), (40, 12), (1300, 1200),
+     (220, 180), (30, 30)),
+    ((0, 0), (5, 9), (3, 3), (4, 0), (0, 0), (1, 2), (2, 2), (0, 7)),
+    ((50, 50), (0, 0), (12, 4), (40, 24), (10, 30), (100, 0), (60, 40),
+     (18, 32)),
+)
+T, X, S = 1, 3, 4
+
+
+def rank_blocks(dtype):
+    return [(8 * i, np.array([a for a, _ in rows], dtype=dtype),
+             np.array([b for _, b in rows], dtype=dtype))
+            for i, rows in enumerate(RANK_BLOCKS)]
+
+
+def test_rank_keeps_the_candidate_on_the_pruning_threshold():
+    blocks = rank_blocks(np.int32)[:1]
+    ranked = attack._rank_blocks(blocks, 3)
+    assert [c.candidate for c in ranked] == [X, S, T]
+    assert (ranked[2].n0 - ranked[2].n1, ranked[2].zscore) == (12, 2.0)
+    assert ranked == full_sort_ranking(blocks, 3)
+
+
+# block 1 alone has fewer positive n0 - n1 than most top_k: no floor
+@pytest.mark.parametrize("used", [(0, 1, 2), (1,)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("rank_slice", [1, 2, 3, 5, 8, 64])
+@pytest.mark.parametrize("top_k", [1, 2, 3, 4, 7, 30])
+def test_rank_blocks_equal_a_full_sort(monkeypatch, used, dtype, rank_slice,
+                                       top_k):
+    monkeypatch.setattr(attack, "_RANK_SLICE", rank_slice)
+    blocks = [rank_blocks(dtype)[i] for i in used]
+    ranked = attack._rank_blocks(iter(blocks), top_k)
+    assert ranked == full_sort_ranking(blocks, top_k)
+
+
 @pytest.mark.parametrize("split", [0, 2])
 def test_score_stage_never_reaches_butterflies(toy, monkeypatch, split):
     def no_butterflies(a):
@@ -769,6 +827,20 @@ def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch):
     bits = np.random.default_rng(5).integers(0, 2, 4000, dtype=np.uint8)
     with pytest.raises(ValidationError, match=r"stage 3 \(register 2\)"):
         run_attack(presets.generator_29_31_37(), Keystream(bits))
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 48])
+def test_run_attack_rejects_keystream_below_final_window(toy, monkeypatch,
+                                                         nbits):
+    # the final stage's 9-bit register needs a 9 + 40 = 49-bit window;
+    # nothing may be searched or harvested first
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the keystream length")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_work)
+    monkeypatch.setattr(attack, "harvest_equations", no_work)
+    with pytest.raises(ValidationError, match="needs at least 49"):
+        run_attack(toy, toy_keystream(toy, nbits))
 
 
 def test_run_attack_short_keystream_warns(toy):

@@ -266,3 +266,14 @@ def test_check_match_and_mismatch(toy_spec_file, toy_ks_file):
     bad = main(["check", "--spec", toy_spec_file, "--keystream",
                 toy_ks_file, "--state", "15543210e"])
     assert good == 0 and bad == 3
+
+
+def test_check_on_an_empty_keystream_exits_2(tmp_path, toy_spec_file,
+                                             capsys):
+    # 0 bits would otherwise "match" any state
+    empty = tmp_path / "empty.ks"
+    fileio.save_keystream(empty, keystream(presets.toy_generator(), 1, 0))
+    assert main(["check", "--spec", toy_spec_file, "--keystream",
+                 str(empty), "--state", "15543210f"]) == 2
+    out, err = capsys.readouterr()
+    assert "MATCH" not in out and "no keystream bits" in err
