@@ -44,6 +44,7 @@ FINAL_WINDOW_EXTRA = 40
 FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
 RAW_MARGIN = 1.25
 _RANK_SLICE = 1 << 22
+_COUNT_SLICE = 1 << 16
 
 _log = logging.getLogger("combgen")
 
@@ -464,15 +465,17 @@ def candidate_counts(w0, w1, n1, class_counts):
     mask = (1 << n1) - 1
     for b, w in enumerate((w0, w1)):
         fwht(w)
-        for lo in range(0, w.size, 1 << 24):
-            if np.any(w[lo:lo + (1 << 24)] & mask):
+        # one pass over each cache-sized slice runs every check
+        for lo in range(0, w.size, _COUNT_SLICE):
+            part = w[lo:lo + _COUNT_SLICE]
+            if np.any(part & mask):
                 raise InvariantError("transformed counts not divisible "
                                      "by 2**n1")
-        w >>= n1
-        if int(w.min()) < 0:
-            raise InvariantError("negative relation count")
-        if int(w.max()) > class_counts[b]:
-            raise InvariantError("relation count exceeds class size")
+            part >>= n1
+            if int(part.min()) < 0:
+                raise InvariantError("negative relation count")
+            if int(part.max()) > class_counts[b]:
+                raise InvariantError("relation count exceeds class size")
     return w0, w1
 
 

@@ -21,10 +21,11 @@ from .errors import InvariantError, ValidationError
 # The blocked transform multiplies by the Hadamard matrix of 2**_FWHT_RADIX
 # rows, one group of levels at a time.  Its first pass does the lowest
 # _FWHT_LOW_LEVELS levels in row slabs of _FWHT_SLAB entries (at least
-# 2**_FWHT_LOW_LEVELS), whose two float64 copies stay in cache; its
+# 2**_FWHT_LOW_LEVELS), whose two float copies stay in cache; its
 # second pass does every higher level in column slabs of the same size.
 # Radix 16 needs 4 multiply-adds per entry and level against 10.7 for
-# radix 64, and measured faster once the products run on one thread.
+# radix 64, and measured faster once the products run on one thread, in
+# float32 as in float64.
 _FWHT_RADIX = 4
 _FWHT_LOW_LEVELS = 16
 _FWHT_SLAB = 1 << 17
@@ -37,8 +38,11 @@ _BLAS_PRODUCT = 1 << 18
 # of the integer fallback; keeps its temporaries bounded for
 # gigabyte-sized tables.
 _BUTTERFLY_SLAB = 1 << 20
-# float64 holds every integer of magnitude up to 2**53 exactly.
-_FLOAT_EXACT = 1 << 53
+# Each float type holds every integer of magnitude below its bound
+# exactly (a 24- and a 53-bit significand), so a transform whose sum|a|
+# stays below 2**24 runs in float32, below 2**53 in float64, and any
+# larger one in the integer butterflies.
+_FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 
 
 def fwht(table):
@@ -51,19 +55,20 @@ def fwht(table):
     length.
 
     A signed integer array of 2**k entries is transformed as Kronecker
-    factors: each group of up to 4 levels is a float64 product with the
+    factors: each group of up to 4 levels is a float product with the
     Sylvester Hadamard matrix of 16 (or fewer) rows, run on BLAS in
     pieces small enough to stay on the calling thread.  One pass over
     memory does the lowest 16 levels in cache-sized row slabs and a
     second pass does every higher level in column slabs.
     Every intermediate value is a signed sum of input entries, so its
-    magnitude is at most sum|a|.  When sum|a| is below 2**53 and at most
-    the dtype's maximum, every float64 product and sum is an exact
-    integer in whatever order BLAS adds, and the result equals the
-    integer transform exactly.  Any other array (a larger sum, an
-    unsigned or float dtype) falls back to k passes of numpy integer
-    butterflies, which wrap on overflow like any numpy sum: callers
-    pick a dtype wide enough for the result.
+    magnitude is at most sum|a|.  Every such integer is exact in float32
+    when sum|a| < 2**24 and in float64 when sum|a| < 2**53, whatever
+    order BLAS adds in, so the products run in float32 below 2**24, in
+    float64 below 2**53 (both only while sum|a| is at most the dtype's
+    maximum), and the result equals the integer transform exactly.  Any
+    other array (a larger sum, an unsigned or float dtype) falls back to
+    k passes of numpy integer butterflies, which wrap on overflow like
+    any numpy sum: callers pick a dtype wide enough for the result.
     """
     size = len(table)
     if size == 0 or size & (size - 1):
@@ -84,44 +89,49 @@ def fwht(table):
 def _fwht_array(a):
     if a.ndim != 1:
         raise ValidationError("expected a one-dimensional array")
-    if _float_exact(a):
-        return _fwht_blocked(a)
+    ftype = _float_exact(a)
+    if ftype:
+        return _fwht_blocked(a, ftype)
     return _fwht_butterfly(a)
 
 
 def _float_exact(a):
-    """True when a is a signed integer array whose sum|a|, which bounds
-    every sum the transform forms, float64 and a's dtype hold exactly.
-    A float64 slab sum of |a| is exact below 2**53 and at least 2**53
-    otherwise, dtype minima included."""
+    """The narrowest float type in which fwht(a) is exact, or None.
+
+    sum|a| bounds every sum the transform forms, so a type serves when
+    sum|a| is below its bound, provided a has a signed integer dtype
+    whose maximum sum|a| does not exceed.  A float64 slab sum of |a| is
+    exact below 2**53 and at least 2**53 otherwise, dtype minima
+    included."""
     if not np.issubdtype(a.dtype, np.signedinteger):
-        return False
-    limit = min(_FLOAT_EXACT, int(np.iinfo(a.dtype).max))
+        return None
+    limit = min(_FLOAT_EXACT[-1][1], int(np.iinfo(a.dtype).max) + 1)
     total = 0
     for lo in range(0, a.size, _FWHT_SLAB):
-        part = np.abs(a[lo:lo + _FWHT_SLAB], dtype=np.float64).sum()
-        total += int(part)
-        if part >= _FLOAT_EXACT or total > limit:
-            return False
-    return True
+        total += int(np.abs(a[lo:lo + _FWHT_SLAB], dtype=np.float64).sum())
+        if total >= limit:
+            return None
+    return next(ftype for ftype, bound in _FLOAT_EXACT if total < bound)
 
 
 @functools.cache
-def _hadamard(g):
-    """The 2**g x 2**g Sylvester Hadamard matrix, float64, read-only."""
+def _hadamard(g, dtype):
+    """The 2**g x 2**g Sylvester Hadamard matrix in dtype, read-only."""
     i = np.arange(1 << g)
-    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i[None, :]) & 1)
+    odd = np.bitwise_count(i[:, None] & i[None, :]) & 1
+    h = np.where(odd, -1, 1).astype(dtype)
     h.setflags(write=False)
     return h
 
 
-def _fwht_blocked(a):
-    """The float64 path of fwht; exact only where _float_exact(a)."""
+def _fwht_blocked(a, ftype=np.float64):
+    """The BLAS path of fwht in float type ftype; exact only where
+    _float_exact(a) allows ftype."""
     k = a.size.bit_length() - 1
     low = min(k, _FWHT_LOW_LEVELS)
     high = k - low
     span = max(min(a.size, _FWHT_SLAB), 1 << high)
-    bufs = (np.empty(span), np.empty(span))
+    bufs = (np.empty(span, ftype), np.empty(span, ftype))
     rows = a.reshape(1 << high, 1 << low)
     per = _FWHT_SLAB >> low
     for r0 in range(0, 1 << high, per):
@@ -135,12 +145,13 @@ def _fwht_blocked(a):
 
 def _hadamard_slab(block, levels, inner, bufs):
     """Transform `block`, read as (outer, 2**levels, inner) in C order,
-    along its middle axis in float64, and write the result back."""
+    along its middle axis in the buffers' float type, and write the
+    result back."""
     x, y = (b[:block.size] for b in bufs)
     np.copyto(x.reshape(block.shape), block)
     for j in range(0, levels, _FWHT_RADIX):
         g = min(_FWHT_RADIX, levels - j)
-        h = _hadamard(g)
+        h = _hadamard(g, x.dtype.type)
         stride = inner << j
         part = _BLAS_PRODUCT >> 2 * g
         if stride == 1:

@@ -80,12 +80,9 @@ def cmd_multiples(args):
                                   "--registers")
         spec = fileio.load_generator_spec(args.spec)
         idx = _parse_int_list(args.registers)
-        try:
-            group = [spec.lfsrs[r] for r in idx]
-        except IndexError:
-            raise ValidationError(f"register index out of range in "
-                                  f"{idx}") from None
-        modulus = product_modulus(group)
+        if not all(0 <= r < len(spec.lfsrs) for r in idx):
+            raise ValidationError(f"register index out of range in {idx}")
+        modulus = product_modulus([spec.lfsrs[r] for r in idx])
     t0 = time.perf_counter()
     report = multiples.find_weight4(modulus, args.degree_bound,
                                     limit=args.limit)

@@ -368,6 +368,35 @@ def test_candidate_counts_range_guard():
         candidate_counts(w0, w1, 2, (0, 0))
 
 
+def test_candidate_counts_negative_guard():
+    # transforms to 4 * [1, 1, 1, -1]: after the shift by 2, a count of -1
+    w0 = np.array([2, 2, 2, -2], dtype=np.int64)
+    w1 = np.zeros(4, dtype=np.int64)
+    with pytest.raises(InvariantError, match="negative relation count"):
+        candidate_counts(w0, w1, 2, (8, 0))
+
+
+@pytest.mark.parametrize("bad, match", [
+    (1, "not divisible"),
+    (-2, "negative relation count"),
+    (22, "exceeds class size"),
+])
+def test_candidate_counts_guards_reach_the_last_slice(bad, match):
+    # fwht(t) transforms back to size * t, shifted down by n1 to t / 2, so
+    # t's last entry, at the end of a row longer than one checked slice,
+    # is the one odd, negative or too large count
+    size = 2 * attack._COUNT_SLICE
+    n1 = size.bit_length()
+    t = np.zeros(size, dtype=np.int64)
+    t[:size // 2] = 20
+    w0 = np.zeros(size, dtype=np.int64)
+    got = candidate_counts(w0.copy(), boolfn.fwht(t.copy()), n1, (0, 10))
+    assert np.array_equal(got[1], t // 2)
+    t[-1] = bad
+    with pytest.raises(InvariantError, match=match):
+        candidate_counts(w0, boolfn.fwht(t), n1, (0, 10))
+
+
 # ------------------------------------------------------------------ score
 
 

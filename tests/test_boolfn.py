@@ -196,6 +196,59 @@ def test_fwht_transforms_in_place_and_returns_input(rng):
     assert fwht(wide) is wide
 
 
+def _float32_table(rng, k, dtype):
+    """Random signed entries as large as the float32-exact bound allows."""
+    peak = ((1 << 24) - 1) >> k
+    return rng.integers(-peak, peak + 1, size=1 << k).astype(dtype)
+
+
+def test_float_exact_picks_float32_below_2_24():
+    a = np.zeros(1 << 10, dtype=np.int32)
+    a[5] = (1 << 24) - 1
+    assert _float_exact(a) is np.float32
+    a[5] = -(1 << 24) + 1
+    assert _float_exact(a) is np.float32
+    a[6] = 1
+    assert _float_exact(a) is np.float64
+    a[:] = 0
+    a[-1] = 1 << 24
+    assert _float_exact(a) is np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_fwht_float32_equals_butterflies(rng, dtype):
+    for k in range(24):
+        a = _float32_table(rng, k, dtype)
+        assert _float_exact(a) is np.float32
+        want = _fwht_butterfly(a.copy())
+        got = a.copy()
+        _fwht_blocked(got, np.float32)
+        assert np.array_equal(got, want), f"k={k}"
+
+
+def test_fwht_just_over_2_24_stays_exact():
+    # sum|a| = 2**24 + 1, and result entry 0 is 2**24 + 1, which needs 25
+    # significant bits: float32 rounds it, so the float64 path runs
+    a = np.zeros(1 << 12, dtype=np.int32)
+    a[0] = 1 << 24
+    a[1] = 1
+    want = fwht([int(v) for v in a])
+    assert want[0] == (1 << 24) + 1
+    assert _fwht_blocked(a.copy(), np.float32)[0] != want[0]
+    assert _float_exact(a) is np.float64
+    assert fwht(a).tolist() == want
+
+
+def test_fwht_float32_strided_view_in_place(rng):
+    base = _float32_table(rng, 19, np.int32)
+    before = base.copy()
+    view = base[1::2]
+    assert _float_exact(view) is np.float32
+    assert fwht(view) is view
+    assert np.array_equal(base[1::2], _fwht_butterfly(before[1::2].copy()))
+    assert np.array_equal(base[::2], before[::2])
+
+
 # --------------------------------------------------------- walsh spectrum
 
 

@@ -100,6 +100,16 @@ def test_multiples_bad_register_index(toy_spec_file):
     assert rc == 2
 
 
+def test_multiples_negative_register_index(toy_spec_file, capsys):
+    # -1 would wrap to the last register and search its multiples
+    rc = main(["multiples", "--spec", toy_spec_file, "--registers", "-1",
+               "--degree-bound", "64"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "register index out of range" in captured.err
+    assert "modulus:" not in captured.out
+
+
 def test_attack_plan_only_prints_parameters(toy_spec_file, capsys):
     rc = main(["attack", "--spec", toy_spec_file, "--plan-only"])
     assert rc == 0
