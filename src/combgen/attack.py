@@ -38,7 +38,8 @@ from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
                         find_weight4, product_modulus, verify_multiple)
 
-DEFAULT_CHUNK = 1 << 20
+# relations per chunk: its int64 arrays (512 KB each) stay in a core's L2
+DEFAULT_CHUNK = 1 << 16
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
 FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
@@ -809,8 +810,12 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     the search, lowest degree first up to its raw relation target: from
     `multiples` (stage index -> list of Weight4Multiple), else from
     `cache_dir` if they reach the target, else by a search saved to
-    `cache_dir`; progress goes to the "combgen" logger.  A visit scores
-    in 2**split_bits prefix passes.  A top_k below 1, a split_bits
+    `cache_dir`; progress goes to the "combgen" logger.  split_bits is a
+    memory budget: one count array of 2**(M - split_bits) entries per
+    row, M the longest scored register.  That stage scores in
+    2**split_bits prefix passes; a stage of m1 bits splits only the
+    max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
+    table fits scores in one pass.  A top_k below 1, a split_bits
     outside [0, m1] of any scored stage, a final register longer than
     FINAL_SEARCH_MAX_BITS, or a keystream shorter than the final stage's
     window of m1 + FINAL_WINDOW_EXTRA bits is rejected before any work.
@@ -819,6 +824,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     if attack_plan is None:
         attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
     attack_plan.check_split_bits(split_bits)
+    table_bits = max((st.m1 for st in attack_plan.stages if not st.is_final),
+                     default=split_bits) - split_bits
     final = attack_plan.stages[-1]
     if final.m1 > FINAL_SEARCH_MAX_BITS:
         raise ValidationError(
@@ -869,7 +876,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
         if eqs.total < stage.equations_required:
             warnings = (f"only {eqs.total} relations survive filtering, "
                         f"below the planned {stage.equations_required}",)
-        ranked = score_stage(spec, stage.target, eqs, top_k, split_bits)
+        ranked = score_stage(spec, stage.target, eqs, top_k,
+                             max(0, stage.m1 - table_bits))
         result.reports.append(StageReport(
             stage=idx, target=stage.target, known=dict(known),
             multiples=tuple(g.multiple for g in raw.groups),

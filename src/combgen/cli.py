@@ -281,7 +281,10 @@ def build_parser():
     p.add_argument("--order", help="target order, e.g. 0,1,2")
     p.add_argument("--plan-only", action="store_true")
     p.add_argument("--top-k", type=int, default=attack.DEFAULT_BEAM)
-    p.add_argument("--split-bits", type=int, default=0)
+    p.add_argument("--split-bits", type=int, default=0, metavar="BITS",
+                   help="memory budget: count tables of 2^(m1 - BITS) "
+                        "entries per row, m1 the longest scored register; "
+                        "stages that fit score in one pass")
     p.add_argument("--multiples", action="append",
                    help="multiple-cache file (repeatable)")
     p.set_defaults(func=cmd_attack)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from operator import index
 
 import numpy as np
 
@@ -25,7 +26,7 @@ KEYSTREAM_VERSION = 1
 
 def _parse_poly(text):
     try:
-        return int(text, 16) if isinstance(text, str) else int(text)
+        return int(text, 16) if isinstance(text, str) else index(text)
     except (TypeError, ValueError):
         raise ValidationError(f"bad polynomial value {text!r}") from None
 
@@ -44,20 +45,23 @@ def generator_spec_to_dict(spec):
 
 
 def generator_spec_from_dict(data):
+    """Build a spec from parsed JSON; a missing field, a wrong type, a
+    non-integer number (never truncated) or a wiring entry that is not a
+    pair raises ValidationError."""
     try:
         lfsrs = tuple(
-            LfsrSpec(length=int(entry["length"]),
+            LfsrSpec(length=index(entry["length"]),
                      feedback=_parse_poly(entry["feedback"]),
-                     taps=tuple(int(t) for t in entry["taps"]))
+                     taps=tuple(index(t) for t in entry["taps"]))
             for entry in data["lfsrs"])
         fn = data["function"]
         function = BooleanFunction.from_hex(fn["truth_table"])
-        if function.n != int(fn["n"]):
+        if function.n != index(fn["n"]):
             raise ValidationError(
                 f"truth table length implies n={function.n}, header says "
                 f"{fn['n']}")
-        wiring = tuple((int(r), int(k)) for r, k in data["wiring"])
-    except (KeyError, TypeError) as exc:
+        wiring = tuple((index(r), index(k)) for r, k in data["wiring"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed generator spec: {exc!r}") from None
     return GeneratorSpec(lfsrs=lfsrs, function=function, wiring=wiring)
 

@@ -795,6 +795,48 @@ def test_run_attack_same_candidates_at_every_split(toy):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("split, expected", [(2, {0: 2, 1: 0}),
+                                             (3, {0: 3, 1: 1})])
+def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
+                                                      expected):
+    # split_bits budgets the 13-bit stage 1 a 2**(13 - split)-entry row;
+    # the 11-bit stage 2 splits only the bits that do not fit in it
+    calls = []
+    score = attack.score_stage
+
+    def recording(spec, target, eqs, top_k, split_bits):
+        calls.append((target, split_bits))
+        return score(spec, target, eqs, top_k, split_bits)
+
+    monkeypatch.setattr(attack, "score_stage", recording)
+    mults = {0: list(stage1_multiples(toy, 2500)),
+             1: list(find_weight4(presets.TOY_POLY_9, 500).found)}
+    result = run_attack(toy, toy_keystream(toy, 1 << 18), plan(toy),
+                        multiples=mults, split_bits=split)
+    assert result.state == TRUE_KEY
+    assert len(set(calls)) == 2 and dict(calls) == expected
+
+
+def test_fill_tables_transient_memory_follows_the_chunk(toy, monkeypatch):
+    # 2**19 relations in 128 chunks of 2**12: a signed pass holds its
+    # count array and a few per-chunk arrays, nothing that grows with
+    # the stage
+    import tracemalloc
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 12)
+    eqs = scored_stage(toy, max_eq=1 << 19)
+    class_counts = eqs.class_counts
+    list(iter_column_chunks(toy, 0, eqs))  # warm the residue cache
+    tracemalloc.start()
+    try:
+        tables = attack._fill_tables(iter_column_chunks(toy, 0, eqs), 2, 12,
+                                     class_counts, prefix=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eqs.total == 1 << 19
+    assert peak <= tables.nbytes + 8 * attack.DEFAULT_CHUNK * 8
+
+
 @pytest.mark.parametrize("split", [0, 2])
 def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
     # filtered toy stage 2: stored bases and classes, walked 7 at a time

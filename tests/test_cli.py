@@ -1,5 +1,6 @@
 """Command-line surface, exercised through main(argv)."""
 
+import json
 import re
 
 import numpy as np
@@ -210,6 +211,15 @@ def test_analyze_toy_spec(toy_spec_file, capsys):
     assert "nonlinearity: 24" in text
     assert "quadruple-sum advantage" in text
     assert "holds" in text and "VIOLATED" not in text
+
+
+def test_analyze_malformed_spec_exits_2(tmp_path, toy_spec_file, capsys):
+    doc = json.loads(open(toy_spec_file).read())
+    doc["lfsrs"][0].update(length=13.7, taps=[0.9, 5.2])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", "--spec", str(bad)]) == 2
+    assert "malformed generator spec" in capsys.readouterr().err
 
 
 def test_analyze_linear_function(capsys):

@@ -53,6 +53,29 @@ def test_spec_rejects_bad_wiring(tmp_path, toy):
         fileio.load_generator_spec(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["lfsrs"][0].update(length="thirteen"),
+    lambda d: d["lfsrs"][0].update(length=13.7),
+    lambda d: d["lfsrs"][0].update(taps=[0.9, 5.2]),
+    lambda d: d["lfsrs"][0].update(feedback=8219.0),
+    lambda d: d["function"].update(n="x"),
+    lambda d: d["function"].update(n=4.0),
+    lambda d: d["function"].update(truth_table=5),
+    lambda d: d["wiring"].__setitem__(0, [0, 0, 1]),
+    lambda d: d["wiring"].__setitem__(0, [0]),
+], ids=["length-text", "length-float", "taps-float", "feedback-float",
+        "n-text", "n-float", "truth-table-number", "wiring-triple",
+        "wiring-single"])
+def test_spec_rejects_malformed_fields(tmp_path, toy, edit):
+    doc = fileio.generator_spec_to_dict(toy)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError,
+                       match="malformed generator spec|bad polynomial"):
+        fileio.load_generator_spec(path)
+
+
 def test_keystream_roundtrip(tmp_path, rng):
     bits = Keystream(rng.integers(0, 2, size=777).astype(np.uint8))
     path = tmp_path / "x.ks"
