@@ -119,7 +119,11 @@ def save_multiples_cache(path, report):
 
 def load_multiples_cache(path):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not a multiples file (not UTF-8 "
+                                  f"text)") from None
     if not lines or not lines[0].startswith("# modulus "):
         raise ValidationError(f"{path}: missing multiple-cache header")
     fields = lines[0].split()

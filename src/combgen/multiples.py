@@ -5,7 +5,8 @@ registers' feedback polynomials yields keystream relations that cancel
 those registers entirely; the attack conditions on them.  The search
 here is the birthday-style collision scan: tabulate X**a mod M for
 a = 1..D, then for every pair (a, b) look up whether 1 ^ r_a ^ r_b is
-some r_c.  Time O(D**2 log D), memory O(D).
+some r_c in a direct-address table.  Time O(D**2) lookups, memory O(D)
+plus the table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .gf2 import poly_degree, poly_gcd, poly_mul, x_power_mod
 # int64 residue arrays hold moduli up to this degree; beyond it the scan
 # falls back to Python ints.
 _NUMPY_DEGREE_LIMIT = 62
+_SPARE_BITS = 5
+_TABLE_BITS_MAX = 22
 
 
 @dataclass(frozen=True)
@@ -125,26 +128,46 @@ def _residue_list(modulus, bound):
     return out
 
 
-def _scan_numpy(residues, bound):
-    """Collision scan with sorted int64 lookups, yields raw (a, b, c)."""
+def _scan_numpy(residues, bound, one=1, exps=None):
+    """Collision scan over int64 residues, yields raw (a, b, c).
+
+    slot[t & mask] holds 1 + the index of one residue with those low bits
+    (2**_SPARE_BITS slots per residue, at most 2**_TABLE_BITS_MAX); each
+    step compares about 2**16 looked-up residues in full.  That finds every
+    triple with a member in a slot; those that lost theirs are rescanned on
+    the next bits (a rotation, which keeps every XOR relation).
+    """
     r = np.array(residues, dtype=np.int64)
-    order = np.argsort(r, kind="stable")
-    ranked = r[order]
-    if bound > 1 and np.any(ranked[1:] == ranked[:-1]):
-        raise ValidationError("degree bound exceeds the period of X modulo "
-                              "the modulus; the collision scan would miss "
-                              "solutions (lower the bound)")
+    if exps is None:
+        if np.unique(r).size < bound:
+            raise ValidationError("degree bound exceeds the period of X "
+                                  "modulo the modulus; the collision scan "
+                                  "would miss solutions (lower the bound)")
+        exps = np.arange(1, bound + 1)
+    if bound < 3:
+        return []
+    width = int(max(r.max(), one)).bit_length()
+    k = max(1, min(bound.bit_length() + _SPARE_BITS, _TABLE_BITS_MAX, width))
+    mask = (1 << k) - 1
+    slot = np.zeros(1 << k, dtype=np.int32)
+    slot[r & mask] = np.arange(1, bound + 1)
+    held = np.concatenate(([-1], r))  # an empty slot never matches
     hits = []
-    for ia in range(bound - 1):
-        targets = 1 ^ r[ia] ^ r[ia + 1:]
-        pos = np.searchsorted(ranked, targets)
-        pos[pos == bound] = 0
-        match = ranked[pos] == targets
-        for off in np.flatnonzero(match):
-            ib = ia + 1 + off
-            ic = int(order[pos[off]])
-            hits.append((ia + 1, ib + 1, ic + 1))
-    return hits
+    a0 = 0
+    while a0 < bound - 1:
+        a1 = min(bound - 1, a0 + max(1, (1 << 16) // (bound - a0 - 1)))
+        t = one ^ r[a0:a1, None] ^ r[None, a0 + 1:]
+        s = slot[t & mask]
+        ia, ib = np.nonzero(held[s] == t)
+        keep = ib >= ia  # b = a0 + 1 + ib > a = a0 + ia
+        ia, ib = ia[keep], ib[keep]
+        hits.extend(zip(exps[a0 + ia].tolist(), exps[a0 + 1 + ib].tolist(),
+                        exps[s[ia, ib] - 1].tolist()))
+        a0 = a1
+    lost = np.flatnonzero(slot[r & mask] != np.arange(1, bound + 1))
+    rest = np.append(r[lost], one)
+    rest = rest >> k | (rest & mask) << (width - k)
+    return hits + _scan_numpy(rest[:-1], lost.size, int(rest[-1]), exps[lost])
 
 
 def _scan_python(residues, bound):
@@ -199,8 +222,8 @@ def find_weight4(modulus, degree_bound, limit=None):
         raw = _scan_numpy(residues, degree_bound)
     else:
         raw = _scan_python(residues, degree_bound)
-    found = sorted({Weight4Multiple(*sorted(map(int, hit))) for hit in raw
-                    if len(set(hit)) == 3})
+    triples = {tuple(sorted(hit)) for hit in raw}
+    found = sorted(Weight4Multiple(*t) for t in triples if len(set(t)) == 3)
     if limit is not None:
         found = found[:limit]
     return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,

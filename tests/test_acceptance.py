@@ -346,3 +346,15 @@ def test_11_full_size_stage2_filter_in_bounded_memory(tmp_path):
     assert rss < 10 ** 9
     print(f"check 11 PASS: harvest + filter of {raw} relations kept {kept} "
           f"in {float(seconds):.1f} s, peak RSS {rss / 2 ** 20:.0f} MiB")
+
+
+@pytest.mark.large_scale
+def test_12_full_size_stage2_multiple_search():
+    t0 = time.perf_counter()
+    report = find_weight4(presets.POLY_37, 35423)
+    elapsed = time.perf_counter() - t0
+    assert report.count == 51
+    assert all(verify_multiple(m, [presets.POLY_37]) for m in report.found)
+    assert report.found[-1].degree == 35423
+    print(f"check 12 PASS: {report.count} weight-4 multiples of the 37-bit "
+          f"feedback below degree 35423, all verified, {elapsed:.1f} s")

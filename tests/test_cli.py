@@ -162,6 +162,13 @@ def test_attack_with_supplied_multiples_file(tmp_path, toy_spec_file,
     assert "stage 2 (register 1): searching multiples of 0x211" in err
 
 
+def test_attack_with_a_binary_multiples_file_exits_2(toy_spec_file,
+                                                    toy_ks_file, capsys):
+    assert main(["attack", "--spec", toy_spec_file, "--keystream",
+                 toy_ks_file, "--multiples", toy_ks_file]) == 2
+    assert "not a multiples file" in capsys.readouterr().err
+
+
 def test_attack_without_keystream_is_an_input_error(toy_spec_file):
     assert main(["attack", "--spec", toy_spec_file]) == 2
 

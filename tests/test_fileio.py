@@ -160,6 +160,17 @@ def test_multiples_cache_rejects_bad_header(tmp_path):
         fileio.load_multiples_cache(path)
 
 
+def test_multiples_cache_rejects_binary_file(tmp_path):
+    # a keystream given where a multiples file belongs is not UTF-8 text
+    path = tmp_path / "toy.ks"
+    fileio.save_keystream(path, Keystream(np.ones(100, dtype=np.uint8)))
+    with pytest.raises(ValidationError, match="not a multiples file"):
+        fileio.load_multiples_cache(path)
+    path.write_bytes(b"# modulus 0x201b max-degree 300\n\xff\xfe 38 39\n")
+    with pytest.raises(ValidationError, match="not a multiples file"):
+        fileio.load_multiples_cache(path)
+
+
 def test_multiples_cache_large_modulus(tmp_path):
     modulus = product_modulus([presets.POLY_31, presets.POLY_37])
     report = MultipleSearchReport(

@@ -1,12 +1,14 @@
 """Weight-4 multiple search: collision scan vs cubic enumeration."""
 
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import multiples, presets
 from combgen.errors import ValidationError
-from combgen.gf2 import LfsrSpec, poly_mul, poly_rem
+from combgen.gf2 import LfsrSpec, poly_is_primitive, poly_mul, poly_rem
 from combgen.multiples import (Weight4Multiple, _residue_list, _scan_python,
                                expected_count, find_weight4,
                                find_weight4_bruteforce, product_modulus,
@@ -158,3 +160,60 @@ def test_squaring_chain_multiples_verify():
     assert degrees == sorted(degrees)
     for m in chain:
         assert verify_multiple(m, [presets.POLY_31, presets.POLY_37])
+
+
+def _random_primitive(degree, rng):
+    while True:
+        cand = (1 << degree) | int(rng.integers(0, 1 << (degree - 1))) << 1 | 1
+        if poly_is_primitive(cand):
+            return cand
+
+
+@pytest.fixture(scope="module")
+def random_searches():
+    """(modulus, bound, brute-force multiples) for 60 primitives of degree
+    5-14 and 40 products of two primitives of distinct degrees, summing
+    to at most 20.  Bounds are log-uniform in 8..256, every 50th is 512,
+    and none passes the period of X."""
+    rng = np.random.default_rng(0x5CA7)
+    cases = []
+    for i in range(100):
+        if i < 60:
+            deg = int(rng.integers(5, 15))
+            modulus, period = _random_primitive(deg, rng), (1 << deg) - 1
+        else:
+            d1 = int(rng.integers(3, 10))
+            d2 = int(rng.integers(d1 + 1, 21 - d1))
+            modulus = poly_mul(_random_primitive(d1, rng),
+                               _random_primitive(d2, rng))
+            period = lcm((1 << d1) - 1, (1 << d2) - 1)
+        bound = 512 if i % 50 == 0 else int(2 ** rng.uniform(3, 8))
+        bound = min(bound, period)
+        cases.append((modulus, bound,
+                      find_weight4_bruteforce(modulus, bound).found))
+    return cases
+
+
+def test_find_weight4_equals_bruteforce_on_random_moduli(random_searches):
+    for modulus, bound, found in random_searches:
+        assert find_weight4(modulus, bound).found == found, hex(modulus)
+    assert sum(len(found) for _, _, found in random_searches) > 100
+
+
+def test_find_weight4_equals_bruteforce_with_a_shrunk_table(
+        random_searches, monkeypatch):
+    # 2**(bound.bit_length() - 3) slots, under a quarter of the bound: most
+    # residues lose their slot and go through the leftover scan
+    monkeypatch.setattr(multiples, "_SPARE_BITS", -3)
+    sizes = []
+    scan = multiples._scan_numpy
+
+    def recorded(residues, bound, *rest):
+        sizes.append(bound)
+        return scan(residues, bound, *rest)
+
+    monkeypatch.setattr(multiples, "_scan_numpy", recorded)
+    for modulus, bound, found in random_searches:
+        sizes.clear()
+        assert find_weight4(modulus, bound).found == found, hex(modulus)
+        assert sizes[0] == bound and sizes[1] >= bound * 3 // 4
