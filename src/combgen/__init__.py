@@ -15,8 +15,8 @@ small sizes.
 """
 
 from .attack import (AttackPlan, AttackResult, CandidateScore, EquationGroup,
-                     EquationSet, StagePlan, StageReport, build_g_columns,
-                     candidate_counts, candidate_counts_naive,
+                     EquationSet, FinalStage, ScoredStage, StageReport,
+                     build_g_columns, candidate_counts, candidate_counts_naive,
                      candidates_tsv, compare_orderings, filter_known,
                      final_direct_search, harvest_equations, plan,
                      run_attack, score_candidates_naive, score_stage,
@@ -50,6 +50,7 @@ __all__ = [
     "CombgenError",
     "EquationGroup",
     "EquationSet",
+    "FinalStage",
     "GeneratorSpec",
     "InvariantError",
     "Keystream",
@@ -57,7 +58,7 @@ __all__ = [
     "MultipleSearchReport",
     "PSpectrum",
     "PSpectrumBounds",
-    "StagePlan",
+    "ScoredStage",
     "StageReport",
     "ValidationError",
     "WalshSpectrum",

@@ -26,7 +26,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -63,9 +63,10 @@ EQUATION_SCALING_NOTE = (
 
 
 @dataclass(frozen=True)
-class StagePlan:
-    """Cost model for recovering one register with the rest split into
-    already-known registers and cancelled (group2) registers."""
+class _Stage:
+    """What every stage kind records: the target register, its length
+    m1 and wired inputs n1; the registers cancelled (group2), with
+    summed length m2 and inputs n2; the known ones, with inputs n_known."""
 
     target: int
     known: tuple
@@ -75,19 +76,118 @@ class StagePlan:
     n1: int
     n2: int
     n_known: int
-    is_final: bool
+
+
+@dataclass(frozen=True)
+class ScoredStage(_Stage):
+    """Cost model for scoring one register over weight-4 relations that
+    cancel the group2 registers.  blowup, the factor by which the
+    worst-case spectrum gap raises the sample count, is math.inf when
+    the combining function has a linear structure."""
+
     samples_required: int
-    equations_required: int
-    samples_worstcase: int
-    equations_worstcase: int
     expected_false_survivors: float
     keystream_single: int
     keystream_multi: int
-    keystream_estimate: int
-    attack_time_log2: float
-    attack_memory_log2: float
-    tradeoff_time_log2: float
-    tradeoff_memory_log2: float
+    blowup: float
+    is_final = False  # perfbench/workloads.py reads it
+
+    @property
+    def equations_required(self):
+        return self.samples_required << self.n1
+
+    @property
+    def raw_target(self):
+        """Raw relations to harvest: the planned count, times 2**n_known
+        for the known-register filter, times RAW_MARGIN to spare."""
+        return math.ceil(self.equations_required * (1 << self.n_known)
+                         * RAW_MARGIN)
+
+    @property
+    def keystream_estimate(self):
+        return min(self.keystream_single, self.keystream_multi)
+
+    @property
+    def samples_worstcase(self):
+        return self._worst(self.samples_required)
+
+    @property
+    def equations_worstcase(self):
+        return self._worst(self.equations_required)
+
+    def _worst(self, figure):
+        """figure times the blow-up, math.inf when that is unbounded."""
+        if self.blowup == math.inf:
+            return math.inf
+        return math.ceil(figure * self.blowup)
+
+    @property
+    def attack_time_log2(self):
+        return math.log2(self.m1) + self.n1 + self.m1
+
+    @property
+    def attack_memory_log2(self):
+        return float(self.m1)
+
+    @property
+    def tradeoff_time_log2(self):
+        return math.log2(self.equations_required) - 1 + self.m1
+
+    @property
+    def tradeoff_memory_log2(self):
+        return math.log2(self.equations_required) - 1
+
+    def describe(self):
+        worst = "unbounded (the combining function has a linear structure)"
+        if self.blowup < math.inf:
+            worst = (f"S = {self.samples_worstcase}, "
+                     f"N = {self.equations_worstcase}")
+        return [
+            f"  samples S = {self.samples_required} = "
+            f"2^{math.log2(self.samples_required):.2f}   "
+            f"equations N = {self.equations_required} = "
+            f"2^{math.log2(self.equations_required):.2f}   "
+            f"(n1={self.n1})",
+            f"  worst-case spectrum-gap figures: {worst}",
+            f"  expected false survivors ~ "
+            f"{self.expected_false_survivors:.2f}",
+            f"  keystream: one multiple -> "
+            f"{_bits_human(self.keystream_single)}; "
+            f"many multiples -> {_bits_human(self.keystream_multi)}; "
+            f"planned {_bits_human(self.keystream_estimate)}",
+            f"  search: time 2^{self.attack_time_log2:.2f}, "
+            f"memory 2^{self.attack_memory_log2:.2f} counters; tradeoff "
+            f"endpoint time 2^{self.tradeoff_time_log2:.2f}, "
+            f"memory 2^{self.tradeoff_memory_log2:.2f}"]
+
+
+@dataclass(frozen=True)
+class FinalStage(_Stage):
+    """The last register, recovered by direct search over its 2**m1
+    states on a window of m1 + FINAL_WINDOW_EXTRA keystream bits."""
+
+    is_final = True  # perfbench/workloads.py reads it
+
+    @property
+    def keystream_estimate(self):
+        return self.m1 + FINAL_WINDOW_EXTRA
+
+    def check(self, number, ks_len):
+        """Raise unless the search and a ks_len-bit keystream are in reach."""
+        if self.m1 > FINAL_SEARCH_MAX_BITS:
+            raise ValidationError(
+                f"stage {number} (register {self.target}) would enumerate "
+                f"2^{self.m1} states; the final direct search is limited to "
+                f"{FINAL_SEARCH_MAX_BITS}-bit registers")
+        if ks_len < self.keystream_estimate:
+            raise ValidationError(
+                f"keystream has {ks_len} bits; the final direct search on "
+                f"register {self.target} needs at least "
+                f"{self.keystream_estimate}")
+
+    def describe(self):
+        return [f"  direct search over 2^{self.m1} states on a window of "
+                f"{self.keystream_estimate} bits"]
 
 
 @dataclass(frozen=True)
@@ -98,15 +198,6 @@ class AttackPlan:
     notes: tuple
     warnings: tuple
 
-    def check_split_bits(self, split_bits):
-        """Raise unless every scored stage can split its 2**m1
-        candidates into 2**split_bits prefixes."""
-        for st in self.stages:
-            if not st.is_final and not 0 <= split_bits <= st.m1:
-                raise ValidationError(
-                    f"split_bits must lie in [0, {st.m1}] to split register "
-                    f"{st.target}'s candidates, got {split_bits}")
-
     def describe(self):
         lines = [f"attack plan, target order {list(self.order)}"]
         for i, st in enumerate(self.stages, start=1):
@@ -114,32 +205,7 @@ class AttackPlan:
                 f"stage {i}: register {st.target} "
                 f"(m1={st.m1})  known={list(st.known)}  "
                 f"cancelled={list(st.group2)} (m2={st.m2}, n2={st.n2})")
-            if st.is_final:
-                lines.append(
-                    f"  direct search over 2^{st.m1} states on a window of "
-                    f"{st.keystream_estimate} bits")
-                continue
-            lines.append(
-                f"  samples S = {st.samples_required} = "
-                f"2^{math.log2(st.samples_required):.2f}   "
-                f"equations N = {st.equations_required} = "
-                f"2^{math.log2(st.equations_required):.2f}   "
-                f"(n1={st.n1})")
-            lines.append(
-                f"  worst-case spectrum-gap figures: S = "
-                f"{st.samples_worstcase}, N = {st.equations_worstcase}")
-            lines.append(
-                f"  expected false survivors ~ "
-                f"{st.expected_false_survivors:.2f}")
-            lines.append(
-                f"  keystream: one multiple -> {_bits_human(st.keystream_single)}; "
-                f"many multiples -> {_bits_human(st.keystream_multi)}; "
-                f"planned {_bits_human(st.keystream_estimate)}")
-            lines.append(
-                f"  search: time 2^{st.attack_time_log2:.2f}, "
-                f"memory 2^{st.attack_memory_log2:.2f} counters; tradeoff "
-                f"endpoint time 2^{st.tradeoff_time_log2:.2f}, "
-                f"memory 2^{st.tradeoff_memory_log2:.2f}")
+            lines.extend(st.describe())
         lines.append(
             f"total keystream required: {_bits_human(self.keystream_required)}")
         for note in self.notes:
@@ -160,13 +226,13 @@ def _bits_human(bits):
     return f"{bits} bits = 2^{math.log2(bits):.2f} ({human})"
 
 
-def plan(spec, order=None, delta=None):
-    """Per-stage cost model for recovering the registers in `order`.
+def plan(spec, order=None):
+    """Per-stage cost model for recovering the registers in `order`: a
+    ScoredStage for each register but the last, a FinalStage for it.
 
-    `delta` is the autocorrelation peak of the combining function; when
-    not given it is computed, and it feeds the worst-case sample counts
-    (the guaranteed spectrum gap shrinks as (1 - delta/2**n)**2, so the
-    sample cost grows by its inverse square).
+    The autocorrelation peak delta of the combining function feeds the
+    worst-case sample counts: the guaranteed spectrum gap shrinks as
+    (1 - delta/2**n)**2, so the sample cost grows by its inverse square.
     """
     if order is None:
         order = tuple(range(len(spec.lfsrs)))
@@ -174,12 +240,10 @@ def plan(spec, order=None, delta=None):
     if sorted(order) != list(range(len(spec.lfsrs))):
         raise ValidationError(f"order {order} is not a permutation of the "
                               f"registers")
-    if delta is None:
-        delta = autocorrelation(spec.function).delta
+    delta = autocorrelation(spec.function).delta
     n = spec.n
     blowup = (1 - delta / (1 << n)) ** -4 if delta < (1 << n) else math.inf
     stages = []
-    warnings = []
     for idx, target in enumerate(order):
         known = tuple(order[:idx])
         group2 = tuple(order[idx + 1:])
@@ -188,58 +252,40 @@ def plan(spec, order=None, delta=None):
         n1 = len(spec.inputs_of_register(target))
         n2 = sum(len(spec.inputs_of_register(r)) for r in group2)
         n_known = sum(len(spec.inputs_of_register(r)) for r in known)
-        is_final = not group2
         if n1 == 0:
             raise ValidationError(
                 f"register {target} feeds no inputs and cannot be scored")
+        shared = dict(target=target, known=known, group2=group2, m1=m1,
+                      m2=m2, n1=n1, n2=n2, n_known=n_known)
+        if not group2:
+            stages.append(FinalStage(**shared))
+            continue
         samples = m1 << (2 * n + 1)
-        equations = samples << n1
         false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * n + 1)))
-        if is_final:
-            est_single = est_multi = est = m1 + FINAL_WINDOW_EXTRA
-        else:
-            raw = equations << n_known
-            d_min = math.ceil((6 * 2.0 ** m2) ** (1 / 3))
-            est_single = raw + d_min
-            est_multi = math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4))
-            est = min(est_single, est_multi)
-        stages.append(StagePlan(
-            target=target, known=known, group2=group2,
-            m1=m1, m2=m2, n1=n1, n2=n2, n_known=n_known, is_final=is_final,
-            samples_required=samples, equations_required=equations,
-            samples_worstcase=math.ceil(samples * blowup),
-            equations_worstcase=math.ceil(equations * blowup),
-            expected_false_survivors=false_surv,
-            keystream_single=est_single, keystream_multi=est_multi,
-            keystream_estimate=est,
-            attack_time_log2=math.log2(m1) + n1 + m1,
-            attack_memory_log2=float(m1),
-            tradeoff_time_log2=math.log2(m1) + 2 * n + n1 + m1,
-            tradeoff_memory_log2=math.log2(m1) + 2 * n + n1,
-        ))
-    warnings.append(
+        raw = (samples << n1) << n_known
+        d_min = math.ceil((6 * 2.0 ** m2) ** (1 / 3))
+        stages.append(ScoredStage(
+            **shared, samples_required=samples,
+            expected_false_survivors=false_surv, keystream_single=raw + d_min,
+            keystream_multi=math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4)),
+            blowup=blowup))
+    warnings = (
         "an all-zero register state gives no usable statistic; candidate 0 "
-        "ranks last, so such keys are recovered only with top_k = 2**m1")
+        "ranks last, so such keys are recovered only with top_k = 2**m1",)
     return AttackPlan(
         order=order, stages=tuple(stages),
         keystream_required=max(st.keystream_estimate for st in stages),
-        notes=(EQUATION_SCALING_NOTE,), warnings=tuple(warnings))
+        notes=(EQUATION_SCALING_NOTE,), warnings=warnings)
 
 
-def compare_orderings(spec, orders=None, delta=None):
-    """First-stage cost rows for several target orderings.
-
-    Returns (ordering, first StagePlan) pairs; by default all
-    permutations (register count capped at 4 to keep that sane).
-    """
-    if orders is None:
-        from itertools import permutations
-        if len(spec.lfsrs) > 4:
-            raise ValidationError("pass explicit orders for > 4 registers")
-        orders = list(permutations(range(len(spec.lfsrs))))
-    if delta is None:
-        delta = autocorrelation(spec.function).delta
-    return [(tuple(o), plan(spec, o, delta=delta).stages[0]) for o in orders]
+def compare_orderings(spec):
+    """(ordering, first stage) for every target ordering; at most 4
+    registers, to keep the number of orderings sane."""
+    if len(spec.lfsrs) > 4:
+        raise ValidationError("orderings are compared for at most 4 "
+                              "registers")
+    return [(order, plan(spec, order).stages[0])
+            for order in permutations(range(len(spec.lfsrs)))]
 
 
 # --------------------------------------------------------------------------
@@ -700,11 +746,11 @@ class StageReport:
     stage: int
     target: int
     known: dict
-    multiples: tuple
-    relations_raw: int
-    relations_used: int
     candidates: tuple
     seconds: float
+    multiples: tuple = ()
+    relations_raw: int = 0
+    relations_used: int = 0
     warnings: tuple = ()
 
 
@@ -718,25 +764,18 @@ class AttackResult:
     seconds: float = 0.0
 
 
-def _raw_target(stage):
-    """Raw relations to harvest: the planned count, times 2**n_known for
-    the known-register filter, times RAW_MARGIN to spare."""
-    return math.ceil(stage.equations_required * (1 << stage.n_known)
-                     * RAW_MARGIN)
-
-
 def search_stage_multiples(spec, stage, ks_len):
-    """Search enough weight-4 multiples for one planned stage.
+    """Search enough weight-4 multiples for one scored stage.
 
     Doubles the degree bound until the multiples found offer the stage's
     raw relation target in ks_len bits, and returns (modulus, the
     lowest-degree prefix of them that meets it); run_attack caches that.
     """
-    if stage.is_final:
+    if not isinstance(stage, ScoredStage):
         raise ValidationError("the final stage uses direct search, not "
                               "multiples")
     modulus = product_modulus([spec.lfsrs[r].feedback for r in stage.group2])
-    raw_target = _raw_target(stage)
+    raw_target = stage.raw_target
     # the collision scan needs distinct residues, so never look past
     # the order of X modulo the product
     period = math.lcm(*((1 << spec.lfsrs[r].length) - 1
@@ -778,7 +817,7 @@ def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
     if path and os.path.exists(path):
         _log.info(f"{name}: multiples from cache {path}")
         pool = usable(load_multiples_cache(path).found)
-        raw_target = _raw_target(stage)
+        raw_target = stage.raw_target
         offered = sum(n for _, n in _lowest_degree(pool, ks_len, raw_target))
         if offered >= raw_target:
             return pool
@@ -816,28 +855,22 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     2**split_bits prefix passes; a stage of m1 bits splits only the
     max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
     table fits scores in one pass.  A top_k below 1, a split_bits
-    outside [0, m1] of any scored stage, a final register longer than
-    FINAL_SEARCH_MAX_BITS, or a keystream shorter than the final stage's
-    window of m1 + FINAL_WINDOW_EXTRA bits is rejected before any work.
+    outside [0, M] or a final stage that FinalStage.check refuses is
+    rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
-        attack_plan = plan(spec, tuple(range(len(spec.lfsrs))))
-    attack_plan.check_split_bits(split_bits)
-    table_bits = max((st.m1 for st in attack_plan.stages if not st.is_final),
-                     default=split_bits) - split_bits
-    final = attack_plan.stages[-1]
-    if final.m1 > FINAL_SEARCH_MAX_BITS:
+        attack_plan = plan(spec)
+    scored = {idx: st for idx, st in enumerate(attack_plan.stages)
+              if isinstance(st, ScoredStage)}
+    longest = max((st.m1 for st in scored.values()), default=0)
+    if not 0 <= split_bits <= longest:
         raise ValidationError(
-            f"stage {len(attack_plan.stages)} (register {final.target}) "
-            f"would enumerate 2^{final.m1} states; the final direct search "
-            f"is limited to {FINAL_SEARCH_MAX_BITS}-bit registers")
+            f"split_bits must lie in [0, {longest}], the longest scored "
+            f"register's length, got {split_bits}")
+    table_bits = longest - split_bits
     ks = Keystream.of(ks)
-    window = final.m1 + FINAL_WINDOW_EXTRA
-    if len(ks) < window:
-        raise ValidationError(
-            f"keystream has {len(ks)} bits; the final direct search on "
-            f"register {final.target} needs at least {window}")
+    attack_plan.stages[-1].check(len(attack_plan.stages), len(ks))
     if len(ks) < attack_plan.keystream_required:
         _log.warning(f"warning: keystream has {len(ks)} bits, below the "
                      f"plan estimate {attack_plan.keystream_required}; "
@@ -846,48 +879,46 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     result = AttackResult(success=False, state=None, order=attack_plan.order)
     # raw relations per scored stage, harvested once for all visits
     harvests = {}
-    for idx, stage in enumerate(attack_plan.stages):
-        if stage.is_final:
-            continue
+    for idx, stage in scored.items():
         pool = _stage_multiples(spec, idx, stage, len(ks),
                                 (multiples or {}).get(idx) or (), cache_dir)
         harvests[idx] = harvest_equations(ks, pool,
-                                          max_equations=_raw_target(stage))
+                                          max_equations=stage.raw_target)
 
     def solve(idx, known):
+        if idx == len(attack_plan.stages):
+            state = spec.join_state([known[r] for r in sorted(known)])
+            return state if keystream(spec, state, len(ks)) == ks else None
         stage = attack_plan.stages[idx]
         t0 = time.perf_counter()
-        if stage.is_final:
-            survivors = final_direct_search(spec, ks, known)
+        if isinstance(stage, ScoredStage):
+            raw = harvests[idx]
+            eqs = filter_known(spec, raw, known)
+            warnings = ()
+            if eqs.total < stage.equations_required:
+                warnings = (f"only {eqs.total} relations survive filtering, "
+                            f"below the planned {stage.equations_required}",)
+            ranked = score_stage(spec, stage.target, eqs, top_k,
+                                 max(0, stage.m1 - table_bits))
             result.reports.append(StageReport(
                 stage=idx, target=stage.target, known=dict(known),
-                multiples=(), relations_raw=0, relations_used=0,
-                candidates=tuple(survivors[:top_k]),
+                multiples=tuple(g.multiple for g in raw.groups),
+                relations_raw=raw.total,
+                relations_used=eqs.total, candidates=tuple(ranked),
+                seconds=time.perf_counter() - t0, warnings=warnings))
+            values = [c.candidate for c in ranked]
+        else:
+            values = final_direct_search(spec, ks, known)
+            result.reports.append(StageReport(
+                stage=idx, target=stage.target, known=dict(known),
+                candidates=tuple(values[:top_k]),
                 seconds=time.perf_counter() - t0))
-            for cand in survivors:
-                parts = {**known, stage.target: cand}
-                state = spec.join_state([parts[r] for r in sorted(parts)])
-                if keystream(spec, state, len(ks)) == ks:
-                    return state
-            return None
-        raw = harvests[idx]
-        eqs = filter_known(spec, raw, known)
-        warnings = ()
-        if eqs.total < stage.equations_required:
-            warnings = (f"only {eqs.total} relations survive filtering, "
-                        f"below the planned {stage.equations_required}",)
-        ranked = score_stage(spec, stage.target, eqs, top_k,
-                             max(0, stage.m1 - table_bits))
-        result.reports.append(StageReport(
-            stage=idx, target=stage.target, known=dict(known),
-            multiples=tuple(g.multiple for g in raw.groups),
-            relations_raw=raw.total,
-            relations_used=eqs.total, candidates=tuple(ranked),
-            seconds=time.perf_counter() - t0, warnings=warnings))
-        for rank, cand in enumerate(ranked):
-            if rank:
+        for rank, value in enumerate(values):
+            # a runner-up of a scored stage is a backtrack; another
+            # survivor of the direct search is not
+            if rank and isinstance(stage, ScoredStage):
                 result.backtracks += 1
-            found = solve(idx + 1, {**known, stage.target: cand.candidate})
+            found = solve(idx + 1, {**known, stage.target: value})
             if found is not None:
                 return found
         return None

@@ -119,7 +119,7 @@ def cmd_attack(args):
     order = tuple(_parse_int_list(args.order)) if args.order else None
     ap = attack.plan(spec, order)
     print(ap.describe())
-    if len(spec.lfsrs) <= 4:
+    if 2 <= len(spec.lfsrs) <= 4:
         _print_orderings(spec)
     if args.plan_only:
         return 0

@@ -70,6 +70,107 @@ def single_register_spec():
 
 # ------------------------------------------------------------------- plan
 
+# describe() of three plans, pinned byte for byte: the toy and the
+# paper instance in two orders
+DESCRIBE_TOY = "\n".join([
+    'attack plan, target order [0, 1, 2]',
+    'stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, '
+    'n2=4)',
+    '  samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   '
+    '(n1=2)',
+    '  worst-case spectrum-gap figures: S = 697933, N = 2791729',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many '
+    'multiples -> 1522 bits = 2^10.57 (190 B); planned 1522 bits = '
+    '2^10.57 (190 B)',
+    '  search: time 2^18.70, memory 2^13.00 counters; tradeoff endpoint '
+    'time 2^30.70, memory 2^17.70',
+    'stage 2: register 1 (m1=11)  known=[0]  cancelled=[2] (m2=9, n2=2)',
+    '  samples S = 90112 = 2^16.46   equations N = 360448 = 2^18.46   '
+    '(n1=2)',
+    '  worst-case spectrum-gap figures: S = 590559, N = 2362233',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 1441807 bits = 2^20.46 (176 KB); many '
+    'multiples -> 307 bits = 2^8.26 (38 B); planned 307 bits = 2^8.26 '
+    '(38 B)',
+    '  search: time 2^16.46, memory 2^11.00 counters; tradeoff endpoint '
+    'time 2^28.46, memory 2^17.46',
+    'stage 3: register 2 (m1=9)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
+    '  direct search over 2^9 states on a window of 49 bits',
+    'total keystream required: 1522 bits = 2^10.57 (190 B)',
+    'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
+    "target's length m1, so orderings differ in N as well as in keystream",
+    'warning: an all-zero register state gives no usable statistic; '
+    'candidate 0 ranks last, so such keys are recovered only with top_k '
+    '= 2**m1',
+])
+
+DESCRIBE_FULL_012 = "\n".join([
+    'attack plan, target order [0, 1, 2]',
+    'stage 1: register 0 (m1=29)  known=[]  cancelled=[1, 2] (m2=68, '
+    'n2=6)',
+    '  samples S = 15204352 = 2^23.86   equations N = 121634816 = '
+    '2^26.86   (n1=3)',
+    '  worst-case spectrum-gap figures: S = 243269632, N = 1946157056',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 133733283 bits = 2^26.99 (15.94 MB); '
+    'many multiples -> 25619445 bits = 2^24.61 (3.05 MB); planned '
+    '25619445 bits = 2^24.61 (3.05 MB)',
+    '  search: time 2^36.86, memory 2^29.00 counters; tradeoff endpoint '
+    'time 2^54.86, memory 2^25.86',
+    'stage 2: register 1 (m1=31)  known=[0]  cancelled=[2] (m2=37, n2=3)',
+    '  samples S = 16252928 = 2^23.95   equations N = 130023424 = '
+    '2^26.95   (n1=3)',
+    '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 1040196770 bits = 2^29.95 (124.00 MB); '
+    'many multiples -> 203517 bits = 2^17.63 (25 KB); planned 203517 '
+    'bits = 2^17.63 (25 KB)',
+    '  search: time 2^38.95, memory 2^31.00 counters; tradeoff endpoint '
+    'time 2^56.95, memory 2^25.95',
+    'stage 3: register 2 (m1=37)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
+    '  direct search over 2^37 states on a window of 77 bits',
+    'total keystream required: 25619445 bits = 2^24.61 (3.05 MB)',
+    'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
+    "target's length m1, so orderings differ in N as well as in keystream",
+    'warning: an all-zero register state gives no usable statistic; '
+    'candidate 0 ranks last, so such keys are recovered only with top_k '
+    '= 2**m1',
+])
+
+DESCRIBE_FULL_120 = "\n".join([
+    'attack plan, target order [1, 2, 0]',
+    'stage 1: register 1 (m1=31)  known=[]  cancelled=[2, 0] (m2=66, '
+    'n2=6)',
+    '  samples S = 16252928 = 2^23.95   equations N = 130023424 = '
+    '2^26.95   (n1=3)',
+    '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 137644981 bits = 2^27.04 (16.41 MB); '
+    'many multiples -> 18420256 bits = 2^24.13 (2.20 MB); planned '
+    '18420256 bits = 2^24.13 (2.20 MB)',
+    '  search: time 2^38.95, memory 2^31.00 counters; tradeoff endpoint '
+    'time 2^56.95, memory 2^25.95',
+    'stage 2: register 2 (m1=37)  known=[1]  cancelled=[0] (m2=29, n2=3)',
+    '  samples S = 19398656 = 2^24.21   equations N = 155189248 = '
+    '2^27.21   (n1=3)',
+    '  worst-case spectrum-gap figures: S = 310378496, N = 2483027968',
+    '  expected false survivors ~ 1.00',
+    '  keystream: one multiple -> 1241515461 bits = 2^30.21 (148.00 MB); '
+    'many multiples -> 53181 bits = 2^15.70 (6 KB); planned 53181 bits = '
+    '2^15.70 (6 KB)',
+    '  search: time 2^45.21, memory 2^37.00 counters; tradeoff endpoint '
+    'time 2^63.21, memory 2^26.21',
+    'stage 3: register 0 (m1=29)  known=[1, 2]  cancelled=[] (m2=0, n2=0)',
+    '  direct search over 2^29 states on a window of 69 bits',
+    'total keystream required: 18420256 bits = 2^24.13 (2.20 MB)',
+    'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
+    "target's length m1, so orderings differ in N as well as in keystream",
+    'warning: an all-zero register state gives no usable statistic; '
+    'candidate 0 ranks last, so such keys are recovered only with top_k '
+    '= 2**m1',
+])
+
 
 def test_plan_toy_parameters(toy):
     ap = plan(toy)
@@ -105,6 +206,15 @@ def test_plan_describe_mentions_each_stage(toy):
     assert f"N = {13 * 2 ** 15}" in text
 
 
+@pytest.mark.parametrize("order, expected", [
+    (None, DESCRIBE_TOY), ((0, 1, 2), DESCRIBE_FULL_012),
+    ((1, 2, 0), DESCRIBE_FULL_120)])
+def test_plan_describe_is_pinned(order, expected):
+    spec = (presets.toy_generator() if order is None
+            else presets.generator_29_31_37())
+    assert plan(spec, order).describe() == expected
+
+
 def test_compare_orderings_covers_all_permutations(toy):
     rows = compare_orderings(toy)
     assert len(rows) == 6
@@ -118,6 +228,25 @@ def test_plan_worstcase_blowup_uses_autocorrelation(toy):
     s1 = ap.stages[0]
     factor = (1 - 24 / 64) ** -4  # toy filter delta is 24
     assert s1.samples_worstcase == math.ceil(s1.samples_required * factor)
+
+
+def linear_structure_toy(toy):
+    """The toy's wiring under f'(x) = x0 + f(x with bit 0 cleared): f'
+    flips with input 0, so its autocorrelation peak is 2**n."""
+    x = np.arange(1 << toy.n)
+    table = (x & 1) ^ toy.function.table[x & ~1]
+    return GeneratorSpec(toy.lfsrs, BooleanFunction(toy.n, table),
+                         toy.wiring)
+
+
+def test_plan_reports_unbounded_worstcase_for_a_linear_structure(toy):
+    spec = linear_structure_toy(toy)
+    assert boolfn.autocorrelation(spec.function).delta == 1 << spec.n
+    ap = plan(spec)
+    s1 = ap.stages[0]
+    assert s1.samples_worstcase == s1.equations_worstcase == math.inf
+    assert s1.samples_required == plan(toy).stages[0].samples_required
+    assert "worst-case spectrum-gap figures: unbounded" in ap.describe()
 
 
 # ---------------------------------------------------------------- harvest
@@ -817,6 +946,21 @@ def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
     assert len(set(calls)) == 2 and dict(calls) == expected
 
 
+def test_split_beyond_a_shorter_stage_recovers_the_same_state(toy):
+    # split 12 leaves the 13-bit stage 1 a 2-entry row and splits the
+    # 11-bit stage 2 by 10 bits: only the longest stage bounds the split.
+    # Four and sixteen multiples on 2**14 bits give each stage about
+    # 2**16 relations, which keeps its 5120 passes to seconds
+    ks = toy_keystream(toy, 1 << 14)
+    mults = {0: list(stage1_multiples(toy))[:4],
+             1: list(find_weight4(presets.TOY_POLY_9, 100).found)[:16]}
+    runs = [run_attack(toy, ks, plan(toy), multiples=mults, split_bits=split)
+            for split in (0, 12)]
+    assert runs[0].state == runs[1].state == TRUE_KEY
+    assert ([r.candidates for r in runs[1].reports]
+            == [r.candidates for r in runs[0].reports])
+
+
 def test_fill_tables_transient_memory_follows_the_chunk(toy, monkeypatch):
     # 2**19 relations in 128 chunks of 2**12: a signed pass holds its
     # count array and a few per-chunk arrays, nothing that grows with
@@ -876,9 +1020,9 @@ def test_run_attack_rejects_bad_top_k_before_work(toy, monkeypatch):
         run_attack(toy, toy_keystream(toy, 1 << 16), top_k=0)
 
 
-@pytest.mark.parametrize("split", [-1, 12])
+@pytest.mark.parametrize("split", [-1, 14])
 def test_run_attack_rejects_bad_split_before_work(toy, monkeypatch, split):
-    # stage 2 targets the 11-bit register, so 12 cannot split it
+    # the longest scored register has 13 bits, so 14 cannot split it
     def no_harvest(*args, **kwargs):
         raise AssertionError("harvested before checking split_bits")
 
@@ -1006,8 +1150,7 @@ def test_run_attack_cache_serves_a_shorter_keystream_in_full(
         except AttackExhaustedError as exc:
             reports = exc.result.reports
     scored = {r.stage: r.relations_raw for r in reports if r.multiples}
-    assert scored == {0: attack._raw_target(ap.stages[0]),
-                      1: attack._raw_target(ap.stages[1])}
+    assert scored == {0: ap.stages[0].raw_target, 1: ap.stages[1].raw_target}
     assert sorted(scored.values()) == [532480, 1802240]
     assert caplog.text.count("cached multiples offer") == 2
 

@@ -120,6 +120,35 @@ def test_attack_plan_only_prints_parameters(toy_spec_file, capsys):
     assert "orderings differ in N as well as in keystream" in text
 
 
+def test_attack_plan_only_with_a_linear_structure(tmp_path, toy, capsys):
+    # f'(x) = x0 + f(x with bit 0 cleared) has autocorrelation peak 2**n,
+    # so the worst-case figures have no bound
+    from combgen.boolfn import BooleanFunction
+    from combgen.gf2 import GeneratorSpec
+    x = np.arange(1 << toy.n)
+    table = (x & 1) ^ toy.function.table[x & ~1]
+    path = tmp_path / "linear.json"
+    fileio.save_generator_spec(path, GeneratorSpec(
+        toy.lfsrs, BooleanFunction(toy.n, table), toy.wiring))
+    assert main(["attack", "--spec", str(path), "--plan-only"]) == 0
+    assert ("worst-case spectrum-gap figures: unbounded"
+            in capsys.readouterr().out)
+
+
+def test_attack_plan_only_on_one_register(tmp_path, capsys):
+    # one register is one direct-search stage: no ordering to compare
+    from combgen.boolfn import BooleanFunction
+    from combgen.gf2 import GeneratorSpec, LfsrSpec
+    path = tmp_path / "one.json"
+    fileio.save_generator_spec(path, GeneratorSpec(
+        (LfsrSpec(3, 0b1011, taps=(0, 1)),), BooleanFunction(2, [0, 0, 0, 1]),
+        ((0, 0), (0, 1))))
+    assert main(["attack", "--spec", str(path), "--plan-only"]) == 0
+    text = capsys.readouterr().out
+    assert "direct search over 2^3 states on a window of 43 bits" in text
+    assert "first-stage cost by ordering" not in text
+
+
 def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
                                 capsys, monkeypatch):
     monkeypatch.setenv("COMBGEN_CACHE_DIR", str(tmp_path / "cache"))
@@ -183,7 +212,7 @@ def test_attack_bad_split_bits_exits_2_before_work(toy_spec_file,
     monkeypatch.setattr(attack, "search_stage_multiples", no_work)
     monkeypatch.setattr(attack, "harvest_equations", no_work)
     assert main(["attack", "--spec", toy_spec_file, "--keystream",
-                 toy_ks_file, "--split-bits", "12"]) == 2
+                 toy_ks_file, "--split-bits", "14"]) == 2
 
 
 def test_attack_bad_top_k_exits_2_before_work(toy_spec_file, toy_ks_file,
