@@ -38,7 +38,8 @@ from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
                         find_weight4, product_modulus, verify_multiple)
 
-# relations per chunk: its int64 arrays (512 KB each) stay in a core's L2
+# keystream positions per relation chunk: its window and columns, at
+# the register's width, stay in a core's L2
 DEFAULT_CHUNK = 1 << 16
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
@@ -324,17 +325,25 @@ class EquationSet:
 
 
 def _relation_chunks(eqs):
-    """Yield (multiple, bases, classes) per DEFAULT_CHUNK relations; the
-    one reader of both group formats.  A run's bases come as a slice, so
-    _quad_sum reads them by contiguous XORs; a filtered group's come as
-    an index array.  Each call restarts the stream."""
+    """Yield (multiple, bases, classes) per chunk of at most DEFAULT_CHUNK
+    keystream positions; the one reader of both group formats.  A run's
+    bases come as a slice; a filtered group's come as a sorted index
+    array, cut where its bases cross a multiple of DEFAULT_CHUNK past the
+    first, so _window_sums reads any chunk from a window of at most
+    DEFAULT_CHUNK positions whatever the share of relations kept.  Each
+    call restarts the stream."""
     for g in eqs.groups:
-        for lo in range(0, g.count, DEFAULT_CHUNK):
-            hi = min(lo + DEFAULT_CHUNK, g.count)
-            if g.bases is None:
-                run = slice(lo, hi)
+        if g.bases is None:
+            for lo in range(0, g.count, DEFAULT_CHUNK):
+                run = slice(lo, min(lo + DEFAULT_CHUNK, g.count))
                 yield g.multiple, run, _quad_sum(eqs.bits, g.multiple, run)
-            else:
+            continue
+        # cut points in the bases' own dtype, so the search copies nothing
+        edges = np.searchsorted(g.bases, np.arange(
+            g.bases[0], g.bases[-1] + 1, DEFAULT_CHUNK, dtype=g.bases.dtype))
+        edges = [*edges.tolist(), g.count]
+        for lo, hi in zip(edges, edges[1:]):
+            if lo < hi:
                 yield g.multiple, g.bases[lo:hi], g.classes[lo:hi]
 
 
@@ -371,16 +380,31 @@ def harvest_equations(ks, mults, max_equations=None):
     return EquationSet(bits, groups)
 
 
-def _quad_sum(values, mult, bases):
-    """values XOR-summed over each relation's four positions
-    bases + (0, t1, t2, t3); `bases` is an index array or a run's slice."""
+def _quad_sum(values, mult, run):
+    """values XOR-summed over the four positions base + (0, t1, t2, t3)
+    of each base in the slice `run`, by contiguous XORs."""
+    lo, hi = run.start, run.stop
+    return (values[lo:hi] ^ values[lo + mult.t1:hi + mult.t1]
+            ^ values[lo + mult.t2:hi + mult.t2]
+            ^ values[lo + mult.t3:hi + mult.t3])
+
+
+def _window_sums(values, mult, bases, shifts=(0,)):
+    """For each p in shifts, values XOR-summed over the four positions
+    base + p + (0, t1, t2, t3) of each base of one chunk.
+
+    One _quad_sum covers the chunk's position range plus max(shifts);
+    each shift is then a slice of that window for a run, or one gather
+    from it for stored bases."""
     if isinstance(bases, slice):
-        lo, hi = bases.start, bases.stop
-        return (values[lo:hi] ^ values[lo + mult.t1:hi + mult.t1]
-                ^ values[lo + mult.t2:hi + mult.t2]
-                ^ values[lo + mult.t3:hi + mult.t3])
-    return (values[bases] ^ values[bases + mult.t1]
-            ^ values[bases + mult.t2] ^ values[bases + mult.t3])
+        lo, hi, picks = bases.start, bases.stop, None
+    else:
+        lo, hi = int(bases[0]), int(bases[-1]) + 1
+        picks = bases - lo
+    window = _quad_sum(values, mult, slice(lo, hi + max(shifts)))
+    if picks is None:
+        return [window[p:p + hi - lo] for p in shifts]
+    return [window[p:][picks] for p in shifts]
 
 
 def filter_known(spec, eqs, known):
@@ -398,7 +422,7 @@ def filter_known(spec, eqs, known):
     for mult, chunks in groupby(_relation_chunks(eqs), key=lambda c: c[0]):
         bases, classes = [], []
         for _, b, c in chunks:
-            keep = np.flatnonzero(_quad_sum(words, mult, b) == 0)
+            keep = np.flatnonzero(_window_sums(words, mult, b)[0] == 0)
             bases.append((keep + b.start).astype(np.int32)
                          if isinstance(b, slice) else b[keep])
             classes.append(c[keep])
@@ -445,11 +469,12 @@ def _target(spec, target):
 
 def iter_column_chunks(spec, target, eqs):
     """Yield (columns, classes) per relation chunk of register `target`
-    without holding every column at once."""
+    without holding every column at once; columns come in the residue
+    table's register-width dtype."""
     lf, taps = _target(spec, target)
     table = residue_powers(lf.feedback, eqs.bits.size + max(taps))
     for mult, bases, classes in _relation_chunks(eqs):
-        yield [_quad_sum(table[p:], mult, bases) for p in taps], classes
+        yield _window_sums(table, mult, bases, taps), classes
 
 
 def build_g_columns(spec, target, eqs):
@@ -477,9 +502,10 @@ def _accumulate_chunk(tables, cols, classes, n1, prefix, suffix_bits):
     array, row = class.  Each mask adds its sign, the parity of (prefix
     AND its high bits), at its low suffix_bits bits, so prefix 0 adds
     plain ones; the 2**n1 - 1 nonzero masks run in Gray-code order, one
-    XOR each."""
+    XOR each.  Row and index arithmetic runs in the narrowest unsigned
+    dtype that addresses the count array, whatever the columns' width."""
     flat = tables.reshape(-1)
-    rows = classes.astype(cols[0].dtype) << suffix_bits
+    rows = classes.astype(np.min_scalar_type(flat.size - 1)) << suffix_bits
     low = (1 << suffix_bits) - 1
     one = tables.dtype.type(1)
     for y in range(1, 1 << n1):
@@ -505,13 +531,15 @@ def _fill_tables(chunks, n1, bits, class_counts, prefix=0):
 def candidate_counts(w0, w1, n1, class_counts):
     """Turn mask-count tables into per-candidate (n0, n1) relation counts.
 
-    Transforms in place (the tables are consumed).  Every transformed
-    entry must be divisible by 2**n1 and land in [0, class count]; a
-    violation means corrupted tables and raises.
+    Transforms in place (the tables are consumed), each row with
+    class_counts[b] * 2**n1 as its bound on sum|a|: _fill_tables adds
+    that many signs of +-1 to row b.  Every transformed entry must be
+    divisible by 2**n1 and land in [0, class count]; a violation means
+    corrupted tables and raises.
     """
     mask = (1 << n1) - 1
     for b, w in enumerate((w0, w1)):
-        fwht(w)
+        fwht(w, bound=class_counts[b] << n1)
         # one pass over each cache-sized slice runs every check
         for lo in range(0, w.size, _COUNT_SLICE):
             part = w[lo:lo + _COUNT_SLICE]
@@ -957,6 +985,7 @@ def zero_sum_fraction(spec, state, eqs):
         raise ValidationError("empty relation set")
     words = input_words(spec, dict(enumerate(spec.split_state(state))),
                         eqs.bits.size)
-    nonzero = sum(int(np.count_nonzero(_quad_sum(words, mult, bases)))
-                  for mult, bases, _ in _relation_chunks(eqs))
+    nonzero = sum(
+        int(np.count_nonzero(_window_sums(words, mult, bases)[0]))
+        for mult, bases, _ in _relation_chunks(eqs))
     return 1.0 - nonzero / eqs.total

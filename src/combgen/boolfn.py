@@ -45,7 +45,7 @@ _BUTTERFLY_SLAB = 1 << 20
 _FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 
 
-def fwht(table):
+def fwht(table, bound=None):
     """Walsh-Hadamard transform in place.
 
     Accepts a one-dimensional numpy array (transformed in place, also
@@ -69,12 +69,15 @@ def fwht(table):
     other array (a larger sum, an unsigned or float dtype) falls back to
     k passes of numpy integer butterflies, which wrap on overflow like
     any numpy sum: callers pick a dtype wide enough for the result.
+    A caller that knows an upper bound on sum|a| passes it as `bound`,
+    which replaces the pass over the table that measures sum|a|; a
+    bound below the true sum makes the float result inexact.
     """
     size = len(table)
     if size == 0 or size & (size - 1):
         raise ValidationError(f"table length {size} is not a power of two")
     if isinstance(table, np.ndarray):
-        return _fwht_array(table)
+        return _fwht_array(table, bound)
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -86,32 +89,38 @@ def fwht(table):
     return table
 
 
-def _fwht_array(a):
+def _fwht_array(a, bound=None):
     if a.ndim != 1:
         raise ValidationError("expected a one-dimensional array")
-    ftype = _float_exact(a)
+    ftype = _float_exact(a, bound)
     if ftype:
         return _fwht_blocked(a, ftype)
     return _fwht_butterfly(a)
 
 
-def _float_exact(a):
+def _float_exact(a, bound=None):
     """The narrowest float type in which fwht(a) is exact, or None.
 
     sum|a| bounds every sum the transform forms, so a type serves when
     sum|a| is below its bound, provided a has a signed integer dtype
-    whose maximum sum|a| does not exceed.  A float64 slab sum of |a| is
-    exact below 2**53 and at least 2**53 otherwise, dtype minima
-    included."""
+    whose maximum sum|a| does not exceed.  `bound`, an upper bound on
+    sum|a| known to the caller, stands in for it; without one, a
+    float64 slab sum of |a| measures it, exact below 2**53 and at least
+    2**53 otherwise, dtype minima included."""
     if not np.issubdtype(a.dtype, np.signedinteger):
         return None
     limit = min(_FLOAT_EXACT[-1][1], int(np.iinfo(a.dtype).max) + 1)
-    total = 0
-    for lo in range(0, a.size, _FWHT_SLAB):
-        total += int(np.abs(a[lo:lo + _FWHT_SLAB], dtype=np.float64).sum())
-        if total >= limit:
-            return None
-    return next(ftype for ftype, bound in _FLOAT_EXACT if total < bound)
+    total = bound
+    if total is None:
+        total = 0
+        for lo in range(0, a.size, _FWHT_SLAB):
+            total += int(np.abs(a[lo:lo + _FWHT_SLAB],
+                                dtype=np.float64).sum())
+            if total >= limit:
+                break
+    if total >= limit:
+        return None
+    return next(ftype for ftype, top in _FLOAT_EXACT if total < top)
 
 
 @functools.cache
@@ -205,11 +214,13 @@ class BooleanFunction:
         object.__setattr__(self, "table", tbl)
 
     @classmethod
-    def from_hex(cls, text):
+    def from_hex(cls, text, n=None):
         """Parse a truth table written as a hex string of 2**n bits.
 
         Hex digit 0 carries table entries 0..3 (LSB first), so the string
-        has 2**n / 4 digits and n must be at least 2.
+        has 2**n / 4 digits.  Without `n` the length sets it, at least 2;
+        a given n must match the length, except that n = 1 reads the two
+        low bits of the one digit to_hex writes for it.
         """
         digits = text.strip().lower().removeprefix("0x")
         nbits = 4 * len(digits)
@@ -220,8 +231,13 @@ class BooleanFunction:
             packed = int(digits, 16)
         except ValueError as exc:
             raise ValidationError(f"bad hex truth table: {exc}") from None
-        n = nbits.bit_length() - 1
-        table = np.array([(packed >> i) & 1 for i in range(nbits)],
+        implied = nbits.bit_length() - 1
+        if n is None:
+            n = implied
+        elif n != implied and not (n == 1 and implied == 2 and packed < 4):
+            raise ValidationError(f"truth table length implies n={implied}, "
+                                  f"header says {n}")
+        table = np.array([(packed >> i) & 1 for i in range(1 << n)],
                          dtype=np.uint8)
         return cls(n, table)
 

@@ -111,7 +111,6 @@ def _print_orderings(spec):
               f"2^{math.log2(st.equations_required):5.2f}  "
               f"{st.keystream_estimate} bits = "
               f"2^{math.log2(st.keystream_estimate):5.2f}")
-    print(f"note: {attack.EQUATION_SCALING_NOTE}")
 
 
 def cmd_attack(args):

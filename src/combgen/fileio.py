@@ -55,11 +55,8 @@ def generator_spec_from_dict(data):
                      taps=tuple(index(t) for t in entry["taps"]))
             for entry in data["lfsrs"])
         fn = data["function"]
-        function = BooleanFunction.from_hex(fn["truth_table"])
-        if function.n != index(fn["n"]):
-            raise ValidationError(
-                f"truth table length implies n={function.n}, header says "
-                f"{fn['n']}")
+        function = BooleanFunction.from_hex(fn["truth_table"],
+                                            index(fn["n"]))
         wiring = tuple((index(r), index(k)) for r, k in data["wiring"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed generator spec: {exc!r}") from None

@@ -126,11 +126,14 @@ def poly_is_primitive(p):
 
 # --- residue tables -------------------------------------------------------
 #
-# X**t mod P for consecutive t, as an int64 array.  These tables back
-# sequence_bits, which asks for at most one slab plus the register length,
-# and the attack's linear-form columns, so they are cached per polynomial
-# and grown on demand, to exactly the length asked for.  Growth runs under
-# a lock; the arrays themselves are immutable once published.
+# X**t mod P for consecutive t, stored at the register's width: the
+# narrowest unsigned dtype that holds l bits (uint8 up to 8 bits, uint16
+# up to 16, uint32 up to 32, uint64 above), so a 29- or 31-bit register
+# takes 4 bytes per entry.  These tables back sequence_bits, which asks
+# for at most one slab plus the register length, and the attack's
+# linear-form columns, so they are cached per polynomial and grown on
+# demand, to exactly the length asked for.  Growth runs under a lock;
+# the arrays themselves are immutable once published.
 #
 # Growth is by block doubling: with s entries known, r[s + i] is
 # r[i] * (X**s mod P) for the next min(s, count - s) entries.  Multiplying
@@ -159,14 +162,14 @@ def _multiply_block(r, s, n, poly, l):
     # basis.flat[j] = X**(s + j) mod poly, the image of bit j; tables[k][b]
     # is the XOR of the images of the set bits of b placed at byte k.
     nbytes = (l + 7) // 8
-    basis = np.zeros((nbytes, 8), dtype=np.int64)
+    basis = np.zeros((nbytes, 8), dtype=r.dtype)
     v = x_power_mod(s, poly)
     for j in range(l):
         basis.flat[j] = v
         v <<= 1
         if v >> l:
             v ^= poly
-    tables = np.zeros((nbytes, 256), dtype=np.int64)
+    tables = np.zeros((nbytes, 256), dtype=r.dtype)
     for j in range(8):
         tables[:, 1 << j:2 << j] = tables[:, :1 << j] ^ basis[:, j:j + 1]
     for lo in range(0, n, _RESIDUE_SLICE):
@@ -178,17 +181,19 @@ def _multiply_block(r, s, n, poly, l):
 
 
 def residue_powers(poly, count):
-    """Array of X**t mod poly for t in [0, count), cached per poly.
+    """Array of X**t mod poly for t in [0, count), cached per poly, in
+    the narrowest unsigned dtype that holds degree(poly) bits.
 
-    Requires 1 <= degree(poly) <= 62 so residues fit in int64.
+    Requires 1 <= degree(poly) <= 62.
     """
     l = _check_residue_degree(poly)
+    dtype = np.min_scalar_type((1 << l) - 1)
     if count <= 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype)
     with _residue_lock:
         cached = _residue_cache.get(poly)
         if cached is None or cached.size < count:
-            fresh = np.empty(count, dtype=np.int64)
+            fresh = np.empty(count, dtype=dtype)
             if cached is None:
                 fresh[0] = 1
                 known = 1

@@ -129,7 +129,7 @@ def _residue_list(modulus, bound):
 
 
 def _scan_numpy(residues, bound, one=1, exps=None):
-    """Collision scan over int64 residues, yields raw (a, b, c).
+    """Collision scan over int64 residues: raw (a, b, c) rows, int64.
 
     slot[t & mask] holds 1 + the index of one residue with those low bits
     (2**_SPARE_BITS slots per residue, at most 2**_TABLE_BITS_MAX); each
@@ -145,7 +145,7 @@ def _scan_numpy(residues, bound, one=1, exps=None):
                                   "would miss solutions (lower the bound)")
         exps = np.arange(1, bound + 1)
     if bound < 3:
-        return []
+        return np.zeros((0, 3), dtype=np.int64)
     width = int(max(r.max(), one)).bit_length()
     k = max(1, min(bound.bit_length() + _SPARE_BITS, _TABLE_BITS_MAX, width))
     mask = (1 << k) - 1
@@ -161,13 +161,14 @@ def _scan_numpy(residues, bound, one=1, exps=None):
         ia, ib = np.nonzero(held[s] == t)
         keep = ib >= ia  # b = a0 + 1 + ib > a = a0 + ia
         ia, ib = ia[keep], ib[keep]
-        hits.extend(zip(exps[a0 + ia].tolist(), exps[a0 + 1 + ib].tolist(),
-                        exps[s[ia, ib] - 1].tolist()))
+        hits.append(np.stack((exps[a0 + ia], exps[a0 + 1 + ib],
+                              exps[s[ia, ib] - 1]), axis=1))
         a0 = a1
     lost = np.flatnonzero(slot[r & mask] != np.arange(1, bound + 1))
     rest = np.append(r[lost], one)
     rest = rest >> k | (rest & mask) << (width - k)
-    return hits + _scan_numpy(rest[:-1], lost.size, int(rest[-1]), exps[lost])
+    hits.append(_scan_numpy(rest[:-1], lost.size, int(rest[-1]), exps[lost]))
+    return np.concatenate(hits)
 
 
 def _scan_python(residues, bound):
@@ -186,7 +187,7 @@ def _scan_python(residues, bound):
             c = where.get(1 ^ ra ^ residues[ib])
             if c is not None:
                 hits.append((ia + 1, ib + 1, c))
-    return hits
+    return np.array(hits, dtype=np.int64).reshape(-1, 3)
 
 
 def _check_modulus(modulus):
@@ -222,10 +223,15 @@ def find_weight4(modulus, degree_bound, limit=None):
         raw = _scan_numpy(residues, degree_bound)
     else:
         raw = _scan_python(residues, degree_bound)
-    triples = {tuple(sorted(hit)) for hit in raw}
-    found = sorted(Weight4Multiple(*t) for t in triples if len(set(t)) == 3)
-    if limit is not None:
-        found = found[:limit]
+    # each triple comes back once per pair of its members: sort each hit,
+    # drop any with a repeat, sort the rows by (t3, t2, t1), which is
+    # degree order, and keep the first of each run before building objects
+    hits = np.sort(raw, axis=1)
+    hits = hits[(hits[:, 0] < hits[:, 1]) & (hits[:, 1] < hits[:, 2])]
+    hits = hits[np.lexsort(hits.T)]
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = (hits[1:] != hits[:-1]).any(axis=1)
+    found = [Weight4Multiple(*t) for t in hits[first][:limit].tolist()]
     return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,
                                 found=tuple(found),
                                 expected=expected_count(deg, degree_bound))

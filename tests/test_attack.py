@@ -1000,6 +1000,89 @@ def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
         assert (c.n0, c.n1) == (n0[c.candidate], n1c[c.candidate])
 
 
+def byte_edge_spec(length, poly):
+    """Register 0 (the target: two taps of `length` bits) and a 5-bit
+    register 1 with one tap, under three-input majority."""
+    return GeneratorSpec(
+        lfsrs=(LfsrSpec(length, poly, taps=(0, 5)),
+               LfsrSpec(5, 0b100101, taps=(1,))),
+        function=BooleanFunction(3, [0, 0, 0, 1, 0, 1, 1, 1]),
+        wiring=((0, 0), (0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("length, poly, splits", [(8, 0x11D, (0, 3)),
+                                                  (16, 0x1100B, (0, 5))])
+@pytest.mark.parametrize("known", [{}, {1: 0b10110}])
+def test_score_stage_at_byte_edge_widths_equals_naive(length, poly, splits,
+                                                      known):
+    # 8-bit columns are uint8 against a 9-bit count-array index, 16-bit
+    # ones uint16 against a 17-bit index; filtered relations go through
+    # the stored-bases window read, harvested ones through its slices
+    spec = byte_edge_spec(length, poly)
+    rng = np.random.default_rng(length)
+    ks = Keystream(rng.integers(0, 2, size=1200).astype(np.uint8))
+    eqs = filter_known(spec, harvest_equations(
+        ks, [Weight4Multiple(3, 17, 40), Weight4Multiple(7, 9, 61)],
+        max_equations=700), known)
+    g = build_g_columns(spec, 0, eqs)
+    assert g.columns[0].dtype == np.min_scalar_type((1 << length) - 1)
+    top_k = 1 << 8 if length == 8 else 10
+    want = score_candidates_naive(g, top_k=top_k)
+    for split in splits:
+        assert score_stage(spec, 0, eqs, top_k, split) == want, split
+
+
+def filtered_toy_stage(toy, nbits):
+    """Register 2 of the toy against relations of four arbitrary
+    multiples filtered on registers 0 and 1: four known inputs keep about
+    1/16 of them, with bases spread over the whole keystream."""
+    ks = toy_keystream(toy, nbits)
+    mults = [Weight4Multiple(3 + i, 17 + 2 * i, 40 + 3 * i) for i in range(4)]
+    raw = harvest_equations(ks, mults)
+    eqs = filter_known(toy, raw, {0: 0x10f, 1: 0x219})
+    assert eqs.total * 14 < raw.total
+    return eqs
+
+
+def test_column_windows_stay_within_a_chunk_plus_the_taps(toy, monkeypatch):
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 10)
+    eqs = filtered_toy_stage(toy, 1 << 16)
+    _, taps = attack._target(toy, 2)
+    spans = []
+    quad_sum = attack._quad_sum
+
+    def recorded(values, mult, run):
+        spans.append(run.stop - run.start)
+        return quad_sum(values, mult, run)
+
+    monkeypatch.setattr(attack, "_quad_sum", recorded)
+    chunks = list(iter_column_chunks(toy, 2, eqs))
+    assert sum(classes.size for _, classes in chunks) == eqs.total
+    assert len(spans) == len(chunks)
+    assert max(spans) <= attack.DEFAULT_CHUNK + max(taps)
+
+
+def test_fill_tables_on_a_sparse_filtered_stage_follows_the_chunk(
+        toy, monkeypatch):
+    # about 2**16 of 2**20 relations survive the filter: each chunk reads
+    # one window of at most 2**12 + 8 positions, never one spread over the
+    # 16 times wider range of 2**12 stored bases, and cutting a group into
+    # chunks copies none of its bases
+    import tracemalloc
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 12)
+    eqs = filtered_toy_stage(toy, (1 << 18) + 64)
+    class_counts = eqs.class_counts
+    list(iter_column_chunks(toy, 2, eqs))  # warm the residue cache
+    tracemalloc.start()
+    try:
+        tables = attack._fill_tables(iter_column_chunks(toy, 2, eqs), 2, 9,
+                                     class_counts, prefix=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables.nbytes + 2 * attack.DEFAULT_CHUNK * 8
+
+
 def test_stage_scorer_rejects_bad_top_k_before_work(toy, monkeypatch):
     def no_columns(*args, **kwargs):
         raise AssertionError("built columns before checking top_k")

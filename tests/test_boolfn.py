@@ -239,6 +239,35 @@ def test_fwht_just_over_2_24_stays_exact():
     assert fwht(a).tolist() == want
 
 
+@pytest.mark.parametrize("dtype, total", [
+    (np.int32, (1 << 24) - 1), (np.int32, 1 << 24), (np.int32, (1 << 31) - 1),
+    (np.int64, (1 << 24) - 1), (np.int64, 1 << 24), (np.int64, (1 << 53) - 1),
+    (np.int64, 1 << 53)])
+def test_fwht_with_a_bound_equals_without(rng, dtype, total):
+    # sum|a| is exactly `total`, on either side of the float32 and float64
+    # thresholds; an exact or a loose bound from the caller replaces the
+    # scan and gives the same transform
+    a = np.zeros(1 << 10, dtype)
+    parts = np.diff([0, *sorted(rng.choice(total, 3, replace=False)), total])
+    signs = rng.choice([-1, 1], parts.size)
+    a[rng.choice(a.size, parts.size, replace=False)] = [
+        int(s) * int(p) for s, p in zip(signs, parts)]
+    assert sum(abs(int(v)) for v in a) == total
+    want = fwht([int(v) for v in a])
+    assert _float_exact(a, bound=total) is _float_exact(a)
+    for bound in (None, total, 2 * total):
+        assert fwht(a.copy(), bound=bound).tolist() == want, bound
+
+
+def test_float_exact_trusts_the_bound():
+    # the bound stands in for sum|a| without a look at the table
+    a = np.full(8, 1 << 40, dtype=np.int64)
+    assert _float_exact(a) is np.float64
+    assert _float_exact(a, bound=(1 << 24) - 1) is np.float32
+    assert _float_exact(a, bound=1 << 53) is None
+    assert _float_exact(a.astype(np.int32), bound=1 << 31) is None
+
+
 def test_fwht_float32_strided_view_in_place(rng):
     base = _float32_table(rng, 19, np.int32)
     before = base.copy()

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from combgen import fileio, presets
+from combgen import attack, fileio, presets
 from combgen.cli import main
 from combgen.gf2 import keystream
 
@@ -147,6 +147,31 @@ def test_attack_plan_only_on_one_register(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "direct search over 2^3 states on a window of 43 bits" in text
     assert "first-stage cost by ordering" not in text
+
+
+def test_attack_plan_only_prints_the_scaling_note_once(toy_spec_file,
+                                                       capsys):
+    assert main(["attack", "--spec", toy_spec_file, "--plan-only"]) == 0
+    assert capsys.readouterr().out.count(attack.EQUATION_SCALING_NOTE) == 1
+
+
+def test_one_input_spec_round_trips_through_gen_and_attack(tmp_path,
+                                                           capsys):
+    # f(x) = x on one tap: the keystream is the register's own output,
+    # which the direct search inverts
+    from combgen.boolfn import BooleanFunction
+    from combgen.gf2 import GeneratorSpec, LfsrSpec
+    path = tmp_path / "one.json"
+    fileio.save_generator_spec(path, GeneratorSpec(
+        (LfsrSpec(5, 0b100101, taps=(2,)),), BooleanFunction(1, [0, 1]),
+        ((0, 0),)))
+    ks = tmp_path / "one.ks"
+    assert main(["gen", "--spec", str(path), "--count", "64", "--state",
+                 "13", "--out", str(ks)]) == 0
+    assert main(["attack", "--spec", str(path), "--keystream", str(ks)]) == 0
+    out = capsys.readouterr().out
+    assert "recovered state: 0x13" in out
+    assert "keystream regenerated exactly: yes" in out
 
 
 def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,

@@ -34,6 +34,30 @@ def test_spec_roundtrip_equivalence(tmp_path, toy):
     assert keystream(spec, 999, 64) == keystream(toy, 999, 64)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spec_roundtrip_every_small_arity(tmp_path, rng, n):
+    # to_hex writes the 2-bit table of n = 1 as one hex digit, which only
+    # the header's n tells apart from a 4-bit table
+    from combgen.boolfn import BooleanFunction
+    from combgen.gf2 import GeneratorSpec, LfsrSpec
+    table = rng.permutation(np.arange(1 << n) & 1)
+    spec = GeneratorSpec((LfsrSpec(5, 0b100101, taps=tuple(range(n))),),
+                         BooleanFunction(n, table),
+                         tuple((0, k) for k in range(n)))
+    path = tmp_path / "spec.json"
+    fileio.save_generator_spec(path, spec)
+    assert fileio.load_generator_spec(path) == spec
+
+
+def test_spec_rejects_a_one_input_header_on_a_wider_table(tmp_path):
+    doc = fileio.generator_spec_to_dict(presets.toy_generator())
+    doc["function"] = {"n": 1, "truth_table": "0x6"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="implies n=2, header says 1"):
+        fileio.load_generator_spec(path)
+
+
 def test_spec_rejects_inconsistent_arity(tmp_path, toy):
     doc = fileio.generator_spec_to_dict(toy)
     doc["function"]["n"] = 5
