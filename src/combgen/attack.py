@@ -122,27 +122,12 @@ class ScoredStage(_Stage):
             return math.inf
         return math.ceil(figure * self.blowup)
 
-    @property
-    def attack_time_log2(self):
-        return math.log2(self.m1) + self.n1 + self.m1
-
-    @property
-    def attack_memory_log2(self):
-        return float(self.m1)
-
-    @property
-    def tradeoff_time_log2(self):
-        return math.log2(self.equations_required) - 1 + self.m1
-
-    @property
-    def tradeoff_memory_log2(self):
-        return math.log2(self.equations_required) - 1
-
     def describe(self):
         worst = "unbounded (the combining function has a linear structure)"
         if self.blowup < math.inf:
             worst = (f"S = {self.samples_worstcase}, "
                      f"N = {self.equations_worstcase}")
+        tradeoff_memory_log2 = math.log2(self.equations_required) - 1
         return [
             f"  samples S = {self.samples_required} = "
             f"2^{math.log2(self.samples_required):.2f}   "
@@ -156,10 +141,10 @@ class ScoredStage(_Stage):
             f"{_bits_human(self.keystream_single)}; "
             f"many multiples -> {_bits_human(self.keystream_multi)}; "
             f"planned {_bits_human(self.keystream_estimate)}",
-            f"  search: time 2^{self.attack_time_log2:.2f}, "
-            f"memory 2^{self.attack_memory_log2:.2f} counters; tradeoff "
-            f"endpoint time 2^{self.tradeoff_time_log2:.2f}, "
-            f"memory 2^{self.tradeoff_memory_log2:.2f}"]
+            f"  search: time 2^{math.log2(self.m1) + self.n1 + self.m1:.2f}, "
+            f"memory 2^{self.m1:.2f} counters; tradeoff "
+            f"endpoint time 2^{tradeoff_memory_log2 + self.m1:.2f}, "
+            f"memory 2^{tradeoff_memory_log2:.2f}"]
 
 
 @dataclass(frozen=True)

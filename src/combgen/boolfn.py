@@ -311,9 +311,6 @@ class PSpectrum:
     def p0(self):
         return self.probability(0)
 
-    def as_floats(self):
-        return [num / self.denominator for num in self.numerators]
-
 
 def walsh_spectrum(f):
     """Exact Walsh spectrum of a BooleanFunction, int64 values."""

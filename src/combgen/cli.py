@@ -27,7 +27,7 @@ from .boolfn import (BooleanFunction, autocorrelation, check_p_spectrum_bounds,
                      random_balanced_function, resiliency_order,
                      walsh_spectrum)
 from .errors import AttackExhaustedError, InvariantError, ValidationError
-from .gf2 import keystream, random_state
+from .gf2 import RESIDUE_MAX_DEGREE, keystream, random_state
 from .multiples import product_modulus
 
 CACHE_DIR_ENV = "COMBGEN_CACHE_DIR"
@@ -268,7 +268,9 @@ def build_parser():
     p = sub.add_parser("multiples", help="search weight-4 multiples")
     p.add_argument("--spec")
     p.add_argument("--registers", help="comma-separated register indexes")
-    p.add_argument("--modulus", help="modulus polynomial, hex")
+    p.add_argument("--modulus",
+                   help=f"modulus polynomial, hex, of degree at most "
+                        f"{RESIDUE_MAX_DEGREE}")
     p.add_argument("--degree-bound", type=int, required=True)
     p.add_argument("--limit", type=int)
     p.add_argument("--out")

@@ -144,6 +144,10 @@ def poly_is_primitive(p):
 # residue_powers_reference is the plain stepping loop the tables are
 # tested against.
 
+# The widest modulus that residue tables, the weight-4 collision scan and
+# registers accept: the int64 oracle steps a residue through l + 1 bits.
+RESIDUE_MAX_DEGREE = 62
+
 _residue_cache = {}
 _residue_lock = threading.Lock()
 _RESIDUE_SLICE = 1 << 15
@@ -152,8 +156,9 @@ _SLAB = 1 << 20
 
 def _check_residue_degree(poly):
     l = poly_degree(poly)
-    if not 1 <= l <= 62:
-        raise ValidationError("residue tables need degree in [1, 62]")
+    if not 1 <= l <= RESIDUE_MAX_DEGREE:
+        raise ValidationError(
+            f"residue tables need degree in [1, {RESIDUE_MAX_DEGREE}]")
     return l
 
 
@@ -184,7 +189,7 @@ def residue_powers(poly, count):
     """Array of X**t mod poly for t in [0, count), cached per poly, in
     the narrowest unsigned dtype that holds degree(poly) bits.
 
-    Requires 1 <= degree(poly) <= 62.
+    Requires 1 <= degree(poly) <= RESIDUE_MAX_DEGREE.
     """
     l = _check_residue_degree(poly)
     dtype = np.min_scalar_type((1 << l) - 1)
@@ -266,6 +271,10 @@ class LfsrSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(int(t) for t in self.taps))
+        if self.length > RESIDUE_MAX_DEGREE:
+            raise ValidationError(
+                f"register length {self.length} over the "
+                f"{RESIDUE_MAX_DEGREE}-bit limit of the residue tables")
         if poly_degree(self.feedback) != self.length:
             raise ValidationError(
                 f"feedback 0x{self.feedback:x} does not have degree {self.length}")

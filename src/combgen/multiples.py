@@ -3,14 +3,21 @@
 A weight-4 multiple 1 + X**t1 + X**t2 + X**t3 of the product of some
 registers' feedback polynomials yields keystream relations that cancel
 those registers entirely; the attack conditions on them.  The search
-here is the birthday-style collision scan: tabulate X**a mod M for
-a = 1..D, then for every pair (a, b) look up whether 1 ^ r_a ^ r_b is
-some r_c in a direct-address table.  Time O(D**2) lookups, memory O(D)
-plus the table.
+here is the birthday-style collision scan: read X**a mod M for
+a = 1..D from gf2's cached residue table, then for every pair (a, b)
+look up whether 1 ^ r_a ^ r_b is some r_c in a direct-address table.
+Time O(D**2) lookups, memory O(D) plus the table.
+
+Moduli are limited to gf2.RESIDUE_MAX_DEGREE (62) bits.  A wider product
+needs a bound near 2**22 or more before it expects a single multiple,
+which a quadratic scan never finishes; its multiples come from outside
+(the CLI's --multiples, run_attack(multiples=), or a squaring chain such
+as presets.large_multiples_31_37) and still verify here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -18,11 +25,9 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import poly_degree, poly_gcd, poly_mul, x_power_mod
+from .gf2 import (RESIDUE_MAX_DEGREE, poly_degree, poly_gcd, poly_mul,
+                  residue_powers, residue_powers_reference, x_power_mod)
 
-# int64 residue arrays hold moduli up to this degree; beyond it the scan
-# falls back to Python ints.
-_NUMPY_DEGREE_LIMIT = 62
 _SPARE_BITS = 5
 _TABLE_BITS_MAX = 22
 
@@ -114,22 +119,8 @@ def verify_multiple(mult, polys):
     return True
 
 
-def _residue_list(modulus, bound):
-    """X**a mod modulus for a = 1..bound as a Python list."""
-    top = 1 << poly_degree(modulus)
-    low = modulus ^ top
-    out = []
-    r = 1
-    for _ in range(bound):
-        r <<= 1
-        if r & top:
-            r ^= top | low
-        out.append(r)
-    return out
-
-
-def _scan_numpy(residues, bound, one=1, exps=None):
-    """Collision scan over int64 residues: raw (a, b, c) rows, int64.
+def _collision_scan(r, bound, one=1, exps=None):
+    """Collision scan over int64 residues r: raw (a, b, c) rows, int64.
 
     slot[t & mask] holds 1 + the index of one residue with those low bits
     (2**_SPARE_BITS slots per residue, at most 2**_TABLE_BITS_MAX); each
@@ -137,7 +128,6 @@ def _scan_numpy(residues, bound, one=1, exps=None):
     triple with a member in a slot; those that lost theirs are rescanned on
     the next bits (a rotation, which keeps every XOR relation).
     """
-    r = np.array(residues, dtype=np.int64)
     if exps is None:
         if np.unique(r).size < bound:
             raise ValidationError("degree bound exceeds the period of X "
@@ -167,27 +157,9 @@ def _scan_numpy(residues, bound, one=1, exps=None):
     lost = np.flatnonzero(slot[r & mask] != np.arange(1, bound + 1))
     rest = np.append(r[lost], one)
     rest = rest >> k | (rest & mask) << (width - k)
-    hits.append(_scan_numpy(rest[:-1], lost.size, int(rest[-1]), exps[lost]))
+    hits.append(_collision_scan(rest[:-1], lost.size, int(rest[-1]),
+                                exps[lost]))
     return np.concatenate(hits)
-
-
-def _scan_python(residues, bound):
-    """Same collision scan with a dict of Python ints (any degree)."""
-    where = {}
-    for a, res in enumerate(residues, start=1):
-        if res in where:
-            raise ValidationError("degree bound exceeds the period of X "
-                                  "modulo the modulus; the collision scan "
-                                  "would miss solutions (lower the bound)")
-        where[res] = a
-    hits = []
-    for ia in range(bound - 1):
-        ra = residues[ia]
-        for ib in range(ia + 1, bound):
-            c = where.get(1 ^ ra ^ residues[ib])
-            if c is not None:
-                hits.append((ia + 1, ib + 1, c))
-    return np.array(hits, dtype=np.int64).reshape(-1, 3)
 
 
 def _check_modulus(modulus):
@@ -200,6 +172,13 @@ def _check_modulus(modulus):
     if not modulus & 1:
         raise ValidationError("modulus with zero constant term divides no "
                               "weight-4 multiple")
+    if deg > RESIDUE_MAX_DEGREE:
+        raise ValidationError(
+            f"modulus of degree {deg} is over the {RESIDUE_MAX_DEGREE}-bit "
+            f"limit of the collision scan, whose first multiple is expected "
+            f"near degree 2^{math.log2(6 << deg) / 3:.1f}; supply the "
+            f"multiples instead (--multiples, run_attack(multiples=), "
+            f"presets.large_multiples_31_37)")
     return deg
 
 
@@ -209,6 +188,8 @@ def find_weight4(modulus, degree_bound, limit=None):
     Exact and exhaustive within the bound.  The report lists multiples
     sorted by degree; `limit`, if given, truncates the sorted list (the
     scan itself always covers the full bound) and must not be negative.
+    The residues stay in gf2's cache for a later, larger bound;
+    gf2.clear_residue_cache frees them.
     """
     deg = _check_modulus(modulus)
     if degree_bound < 3:
@@ -218,11 +199,8 @@ def find_weight4(modulus, degree_bound, limit=None):
                               "is not practical here")
     if limit is not None and limit < 0:
         raise ValidationError(f"limit must not be negative, got {limit}")
-    residues = _residue_list(modulus, degree_bound)
-    if deg <= _NUMPY_DEGREE_LIMIT:
-        raw = _scan_numpy(residues, degree_bound)
-    else:
-        raw = _scan_python(residues, degree_bound)
+    residues = residue_powers(modulus, degree_bound + 1)[1:]
+    raw = _collision_scan(residues.astype(np.int64), degree_bound)
     # each triple comes back once per pair of its members: sort each hit,
     # drop any with a repeat, sort the rows by (t3, t2, t1), which is
     # degree order, and keep the first of each run before building objects
@@ -241,18 +219,19 @@ def find_weight4_bruteforce(modulus, degree_bound):
     """Oracle: test every 0 < t1 < t2 < t3 <= degree_bound directly.
 
     Cost grows as degree_bound**3; for cross-checking the collision scan
-    at small bounds.
+    at small bounds.  Reads gf2's plain residue loop, not the cached
+    table the scan reads.
     """
     deg = _check_modulus(modulus)
     if degree_bound > 1 << 9:
         raise ValidationError("cubic enumeration limited to bound <= 512")
-    residues = _residue_list(modulus, degree_bound)
+    residues = residue_powers_reference(modulus, degree_bound + 1).tolist()
     found = []
     for t1 in range(1, degree_bound - 1):
         for t2 in range(t1 + 1, degree_bound):
-            partial = 1 ^ residues[t1 - 1] ^ residues[t2 - 1]
+            partial = 1 ^ residues[t1] ^ residues[t2]
             for t3 in range(t2 + 1, degree_bound + 1):
-                if partial == residues[t3 - 1]:
+                if partial == residues[t3]:
                     found.append(Weight4Multiple(t1, t2, t3))
     found.sort()
     return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,

@@ -56,6 +56,19 @@ def test_gen_missing_spec_returns_2(tmp_path):
     assert rc == 2
 
 
+def test_gen_on_a_63_bit_register_exits_2(tmp_path, toy, capsys):
+    # X**63 + X + 1 is primitive: only the length limit rejects it
+    doc = fileio.generator_spec_to_dict(toy)
+    doc["lfsrs"][2].update(length=63, feedback="0x8000000000000003")
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps(doc))
+    rc = main(["gen", "--spec", str(spec), "--count", "10", "--seed", "1",
+               "--out", str(tmp_path / "x.ks")])
+    assert rc == 2
+    assert "62-bit limit" in capsys.readouterr().err
+    assert not (tmp_path / "x.ks").exists()
+
+
 def test_multiples_writes_verified_cache(tmp_path, toy_spec_file, capsys):
     out = tmp_path / "cache.txt"
     rc = main(["multiples", "--spec", toy_spec_file, "--registers", "1,2",
@@ -86,7 +99,8 @@ def test_multiples_by_raw_modulus(capsys):
 
 
 @pytest.mark.parametrize("modulus, limit", [("zz", "5"), ("0x201b", "-1"),
-                                           ("-0x201b", "5")])
+                                           ("-0x201b", "5"),
+                                           ("0x8000000000000003", "5")])
 def test_multiples_bad_input_exits_2(modulus, limit, capsys):
     # --modulus=VALUE, so argparse reads a leading minus as a value
     rc = main(["multiples", f"--modulus={modulus}", "--degree-bound", "300",

@@ -254,6 +254,18 @@ def test_lfsr_spec_validation():
         LfsrSpec(length=3, feedback=P3, taps=(1, 1))  # duplicate tap
 
 
+def test_lfsr_spec_rejects_register_over_62_bits(monkeypatch):
+    wide = (1 << 63) | 0b11  # X**63 + X + 1, primitive
+    assert poly_is_primitive(wide)
+
+    def unreached(poly):
+        raise AssertionError("length must be checked before primitivity")
+
+    monkeypatch.setattr(gf2, "poly_is_primitive", unreached)
+    with pytest.raises(ValidationError, match="62-bit limit"):
+        LfsrSpec(63, wide, (0,))
+
+
 def test_generator_spec_validation(toy):
     lfsrs = toy.lfsrs
     with pytest.raises(ValidationError):

@@ -1,16 +1,16 @@
 """Weight-4 multiple search: collision scan vs cubic enumeration."""
 
+import time
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
-from combgen import multiples, presets
+from combgen import attack, multiples, presets
 from combgen.errors import ValidationError
 from combgen.gf2 import LfsrSpec, poly_is_primitive, poly_mul, poly_rem
-from combgen.multiples import (Weight4Multiple, _residue_list, _scan_python,
-                               expected_count, find_weight4,
+from combgen.multiples import (Weight4Multiple, expected_count, find_weight4,
                                find_weight4_bruteforce, product_modulus,
                                verify_multiple)
 
@@ -134,12 +134,30 @@ def test_find_weight4_rejects_even_modulus():
         find_weight4(0b110, 10)
 
 
-def test_python_scan_agrees_with_numpy_scan():
-    modulus = product_modulus([presets.TOY_POLY_13, presets.TOY_POLY_9])
-    fast = find_weight4(modulus, 800)
-    raw = _scan_python(_residue_list(modulus, 800), 800)
-    assert {(m.t1, m.t2, m.t3) for m in fast.found} == \
-        {tuple(sorted(t)) for t in raw}
+WIDE_MODULUS = (1 << 63) | 0b11  # X**63 + X + 1
+
+
+@pytest.mark.parametrize("search", [
+    lambda: find_weight4(WIDE_MODULUS, 1 << 14),
+    lambda: find_weight4_bruteforce(WIDE_MODULUS, 512),
+    lambda: attack.search_stage_multiples(
+        presets.generator_29_31_37(),
+        attack.plan(presets.generator_29_31_37(), (0, 1, 2)).stages[0],
+        1 << 25),
+], ids=["find_weight4", "bruteforce", "search_stage_multiples"])
+def test_search_rejects_modulus_over_62_bits_before_work(search):
+    # the limit holds before any residue or candidate is computed
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="62-bit limit.*--multiples"):
+        search()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_scan_at_the_62_bit_edge_finds_a_planted_multiple():
+    planted = Weight4Multiple(5, 17, 62)
+    report = find_weight4(planted.poly, 100)
+    assert planted in report.found
+    assert report.found == find_weight4_bruteforce(planted.poly, 100).found
 
 
 def test_bruteforce_guard():
@@ -206,13 +224,13 @@ def test_find_weight4_equals_bruteforce_with_a_shrunk_table(
     # residues lose their slot and go through the leftover scan
     monkeypatch.setattr(multiples, "_SPARE_BITS", -3)
     sizes = []
-    scan = multiples._scan_numpy
+    scan = multiples._collision_scan
 
     def recorded(residues, bound, *rest):
         sizes.append(bound)
         return scan(residues, bound, *rest)
 
-    monkeypatch.setattr(multiples, "_scan_numpy", recorded)
+    monkeypatch.setattr(multiples, "_collision_scan", recorded)
     for modulus, bound, found in random_searches:
         sizes.clear()
         assert find_weight4(modulus, bound).found == found, hex(modulus)
