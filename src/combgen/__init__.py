@@ -16,10 +16,10 @@ small sizes.
 
 from .attack import (AttackPlan, AttackResult, CandidateScore, EquationGroup,
                      EquationSet, FinalStage, ScoredStage, StageReport,
-                     build_g_columns, candidate_counts, candidate_counts_naive,
-                     candidates_tsv, compare_orderings, filter_known,
-                     final_direct_search, harvest_equations, plan,
-                     run_attack, score_candidates_naive, score_stage,
+                     candidate_counts, candidate_counts_naive, candidates_tsv,
+                     compare_orderings, filter_known, final_direct_search,
+                     harvest_equations, plan, run_attack,
+                     score_candidates_naive, score_stage,
                      search_stage_multiples, zero_sum_fraction)
 from .boolfn import (AutocorrSpectrum, BooleanFunction, PSpectrum,
                      PSpectrumBounds, WalshSpectrum, autocorrelation,
@@ -64,7 +64,6 @@ __all__ = [
     "WalshSpectrum",
     "Weight4Multiple",
     "autocorrelation",
-    "build_g_columns",
     "candidate_counts",
     "candidate_counts_naive",
     "candidates_tsv",

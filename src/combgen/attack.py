@@ -33,7 +33,8 @@ import numpy as np
 from .boolfn import autocorrelation, fwht
 from .errors import AttackExhaustedError, InvariantError, ValidationError
 from .fileio import load_multiples_cache, save_multiples_cache
-from .gf2 import Keystream, input_words, keystream, residue_powers
+from .gf2 import (Keystream, input_words, keystream, residue_powers,
+                  residue_powers_reference)
 from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
                         find_weight4, product_modulus, verify_multiple)
@@ -332,15 +333,18 @@ def _relation_chunks(eqs):
                 yield g.multiple, g.bases[lo:hi], g.classes[lo:hi]
 
 
-def _lowest_degree(mults, ks_len, wanted=None):
+def _lowest_degree(mults, ks_len, wanted=None, usable=None):
     """(multiple, relations) for the distinct multiples inside a ks_len-bit
     keystream, lowest degree first, until they offer `wanted` relations
-    (the last offer cut to fit); every stage picks its multiples here."""
+    (the last offer cut to fit); every stage picks its multiples here.
+    `usable`, if given, is asked only of the multiples the walk reaches."""
     picked = []
     room = math.inf if wanted is None else wanted
     for m in sorted(set(mults)):
         if m.t3 >= ks_len or room <= 0:
             break
+        if usable is not None and not usable(m):
+            continue
         picked.append((m, min(ks_len - m.t3, room)))
         room -= picked[-1][1]
     return picked
@@ -425,25 +429,6 @@ def filter_known(spec, eqs, known):
 # linear-form columns and mask accumulation
 
 
-@dataclass(frozen=True, eq=False)
-class GColumns:
-    """Per-relation linear forms of the target register's state.
-
-    columns[j][i] is the mask whose dot product with the candidate state
-    gives the target's j-th wired input's sum over relation i's four
-    positions; classes[i] is the observed keystream sum.
-    """
-
-    m1: int
-    n1: int
-    columns: tuple
-    classes: np.ndarray
-
-    @property
-    def count(self):
-        return self.classes.size
-
-
 def _target(spec, target):
     """The register a stage scores, and its wired taps in input order."""
     taps = [p for _, p in spec.inputs_of_register(target)]
@@ -460,20 +445,6 @@ def iter_column_chunks(spec, target, eqs):
     table = residue_powers(lf.feedback, eqs.bits.size + max(taps))
     for mult, bases, classes in _relation_chunks(eqs):
         yield _window_sums(table, mult, bases, taps), classes
-
-
-def build_g_columns(spec, target, eqs):
-    """Materialise all linear-form columns for small stages and tests."""
-    lf, taps = _target(spec, target)
-    if eqs.total * len(taps) > 1 << 28:
-        raise ValidationError("stage too large to materialise; score it "
-                              "with score_stage")
-    chunks = list(iter_column_chunks(spec, target, eqs))
-    return GColumns(
-        m1=lf.length, n1=len(taps),
-        columns=tuple(np.concatenate(part)
-                      for part in zip(*(cols for cols, _ in chunks))),
-        classes=np.concatenate([classes for _, classes in chunks]))
 
 
 def _table_dtype(total, n1):
@@ -640,28 +611,41 @@ def _rank_blocks(blocks, top_k):
     return [CandidateScore(candidate=c, n0=a, n1=b) for _, c, a, b in best]
 
 
-def candidate_counts_naive(g):
-    """Oracle scorer: test each candidate against each relation directly."""
-    if g.m1 > 22:
+def candidate_counts_naive(spec, target, eqs):
+    """Oracle scorer for register `target`: every relation from its
+    definition, then each candidate tested against each relation.
+
+    A relation of a group sits at the positions base + (0, t1, t2, t3),
+    bases 0 .. count-1 for a harvested run or the stored ones; its class
+    is the keystream's sum over them, so stored classes are checked too,
+    and tap p's mask is the sum of the plain-loop residues X**(pos + p)."""
+    lf, taps = _target(spec, target)
+    if lf.length > 22:
         raise ValidationError("naive scoring limited to m1 <= 22")
-    size = 1 << g.m1
+    pos = np.concatenate([
+        np.add.outer(np.arange(g.count) if g.bases is None else g.bases,
+                     np.array(g.multiple.shifts)) for g in eqs.groups])
+    residues = residue_powers_reference(lf.feedback,
+                                        int(pos.max()) + max(taps) + 1)
+    is0 = np.bitwise_xor.reduce(eqs.bits[pos], axis=1) == 0
+    masks = [np.bitwise_xor.reduce(residues[pos + p], axis=1) for p in taps]
+    size = 1 << lf.length
     n0 = np.zeros(size, dtype=np.int64)
     n1c = np.zeros(size, dtype=np.int64)
-    is0 = g.classes == 0
     for u in range(size):
-        selected = np.ones(g.count, dtype=bool)
-        for col in g.columns:
-            selected &= (np.bitwise_count(col & u) & 1) == 0
+        selected = np.ones(is0.size, dtype=bool)
+        for mask in masks:
+            selected &= (np.bitwise_count(mask & u) & 1) == 0
         n0[u] = np.count_nonzero(selected & is0)
         n1c[u] = np.count_nonzero(selected) - n0[u]
     return n0, n1c
 
 
-def score_candidates_naive(g, top_k=DEFAULT_BEAM):
+def score_candidates_naive(spec, target, eqs, top_k=DEFAULT_BEAM):
     """Oracle ranking: every candidate from candidate_counts_naive sorted
     by (-z, candidate), candidate 0 and candidates that match no relation
     last, as score_stage documents."""
-    n0, n1c = candidate_counts_naive(g)
+    n0, n1c = candidate_counts_naive(spec, target, eqs)
     scores = [CandidateScore(u, int(a), int(b))
               for u, (a, b) in enumerate(zip(n0, n1c))]
 
@@ -810,30 +794,33 @@ def search_stage_multiples(spec, stage, ks_len):
 
 
 def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
-    """A pool of multiples for one scored stage: the supplied ones, else
-    the cached ones if they offer its raw relation target at ks_len bits,
-    else a search that rewrites the cache.  Outside multiples must cancel
-    the group2 registers but not the target, or its candidates all tie."""
+    """The multiples one scored stage harvests, lowest degree first up to
+    its raw relation target at ks_len bits: picked from the supplied ones
+    if any is usable, else from the cache if they meet the target, else
+    by a search that rewrites the cache.  Outside multiples must cancel
+    the group2 registers but not the target, or its candidates all tie;
+    each is verified only when the pick reaches it."""
     group = [spec.lfsrs[r].feedback for r in stage.group2]
     modulus = product_modulus(group)
     name = f"stage {idx + 1} (register {stage.target})"
+    raw_target = stage.raw_target
 
-    def usable(mults):
-        return [m for m in mults if verify_multiple(m, group)
-                and not verify_multiple(m, [spec.lfsrs[stage.target]])]
+    def usable(m):
+        return (verify_multiple(m, group)
+                and not verify_multiple(m, [spec.lfsrs[stage.target]]))
 
-    pool = usable(supplied)
-    if pool:
-        return pool
+    picked = _lowest_degree(supplied, ks_len, raw_target, usable)
+    if picked:
+        return [m for m, _ in picked]
     path = cache_dir and os.path.join(cache_dir,
                                       f"multiples-0x{modulus:x}.txt")
     if path and os.path.exists(path):
         _log.info(f"{name}: multiples from cache {path}")
-        pool = usable(load_multiples_cache(path).found)
-        raw_target = stage.raw_target
-        offered = sum(n for _, n in _lowest_degree(pool, ks_len, raw_target))
+        picked = _lowest_degree(load_multiples_cache(path).found, ks_len,
+                                raw_target, usable)
+        offered = sum(n for _, n in picked)
         if offered >= raw_target:
-            return pool
+            return [m for m, _ in picked]
         _log.info(f"{name}: cached multiples offer {offered} of {raw_target} "
                   f"relations")
     _log.info(f"{name}: searching multiples of 0x{modulus:x}")

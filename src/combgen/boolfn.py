@@ -406,14 +406,14 @@ class PSpectrumBounds:
         return self.p0 >= self.p0_bound and self.min_gap >= self.gap_bound
 
 
-def check_p_spectrum_bounds(f, strict=False):
+def check_p_spectrum_bounds(f):
     """Check the two exact lower bounds on the quadruple-sum spectrum.
 
     For any f: P(0) >= 1/2 + 2**-(n+1), and for every u != 0 the gap
     P(0) - P(u) is at least (1 - delta/2**n)**2 / 2**(n+1) where delta is
-    the autocorrelation peak.  Comparisons are exact rational arithmetic.
-    With strict=True a violation raises InvariantError (it would mean a
-    bug in the spectrum code, the bounds hold unconditionally).
+    the autocorrelation peak.  Comparisons are exact rational arithmetic;
+    the bounds hold unconditionally, so a report that is not ok means a
+    bug in the spectrum code.
     """
     spec = p_spectrum(f)
     n = f.n
@@ -424,10 +424,7 @@ def check_p_spectrum_bounds(f, strict=False):
     min_gap_num = min(num0 - spec.numerators[u] for u in range(1, 1 << n))
     min_gap = Fraction(min_gap_num, spec.denominator)
     gap_bound = Fraction(((1 << n) - delta) ** 2, 1 << (3 * n + 1))
-    report = PSpectrumBounds(n, delta, p0, p0_bound, min_gap, gap_bound)
-    if strict and not report.ok:
-        raise InvariantError(f"P spectrum bound violated: {report}")
-    return report
+    return PSpectrumBounds(n, delta, p0, p0_bound, min_gap, gap_bound)
 
 
 def resiliency_order(f):

@@ -461,12 +461,12 @@ def keystream_reference(spec, state, count):
     return Keystream(out)
 
 
-def random_state(spec, rng, nonzero_registers=True):
-    """Draw a uniform full state; by default reroll all-zero registers."""
+def random_state(spec, rng):
+    """Draw a uniform full state, rerolling all-zero registers."""
     parts = []
     for lf in spec.lfsrs:
         part = int(rng.integers(0, 1 << lf.length))
-        while nonzero_registers and part == 0:
+        while part == 0:
             part = int(rng.integers(0, 1 << lf.length))
         parts.append(part)
     return spec.join_state(parts)

@@ -179,17 +179,18 @@ def _scoring_stage_12():
 def test_06_scoring_paths_agree_exactly():
     spec, eqs = _scoring_stage_12()
     assert eqs.total >= 10 ** 4
-    g = attack.build_g_columns(spec, 0, eqs)
-    assert g.m1 == 12 and g.n1 == 2
-    size = 1 << g.m1
+    lf, taps = attack._target(spec, 0)
+    m1, n1 = lf.length, len(taps)
+    assert m1 == 12 and n1 == 2
+    size = 1 << m1
     tables = attack._fill_tables(attack.iter_column_chunks(spec, 0, eqs),
-                                 g.n1, g.m1, eqs.class_counts)
+                                 n1, m1, eqs.class_counts)
     for w in tables:
         t = w.astype(np.int64)
         fwht(t)
-        assert not np.any(t & ((1 << g.n1) - 1))
-    n0_ref, n1_ref = attack.candidate_counts_naive(g)
-    ranked_ref = attack.score_candidates_naive(g, top_k=size)
+        assert not np.any(t & ((1 << n1) - 1))
+    n0_ref, n1_ref = attack.candidate_counts_naive(spec, 0, eqs)
+    ranked_ref = attack.score_candidates_naive(spec, 0, eqs, top_k=size)
     assert sorted(c.candidate for c in ranked_ref) == list(range(size))
     for c in ranked_ref:
         assert (c.n0, c.n1) == (n0_ref[c.candidate], n1_ref[c.candidate])
@@ -198,7 +199,7 @@ def test_06_scoring_paths_agree_exactly():
         assert ranked == ranked_ref, f"split={s}"
     print(f"check 06 PASS: streaming scorer at splits 0/4/12 == naive on "
           f"all {size} candidates, {eqs.total} relations, counts divisible "
-          f"by 2**{g.n1}")
+          f"by 2**{n1}")
 
 
 @pytest.mark.slow

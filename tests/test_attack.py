@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from combgen import attack, boolfn, gf2, presets
-from combgen.attack import (AttackExhaustedError, build_g_columns,
-                            candidate_counts, candidate_counts_naive,
-                            candidates_tsv, compare_orderings, filter_known,
+from combgen.attack import (AttackExhaustedError, candidate_counts,
+                            candidate_counts_naive, candidates_tsv,
+                            compare_orderings, filter_known,
                             final_direct_search, harvest_equations,
                             iter_column_chunks, plan, run_attack,
                             score_candidates_naive, score_stage,
@@ -350,33 +350,32 @@ def test_g_column_by_hand():
     spec = single_register_spec()
     ks = Keystream(np.zeros(5, dtype=np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(1, 2, 4)])
-    g = build_g_columns(spec, 0, eqs)
-    assert g.m1 == 3 and g.n1 == 1
-    assert g.columns[0][0] == 1
+    (cols, _), = iter_column_chunks(spec, 0, eqs)
+    assert len(cols) == 1
+    assert cols[0][0] == 1
 
 
 def test_true_key_dot_products_match_simulation(toy):
     mults = stage1_multiples(toy)[:2]
     ks = toy_keystream(toy, 30000)
     eqs = harvest_equations(ks, mults, max_equations=1000)
-    g = build_g_columns(toy, 0, eqs)
     u_true = toy.split_state(TRUE_KEY)[0]
     lf = toy.lfsrs[0]
     taps = toy.inputs_of_register(0)
-    i = 0
-    for mult, bases, _ in group_arrays(eqs):
+    # each group's relations fit one chunk
+    for (mult, bases, _), (cols, _) in zip(
+            group_arrays(eqs), iter_column_chunks(toy, 0, eqs), strict=True):
         seq = np.asarray(
             keystream_of_register(lf, u_true,
                                   int(bases.max()) + mult.t3
                                   + max(p for _, p in taps) + 1))
-        for base in bases:
+        for i, base in enumerate(bases):
             for j, (_, p) in enumerate(taps):
                 direct = 0
                 for shift in mult.shifts:
                     direct ^= int(seq[int(base) + p + shift])
-                hyp = bin(int(g.columns[j][i]) & u_true).count("1") & 1
+                hyp = bin(int(cols[j][i]) & u_true).count("1") & 1
                 assert hyp == direct
-            i += 1
 
 
 def keystream_of_register(lf, init, count):
@@ -389,9 +388,8 @@ def test_columns_are_register_local(toy):
     mults = stage1_multiples(toy)[:1]
     ks = toy_keystream(toy, 20000)
     eqs = harvest_equations(ks, mults, max_equations=200)
-    g = build_g_columns(toy, 1, eqs)
-    assert g.m1 == 11
-    assert all(int(c.max()) < (1 << 11) for c in g.columns)
+    assert all(int(c.max()) < (1 << 11)
+               for cols, _ in iter_column_chunks(toy, 1, eqs) for c in cols)
 
 
 # ----------------------------------------------------------- accumulation
@@ -416,17 +414,17 @@ def test_accumulate_matches_naive_recount(monkeypatch):
     ks = Keystream(rng.integers(0, 2, size=2000).astype(np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(5, 19, 37)],
                             max_equations=300)
-    g = build_g_columns(spec, 0, eqs)
+    (cols, classes), = iter_column_chunks(spec, 0, eqs)
     w0, w1 = table_pair(spec, 0, eqs)
     expect = [np.zeros(512, dtype=np.int64), np.zeros(512, dtype=np.int64)]
-    for i in range(g.count):
-        b = int(g.classes[i])
+    for i in range(classes.size):
+        b = int(classes[i])
         for y in range(4):
             v = 0
             if y & 1:
-                v ^= int(g.columns[0][i])
+                v ^= int(cols[0][i])
             if y & 2:
-                v ^= int(g.columns[1][i])
+                v ^= int(cols[1][i])
             expect[b][v] += 1
     assert np.array_equal(w0, expect[0])
     assert np.array_equal(w1, expect[1])
@@ -441,13 +439,13 @@ def test_accumulate_single_input_unrolled():
     rng = np.random.default_rng(6)
     ks = Keystream(rng.integers(0, 2, size=400).astype(np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(2, 5, 11)])
-    g = build_g_columns(spec, 0, eqs)
+    (cols, classes), = iter_column_chunks(spec, 0, eqs)
     w0, w1 = table_pair(spec, 0, eqs)
     c0, c1 = eqs.class_counts
     for b, (w, total) in enumerate(((w0, c0), (w1, c1))):
         direct = np.zeros(8, dtype=np.int64)
-        sel = g.classes == b
-        np.add.at(direct, g.columns[0][sel], 1)
+        sel = classes == b
+        np.add.at(direct, cols[0][sel], 1)
         direct[0] += total
         assert np.array_equal(w, direct)
 
@@ -537,7 +535,7 @@ def scored_stage(toy, nbits=1 << 18, max_eq=300000):
 def test_fast_scorer_equals_naive(toy):
     eqs = scored_stage(toy, max_eq=8000)
     ranked = score_stage(toy, 0, eqs, top_k=1 << 13)
-    n0_ref, n1_ref = candidate_counts_naive(build_g_columns(toy, 0, eqs))
+    n0_ref, n1_ref = candidate_counts_naive(toy, 0, eqs)
     assert sorted(c.candidate for c in ranked) == list(range(1 << 13))
     for c in ranked:
         assert (c.n0, c.n1) == (n0_ref[c.candidate], n1_ref[c.candidate])
@@ -546,7 +544,7 @@ def test_fast_scorer_equals_naive(toy):
 @pytest.mark.parametrize("split", [0, 1, 4, 13])
 def test_tradeoff_scorer_equals_fast(toy, split):
     eqs = scored_stage(toy, max_eq=6000)
-    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=10)
+    ref = score_candidates_naive(toy, 0, eqs, top_k=10)
     assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
 
 
@@ -557,20 +555,30 @@ def test_score_stage_breaks_exact_ties_by_candidate(toy, split):
     ks = toy_keystream(toy, 1 << 15, key=0x1077819DA)
     _, mults = search_stage_multiples(toy, plan(toy).stages[0], len(ks))
     eqs = harvest_equations(ks, mults, max_equations=300)
-    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=8)
+    ref = score_candidates_naive(toy, 0, eqs, top_k=8)
     assert (ref[-1].candidate, ref[-1].n0, ref[-1].n1) == (0x1B5, 48, 25)
     assert score_stage(toy, 0, eqs, top_k=8, split_bits=split) == ref
 
 
 def test_naive_ranking_puts_zero_and_unmatched_candidates_last():
-    # candidate 0 matches every relation and candidate 1 matches none
-    g = attack.GColumns(m1=2, n1=1, columns=(np.array([1, 1, 3]),),
-                        classes=np.array([0, 0, 1], dtype=np.uint8))
-    ranked = score_candidates_naive(g, top_k=4)
+    # a 2-bit register under f(x) = x: relations at bases 0, 2, 3 of the
+    # multiple 1 + X + X^2 + X^3 have masks X^base mod (X^2 + X + 1), that
+    # is 1, 3, 1, and classes 0, 1, 0 from the bits; candidate 0 matches
+    # every relation and candidate 1 matches none
+    spec = GeneratorSpec(lfsrs=(LfsrSpec(2, 0b111, (0,)),),
+                         function=BooleanFunction(1, [0, 1]),
+                         wiring=((0, 0),))
+    eqs = attack.EquationSet(
+        np.array([1, 0, 1, 0, 0, 0, 0], dtype=np.uint8),
+        (attack.EquationGroup(Weight4Multiple(1, 2, 3), 3,
+                              bases=np.array([0, 2, 3], dtype=np.int32),
+                              classes=np.array([0, 1, 0], dtype=np.uint8)),))
+    ranked = score_candidates_naive(spec, 0, eqs, top_k=4)
     assert [c.candidate for c in ranked] == [2, 3, 0, 1]
-    assert score_candidates_naive(g, top_k=2) == ranked[:2]
-    blocks = [(0, *candidate_counts_naive(g))]
+    assert score_candidates_naive(spec, 0, eqs, top_k=2) == ranked[:2]
+    blocks = [(0, *candidate_counts_naive(spec, 0, eqs))]
     assert attack._rank_blocks(blocks, 4) == ranked
+    assert score_stage(spec, 0, eqs, top_k=4) == ranked
 
 
 def full_sort_ranking(blocks, top_k):
@@ -637,7 +645,7 @@ def test_score_stage_never_reaches_butterflies(toy, monkeypatch, split):
         raise AssertionError("fell back to the butterflies")
 
     eqs = scored_stage(toy, max_eq=6000)
-    ref = score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=10)
+    ref = score_candidates_naive(toy, 0, eqs, top_k=10)
     monkeypatch.setattr(boolfn, "_fwht_butterfly", no_butterflies)
     assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
 
@@ -693,7 +701,7 @@ def test_true_candidate_bias_matches_p_spectrum(toy):
 def test_naive_scorer_top_list_matches(toy):
     eqs = scored_stage(toy, max_eq=5000)
     assert score_stage(toy, 0, eqs, top_k=6) == \
-        score_candidates_naive(build_g_columns(toy, 0, eqs), top_k=6)
+        score_candidates_naive(toy, 0, eqs, top_k=6)
 
 
 def test_candidates_tsv_shape(toy):
@@ -908,6 +916,30 @@ def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
     assert result.success and result.state == TRUE_KEY
 
 
+def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch):
+    # 40,684 multiples of the 9-bit register's feedback, all usable for
+    # stage 2: the pick verifies only those it reaches, and harvests the
+    # same groups as the whole pool
+    stage = plan(toy).stages[1]
+    ks = toy_keystream(toy, 1 << 18)
+    pool = find_weight4(presets.TOY_POLY_9, 500).found
+    assert len(pool) == 40684
+    calls = []
+    verify = attack.verify_multiple
+
+    def counted(mult, polys):
+        calls.append(mult)
+        return verify(mult, polys)
+
+    monkeypatch.setattr(attack, "verify_multiple", counted)
+    picked = attack._stage_multiples(toy, 1, stage, len(ks), pool, None)
+    groups = harvest_equations(ks, picked, stage.raw_target).groups
+    assert len(calls) <= 2 * len(groups)
+    assert [(g.multiple, g.count) for g in groups] == [
+        (g.multiple, g.count)
+        for g in harvest_equations(ks, pool, stage.raw_target).groups]
+
+
 def test_run_attack_same_candidates_at_every_split(toy):
     ks = toy_keystream(toy, 1 << 18)
     ap = plan(toy)
@@ -981,23 +1013,58 @@ def test_fill_tables_transient_memory_follows_the_chunk(toy, monkeypatch):
     assert peak <= tables.nbytes + 8 * attack.DEFAULT_CHUNK * 8
 
 
+def filtered_toy_stage2(toy):
+    """Toy stage 2 (register 1) on 2**14 bits: relations filtered on the
+    true register 0, so every group stores its bases and classes."""
+    ks = toy_keystream(toy, 1 << 14)
+    mults = find_weight4(presets.TOY_POLY_9, 500).found
+    return filter_known(toy, harvest_equations(ks, mults, max_equations=6000),
+                        {0: toy.split_state(TRUE_KEY)[0]})
+
+
 @pytest.mark.parametrize("split", [0, 2])
 def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
     # filtered toy stage 2: stored bases and classes, walked 7 at a time
-    ap = plan(toy)
-    stage = ap.stages[1]
-    ks = toy_keystream(toy, 1 << 14)
-    mults = find_weight4(presets.TOY_POLY_9, 500).found
-    eqs = filter_known(toy, harvest_equations(ks, mults, max_equations=6000),
-                       {0: toy.split_state(TRUE_KEY)[0]})
+    stage = plan(toy).stages[1]
+    eqs = filtered_toy_stage2(toy)
     monkeypatch.setattr(attack, "DEFAULT_CHUNK", 7)
     size = 1 << stage.m1
     got = score_stage(toy, stage.target, eqs, size, split)
-    g = build_g_columns(toy, stage.target, eqs)
-    n0, n1c = candidate_counts_naive(g)
+    n0, n1c = candidate_counts_naive(toy, stage.target, eqs)
     assert sorted(c.candidate for c in got) == list(range(size))
     for c in got:
         assert (c.n0, c.n1) == (n0[c.candidate], n1c[c.candidate])
+
+
+def test_naive_scorer_shares_no_column_path(toy, monkeypatch):
+    # the oracle reads relations from their definition, so corrupting
+    # the columns gathered for stored bases moves score_stage alone
+    eqs = filtered_toy_stage2(toy)
+    size = 1 << 11
+    want = score_candidates_naive(toy, 1, eqs, top_k=size)
+    assert score_stage(toy, 1, eqs, top_k=size) == want
+    window_sums = attack._window_sums
+
+    def corrupted(values, mult, bases, shifts=(0,)):
+        sums = window_sums(values, mult, bases, shifts)
+        return sums if isinstance(bases, slice) else [s ^ 1 for s in sums]
+
+    monkeypatch.setattr(attack, "_window_sums", corrupted)
+    assert score_stage(toy, 1, eqs, top_k=size) != want
+    assert score_candidates_naive(toy, 1, eqs, top_k=size) == want
+
+
+def test_naive_scorer_checks_stored_classes(toy):
+    # the oracle recomputes each class from the bits: flipped stored
+    # classes move score_stage alone
+    eqs = filtered_toy_stage2(toy)
+    size = 1 << 11
+    want = score_candidates_naive(toy, 1, eqs, top_k=size)
+    flipped = attack.EquationSet(eqs.bits, tuple(
+        attack.EquationGroup(g.multiple, g.count, g.bases, g.classes ^ 1)
+        for g in eqs.groups))
+    assert score_candidates_naive(toy, 1, flipped, top_k=size) == want
+    assert score_stage(toy, 1, flipped, top_k=size) != want
 
 
 def byte_edge_spec(length, poly):
@@ -1024,10 +1091,11 @@ def test_score_stage_at_byte_edge_widths_equals_naive(length, poly, splits,
     eqs = filter_known(spec, harvest_equations(
         ks, [Weight4Multiple(3, 17, 40), Weight4Multiple(7, 9, 61)],
         max_equations=700), known)
-    g = build_g_columns(spec, 0, eqs)
-    assert g.columns[0].dtype == np.min_scalar_type((1 << length) - 1)
+    width = np.min_scalar_type((1 << length) - 1)
+    assert all(c.dtype == width
+               for cols, _ in iter_column_chunks(spec, 0, eqs) for c in cols)
     top_k = 1 << 8 if length == 8 else 10
-    want = score_candidates_naive(g, top_k=top_k)
+    want = score_candidates_naive(spec, 0, eqs, top_k=top_k)
     for split in splits:
         assert score_stage(spec, 0, eqs, top_k, split) == want, split
 
