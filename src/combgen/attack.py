@@ -36,8 +36,9 @@ from .fileio import load_multiples_cache, save_multiples_cache
 from .gf2 import (Keystream, input_words, keystream, residue_powers,
                   residue_powers_reference)
 from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
-from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
-                        find_weight4, product_modulus, verify_multiple)
+from .multiples import (MultipleSearchReport, Weight4Multiple, degree_key,
+                        density_bound, find_weight4, product_modulus,
+                        verify_multiple)
 
 # keystream positions per relation chunk: its window and columns, at
 # the register's width, stay in a core's L2
@@ -250,7 +251,7 @@ def plan(spec, order=None):
         samples = m1 << (2 * n + 1)
         false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * n + 1)))
         raw = (samples << n1) << n_known
-        d_min = math.ceil((6 * 2.0 ** m2) ** (1 / 3))
+        d_min = math.ceil(density_bound(m2))
         stages.append(ScoredStage(
             **shared, samples_required=samples,
             expected_false_survivors=false_surv, keystream_single=raw + d_min,
@@ -340,7 +341,7 @@ def _lowest_degree(mults, ks_len, wanted=None, usable=None):
     `usable`, if given, is asked only of the multiples the walk reaches."""
     picked = []
     room = math.inf if wanted is None else wanted
-    for m in sorted(set(mults)):
+    for m in sorted(set(mults), key=degree_key):
         if m.t3 >= ks_len or room <= 0:
             break
         if usable is not None and not usable(m):
@@ -778,7 +779,7 @@ def search_stage_multiples(spec, stage, ks_len):
     period = math.lcm(*((1 << spec.lfsrs[r].length) - 1
                         for r in stage.group2))
     cap = min(ks_len - 1, period)
-    bound = max(math.ceil((6 * 12 * 2.0 ** stage.m2) ** (1 / 3)), 8)
+    bound = max(math.ceil(density_bound(stage.m2, 12)), 8)
     while True:
         bound = min(bound, cap)
         picked = _lowest_degree(find_weight4(modulus, bound).found, ks_len,
@@ -832,8 +833,7 @@ def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         save_multiples_cache(path, MultipleSearchReport(
-            modulus=modulus, degree_bound=top, found=tuple(chosen),
-            expected=expected_count(stage.m2, top)))
+            modulus=modulus, degree_bound=top, found=tuple(chosen)))
         _log.info(f"saved cache {path}")
     return chosen
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .boolfn import BooleanFunction
 from .errors import ValidationError
-from .gf2 import GeneratorSpec, Keystream, LfsrSpec, poly_degree
-from .multiples import MultipleSearchReport, Weight4Multiple, expected_count
+from .gf2 import GeneratorSpec, Keystream, LfsrSpec
+from .multiples import MultipleSearchReport, Weight4Multiple, degree_key
 
 KEYSTREAM_MAGIC = b"CGKS"
 KEYSTREAM_VERSION = 1
@@ -141,6 +141,5 @@ def load_multiples_cache(path):
         except ValueError:
             raise ValidationError(f"{path}: bad line {ln!r}") from None
         found.append(Weight4Multiple(t1, t2, t3))
-    return MultipleSearchReport(
-        modulus=modulus, degree_bound=bound, found=tuple(sorted(found)),
-        expected=expected_count(poly_degree(modulus), bound))
+    return MultipleSearchReport(modulus, bound,
+                                tuple(sorted(found, key=degree_key)))

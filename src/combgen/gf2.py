@@ -16,6 +16,7 @@ to linear forms of the initial state throughout the attack code.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +28,9 @@ from .errors import ValidationError
 
 
 def poly_degree(p):
-    """Degree of a polynomial, -1 for the zero polynomial."""
+    """Degree of a polynomial, -1 for zero; a negative int is rejected."""
+    if p < 0:
+        raise ValidationError(f"polynomial must not be negative, got {p}")
     return p.bit_length() - 1
 
 
@@ -97,10 +100,42 @@ def poly_from_exponents(exponents):
     return p
 
 
-def _prime_factors(m):
-    from sympy import factorint
+# Miller-Rabin on the first 12 prime bases is exact below 3.18 * 10**23
+# (Sorenson and Webster, 2015), past every 2**l - 1 with l <= 64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    return sorted(factorint(m))
+
+def _is_prime(n):
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _PRIME_BASES)
+
+
+def _prime_factors(m):
+    """Sorted distinct prime factors of m >= 1.  A composite part splits
+    off its smallest base, or else by Pollard's rho (BIT 1975) with
+    Floyd's cycle finding, moving to the next constant c if one fails."""
+    primes, parts = set(), [m]
+    while parts:
+        n = parts.pop()
+        if n == 1 or _is_prime(n):
+            primes.add(n)
+            continue
+        d = next((p for p in _PRIME_BASES if n % p == 0), n)
+        c = 0
+        while d == n:
+            c, x, y, d = c + 1, 2, 2, 1
+            while d == 1:
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
+        parts += (d, n // d)
+    return sorted(primes - {1})
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +144,7 @@ def poly_is_primitive(p):
 
     Tests that X has order exactly 2**l - 1 modulo p, which for degree l
     characterises primitivity (it forces irreducibility as well).  The
-    degree must be in [1, 64] so that 2**l - 1 factors quickly.
+    degree must be in [1, 64], where 2**l - 1 factors in milliseconds.
     """
     l = poly_degree(p)
     if l < 1:

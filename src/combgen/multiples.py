@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .gf2 import (RESIDUE_MAX_DEGREE, poly_degree, poly_gcd, poly_mul,
 
 _SPARE_BITS = 5
 _TABLE_BITS_MAX = 22
+
+degree_key = attrgetter("t3", "t2", "t1")  # Weight4Multiple's sort order
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class Weight4Multiple:
     t3: int
 
     def __lt__(self, other):
-        return (self.t3, self.t2, self.t1) < (other.t3, other.t2, other.t1)
+        return degree_key(self) < degree_key(other)
 
     def __post_init__(self):
         if not 0 < self.t1 < self.t2 < self.t3:
@@ -70,11 +73,14 @@ class MultipleSearchReport:
     modulus: int
     degree_bound: int
     found: tuple
-    expected: Fraction
 
     @property
     def count(self):
         return len(self.found)
+
+    @property
+    def expected(self):
+        return expected_count(poly_degree(self.modulus), self.degree_bound)
 
 
 def product_modulus(polys):
@@ -101,6 +107,11 @@ def expected_count(degree, bound):
     if degree < 1 or bound < 1:
         raise ValidationError("need degree >= 1 and bound >= 1")
     return Fraction(bound ** 3, 6 << degree)
+
+
+def density_bound(degree, count=1):
+    """expected_count's inverse: the (float) bound expecting `count`."""
+    return (6 * count * 2.0 ** degree) ** (1 / 3)
 
 
 def verify_multiple(mult, polys):
@@ -163,7 +174,7 @@ def _collision_scan(r, bound, one=1, exps=None):
 
 
 def _check_modulus(modulus):
-    """The degree of a modulus that can divide a weight-4 multiple."""
+    """Reject a modulus that can divide no weight-4 multiple."""
     if modulus < 0:
         raise ValidationError(f"modulus must not be negative, got {modulus}")
     deg = poly_degree(modulus)
@@ -176,10 +187,9 @@ def _check_modulus(modulus):
         raise ValidationError(
             f"modulus of degree {deg} is over the {RESIDUE_MAX_DEGREE}-bit "
             f"limit of the collision scan, whose first multiple is expected "
-            f"near degree 2^{math.log2(6 << deg) / 3:.1f}; supply the "
+            f"near degree 2^{math.log2(density_bound(deg)):.1f}; supply the "
             f"multiples instead (--multiples, run_attack(multiples=), "
             f"presets.large_multiples_31_37)")
-    return deg
 
 
 def find_weight4(modulus, degree_bound, limit=None):
@@ -191,7 +201,7 @@ def find_weight4(modulus, degree_bound, limit=None):
     The residues stay in gf2's cache for a later, larger bound;
     gf2.clear_residue_cache frees them.
     """
-    deg = _check_modulus(modulus)
+    _check_modulus(modulus)
     if degree_bound < 3:
         raise ValidationError("degree bound below the minimum weight-4 degree")
     if degree_bound > 1 << 24:
@@ -210,9 +220,7 @@ def find_weight4(modulus, degree_bound, limit=None):
     first = np.ones(len(hits), dtype=bool)
     first[1:] = (hits[1:] != hits[:-1]).any(axis=1)
     found = [Weight4Multiple(*t) for t in hits[first][:limit].tolist()]
-    return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,
-                                found=tuple(found),
-                                expected=expected_count(deg, degree_bound))
+    return MultipleSearchReport(modulus, degree_bound, tuple(found))
 
 
 def find_weight4_bruteforce(modulus, degree_bound):
@@ -222,7 +230,7 @@ def find_weight4_bruteforce(modulus, degree_bound):
     at small bounds.  Reads gf2's plain residue loop, not the cached
     table the scan reads.
     """
-    deg = _check_modulus(modulus)
+    _check_modulus(modulus)
     if degree_bound > 1 << 9:
         raise ValidationError("cubic enumeration limited to bound <= 512")
     residues = residue_powers_reference(modulus, degree_bound + 1).tolist()
@@ -234,6 +242,4 @@ def find_weight4_bruteforce(modulus, degree_bound):
                 if partial == residues[t3]:
                     found.append(Weight4Multiple(t1, t2, t3))
     found.sort()
-    return MultipleSearchReport(modulus=modulus, degree_bound=degree_bound,
-                                found=tuple(found),
-                                expected=expected_count(deg, degree_bound))
+    return MultipleSearchReport(modulus, degree_bound, tuple(found))

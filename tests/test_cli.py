@@ -1,7 +1,11 @@
 """Command-line surface, exercised through main(argv)."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +71,26 @@ def test_gen_on_a_63_bit_register_exits_2(tmp_path, toy, capsys):
     assert rc == 2
     assert "62-bit limit" in capsys.readouterr().err
     assert not (tmp_path / "x.ks").exists()
+
+
+@pytest.mark.parametrize("feedback", ["-0x211", -529])
+def test_negative_feedback_exits_2(tmp_path, toy, feedback):
+    # a negative feedback passes the degree check by its bit length, and
+    # the primitivity test on it used to loop forever: a child process
+    # with a timeout keeps a regression from hanging the suite
+    doc = fileio.generator_spec_to_dict(toy)
+    doc["lfsrs"][2]["feedback"] = feedback
+    spec = tmp_path / "neg.json"
+    spec.write_text(json.dumps(doc))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from combgen.cli import main; sys.exit(main())",
+         "attack", "--spec", str(spec), "--plan-only"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "must not be negative" in proc.stderr
 
 
 def test_multiples_writes_verified_cache(tmp_path, toy_spec_file, capsys):

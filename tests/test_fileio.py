@@ -13,7 +13,7 @@ from combgen import fileio, presets
 from combgen.errors import ValidationError
 from combgen.gf2 import Keystream, keystream
 from combgen.multiples import MultipleSearchReport, Weight4Multiple, \
-    expected_count, find_weight4, product_modulus
+    find_weight4, product_modulus
 
 
 def test_spec_roundtrip_bytes(tmp_path, toy):
@@ -157,8 +157,7 @@ def test_multiples_cache_roundtrip(tmp_path):
 
 def test_multiples_cache_empty(tmp_path):
     report = MultipleSearchReport(
-        modulus=presets.TOY_POLY_13, degree_bound=3, found=(),
-        expected=expected_count(13, 3))
+        modulus=presets.TOY_POLY_13, degree_bound=3, found=())
     path = tmp_path / "empty.txt"
     fileio.save_multiples_cache(path, report)
     back = fileio.load_multiples_cache(path)
@@ -199,8 +198,7 @@ def test_multiples_cache_large_modulus(tmp_path):
     modulus = product_modulus([presets.POLY_31, presets.POLY_37])
     report = MultipleSearchReport(
         modulus=modulus, degree_bound=7000,
-        found=(presets.LARGE_MULTIPLE_31_37,),
-        expected=expected_count(68, 7000))
+        found=(presets.LARGE_MULTIPLE_31_37,))
     path = tmp_path / "big.txt"
     fileio.save_multiples_cache(path, report)
     assert fileio.load_multiples_cache(path).modulus == modulus

@@ -4,6 +4,11 @@ Polynomials are ints with bit i = coefficient of X^i, so 0b1011 is
 X^3 + X + 1.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -141,6 +146,102 @@ def test_preset_polynomials_are_primitive():
     for p in [presets.TOY_POLY_13, presets.TOY_POLY_11, presets.TOY_POLY_9,
               presets.POLY_29, presets.POLY_31, presets.POLY_37]:
         assert poly_is_primitive(p)
+
+
+def _order_is_maximal(p):
+    """Oracle: step X**t mod p from t = 1 and see whether it first
+    returns to 1 at t = 2**l - 1."""
+    l = poly_degree(p)
+    r = 1
+    for t in range(1, 1 << l):
+        r <<= 1
+        if r >> l:
+            r ^= p
+        if r == 1:
+            return t == (1 << l) - 1
+    return False
+
+
+def test_primitivity_equals_stepping_oracle_to_degree_10():
+    counts = []
+    for l in range(1, 11):
+        polys = range(1 << l, 2 << l)
+        fast = [poly_is_primitive(p) for p in polys]
+        assert fast == [_order_is_maximal(p) for p in polys], l
+        counts.append(sum(fast))
+    # phi(2**l - 1) / l primitive polynomials of each degree
+    assert counts == [1, 1, 2, 2, 6, 6, 18, 16, 48, 60]
+
+
+def test_prime_factors_of_mersenne_numbers_multiply_back():
+    for l in range(1, 65):
+        m = (1 << l) - 1
+        primes = gf2._prime_factors(m)
+        assert primes == sorted(set(primes))
+        for q in primes:
+            assert gf2._is_prime(q) and m % q == 0
+            while m % q == 0:
+                m //= q
+        assert m == 1, l
+
+
+def test_primality_test_equals_a_sieve_below_2_16():
+    n = 1 << 16
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 256):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    assert [gf2._is_prime(k) for k in range(n)] == sieve.tolist()
+
+
+def test_primality_test_rejects_strong_pseudoprimes():
+    assert not gf2._is_prime(3215031751)  # strong to bases 2, 3, 5, 7
+    assert not gf2._is_prime(3825123056546413051)  # strong to bases 2..23
+    assert gf2._is_prime((1 << 61) - 1)
+    assert gf2._prime_factors(3825123056546413051) == [149491, 747451,
+                                                       34233211]
+
+
+def test_prime_factors_equal_sympy():
+    sympy = pytest.importorskip("sympy")
+    for l in range(1, 65):
+        m = (1 << l) - 1
+        assert gf2._prime_factors(m) == sorted(sympy.factorint(m)), l
+
+
+_NO_SYMPY_CHILD = """
+import sys
+sys.modules["sympy"] = None  # every import of sympy now fails
+from combgen import attack, presets
+from combgen.gf2 import keystream
+toy, paper = presets.toy_generator(), presets.generator_29_31_37()
+attack.plan(paper)
+state = 0x15543210F
+result = attack.run_attack(toy, keystream(toy, state, 1 << 19),
+                           attack.plan(toy))
+print(hex(result.state))
+"""
+
+
+def test_builds_plans_and_attacks_without_sympy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_CHILD],
+                         env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["0x15543210f"]
+
+
+@pytest.mark.parametrize("poly", [-0x211, -1])
+def test_negative_polynomials_are_rejected(poly):
+    # a negative int shifted right never reaches 0: it used to hang
+    for call in (poly_degree, poly_is_primitive,
+                 lambda p: poly_divmod(p, P3), lambda p: poly_divmod(P3, p),
+                 lambda p: LfsrSpec(9, p, (0,))):
+        with pytest.raises(ValidationError, match="must not be negative"):
+            call(poly)
 
 
 def test_residue_powers_match_square_and_multiply(rng):
