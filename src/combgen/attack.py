@@ -705,7 +705,8 @@ def final_direct_search(spec, ks, known):
     Uses a window of length + FINAL_WINDOW_EXTRA keystream bits; each wrong
     state survives a bit only with the function's agreement probability,
     so the expected number of false survivors is far below one.  Returns
-    the surviving states, best matches first.
+    the surviving states, each matching every bit of the window, in
+    ascending order.
     """
     bits = Keystream.of(ks).bits
     unknown = [r for r in range(len(spec.lfsrs)) if r not in known]

@@ -34,14 +34,7 @@ _FWHT_SLAB = 1 << 17
 # on a loaded 2-vCPU host at times made a 2**15-entry transform 15x
 # slower, while a second thread saved at most a quarter on large tables.
 _BLAS_PRODUCT = 1 << 18
-# Largest slice (in elements) touched by one vectorised butterfly level
-# of the integer fallback; keeps its temporaries bounded for
-# gigabyte-sized tables.
-_BUTTERFLY_SLAB = 1 << 20
-# Each float type holds every integer of magnitude below its bound
-# exactly (a 24- and a 53-bit significand), so a transform whose sum|a|
-# stays below 2**24 runs in float32, below 2**53 in float64, and any
-# larger one in the integer butterflies.
+# Each float type with the bound below which it holds every integer.
 _FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
 
 
@@ -61,14 +54,12 @@ def fwht(table, bound=None):
     memory does the lowest 16 levels in cache-sized row slabs and a
     second pass does every higher level in column slabs.
     Every intermediate value is a signed sum of input entries, so its
-    magnitude is at most sum|a|.  Every such integer is exact in float32
-    when sum|a| < 2**24 and in float64 when sum|a| < 2**53, whatever
-    order BLAS adds in, so the products run in float32 below 2**24, in
-    float64 below 2**53 (both only while sum|a| is at most the dtype's
-    maximum), and the result equals the integer transform exactly.  Any
-    other array (a larger sum, an unsigned or float dtype) falls back to
-    k passes of numpy integer butterflies, which wrap on overflow like
-    any numpy sum: callers pick a dtype wide enough for the result.
+    magnitude is at most sum|a|, and every such integer is exact in
+    float32 below 2**24 and in float64 below 2**53, whatever order BLAS
+    adds in: the products run in the narrower type that serves, and the
+    result equals the integer transform exactly.  Any other array (an
+    unsigned or float dtype, or sum|a| at or above min(2**53, dtype
+    maximum + 1)) is left untouched and raises ValidationError.
     A caller that knows an upper bound on sum|a| passes it as `bound`,
     which replaces the pass over the table that measures sum|a|; a
     bound below the true sum makes the float result inexact.
@@ -77,7 +68,15 @@ def fwht(table, bound=None):
     if size == 0 or size & (size - 1):
         raise ValidationError(f"table length {size} is not a power of two")
     if isinstance(table, np.ndarray):
-        return _fwht_array(table, bound)
+        if table.ndim != 1:
+            raise ValidationError("expected a one-dimensional array")
+        ftype = _float_exact(table, bound)
+        if ftype is None:
+            raise ValidationError(
+                f"fwht of this {table.dtype} array is not exact: it needs a "
+                f"signed dtype and sum|a| (or bound) below min(2**53, dtype "
+                f"max + 1); use a wider signed dtype or a list of ints")
+        return _fwht_blocked(table, ftype)
     h = 1
     while h < size:
         for start in range(0, size, 2 * h):
@@ -87,15 +86,6 @@ def fwht(table, bound=None):
                 table[i + h] = x - y
         h *= 2
     return table
-
-
-def _fwht_array(a, bound=None):
-    if a.ndim != 1:
-        raise ValidationError("expected a one-dimensional array")
-    ftype = _float_exact(a, bound)
-    if ftype:
-        return _fwht_blocked(a, ftype)
-    return _fwht_butterfly(a)
 
 
 def _float_exact(a, bound=None):
@@ -173,23 +163,6 @@ def _hadamard_slab(block, levels, inner, bufs):
                       out=y.reshape(shape).swapaxes(1, 2))
         x, y = y, x
     np.copyto(block, x.reshape(block.shape), casting="unsafe")
-
-
-def _fwht_butterfly(a):
-    size = a.size
-    h = 1
-    while h < size:
-        view = a.reshape(-1, 2, h)
-        rows = view.shape[0]
-        rows_per = max(1, _BUTTERFLY_SLAB // h)
-        for r0 in range(0, rows, rows_per):
-            x = view[r0:r0 + rows_per, 0, :]
-            y = view[r0:r0 + rows_per, 1, :]
-            diff = x - y
-            x += y
-            y[:] = diff
-        h <<= 1
-    return a
 
 
 @dataclass(frozen=True, eq=False)

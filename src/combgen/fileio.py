@@ -10,6 +10,8 @@ degree bound, one "t1 t2 t3" triple per line in ascending degree.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import struct
 from operator import index
 
@@ -31,6 +33,13 @@ def _parse_poly(text):
         raise ValidationError(f"bad polynomial value {text!r}") from None
 
 
+def _integer(value, field, parse=index):
+    """parse(value); a JSON boolean, which index takes as 0 or 1, raises."""
+    if isinstance(value, bool):
+        raise ValidationError(f"malformed generator spec: boolean {field}")
+    return parse(value)
+
+
 def generator_spec_to_dict(spec):
     return {
         "lfsrs": [
@@ -45,19 +54,21 @@ def generator_spec_to_dict(spec):
 
 
 def generator_spec_from_dict(data):
-    """Build a spec from parsed JSON; a missing field, a wrong type, a
-    non-integer number (never truncated) or a wiring entry that is not a
-    pair raises ValidationError."""
+    """Build a spec from parsed JSON; a missing field, a wrong type
+    (booleans included), a non-integer number (never truncated) or a
+    wiring entry that is not a pair raises ValidationError."""
     try:
         lfsrs = tuple(
-            LfsrSpec(length=index(entry["length"]),
-                     feedback=_parse_poly(entry["feedback"]),
-                     taps=tuple(index(t) for t in entry["taps"]))
+            LfsrSpec(length=_integer(entry["length"], "length"),
+                     feedback=_integer(entry["feedback"], "feedback",
+                                       _parse_poly),
+                     taps=tuple(_integer(t, "taps") for t in entry["taps"]))
             for entry in data["lfsrs"])
         fn = data["function"]
         function = BooleanFunction.from_hex(fn["truth_table"],
-                                            index(fn["n"]))
-        wiring = tuple((index(r), index(k)) for r, k in data["wiring"])
+                                            _integer(fn["n"], "n"))
+        wiring = tuple((_integer(r, "wiring"), _integer(k, "wiring"))
+                       for r, k in data["wiring"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed generator spec: {exc!r}") from None
     return GeneratorSpec(lfsrs=lfsrs, function=function, wiring=wiring)
@@ -107,11 +118,24 @@ def load_keystream(path):
 
 
 def save_multiples_cache(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# modulus 0x{report.modulus:x} "
-                 f"max-degree {report.degree_bound}\n")
-        for m in report.found:
-            fh.write(f"{m.t1} {m.t2} {m.t3}\n")
+    """Write the cache to a temporary file beside `path` (beside its
+    target, for a symlink) and rename it over that file, so an
+    interrupted write leaves any previous file whole.  A device or pipe,
+    such as /dev/stdout, is written in place."""
+    text = "".join([f"# modulus 0x{report.modulus:x} "
+                    f"max-degree {report.degree_bound}\n",
+                    *(f"{m.t1} {m.t2} {m.t3}\n" for m in report.found)])
+    if os.path.exists(path) and not os.path.isfile(path):
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+        return
+    path = os.path.realpath(path)
+    tmp = pathlib.Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_multiples_cache(path):

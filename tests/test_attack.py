@@ -640,14 +640,21 @@ def test_rank_blocks_equal_a_full_sort(monkeypatch, used, dtype, rank_slice,
 
 
 @pytest.mark.parametrize("split", [0, 2])
-def test_score_stage_never_reaches_butterflies(toy, monkeypatch, split):
-    def no_butterflies(a):
-        raise AssertionError("fell back to the butterflies")
-
+def test_score_stage_never_reaches_butterflies(toy, split):
     eqs = scored_stage(toy, max_eq=6000)
     ref = score_candidates_naive(toy, 0, eqs, top_k=10)
-    monkeypatch.setattr(boolfn, "_fwht_butterfly", no_butterflies)
     assert score_stage(toy, 0, eqs, top_k=10, split_bits=split) == ref
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+def test_scorer_tables_always_take_the_blocked_path(n1):
+    # the count arrays' dtype and the bound candidate_counts passes put
+    # every table on a float path: either side of the int32 -> int64
+    # switch, and at the largest total below 2**(53 - n1)
+    for total in ((1 << 31) - 1 >> n1, 1 << 31 - n1, (1 << 53 - n1) - 1):
+        a = np.zeros(8, attack._table_dtype(total, n1))
+        assert boolfn._float_exact(a, bound=total << n1) is np.float64
+        assert not boolfn.fwht(a, bound=total << n1).any()
 
 
 def test_tradeoff_passes_hold_one_table_pair():
@@ -886,6 +893,62 @@ def test_final_direct_search_rejects_corrupt_known(toy):
     parts = toy.split_state(TRUE_KEY)
     got = final_direct_search(toy, ks, {0: parts[0] ^ 5, 1: parts[1]})
     assert got == []
+
+
+def direct_search_oracle(spec, bits, known):
+    """States of the one register not in `known`, ascending, whose
+    plain-loop simulation (lfsr_sequence and the truth table) gives every
+    bit of `bits`."""
+    r_open, = (r for r in range(len(spec.lfsrs)) if r not in known)
+    count = bits.size
+    seqs = {r: gf2.lfsr_sequence(spec.lfsrs[r], s,
+                                 count + max(spec.lfsrs[r].taps))
+            for r, s in known.items()}
+    lf = spec.lfsrs[r_open]
+    found = []
+    for state in range(1 << lf.length):
+        seqs[r_open] = gf2.lfsr_sequence(lf, state, count + max(lf.taps))
+        if all(spec.function(sum(
+                int(seqs[r][t + spec.lfsrs[r].taps[k]]) << j
+                for j, (r, k) in enumerate(spec.wiring))) == bits[t]
+               for t in range(count)):
+            found.append(state)
+    return found
+
+
+def random_three_register_spec(rng, lengths):
+    """Random primitive feedbacks and two random taps per register under
+    the toy's filter and wiring."""
+    lfsrs = []
+    for length in lengths:
+        poly = 1 << length | int(rng.integers(0, 1 << length)) | 1
+        while not gf2.poly_is_primitive(poly):
+            poly = 1 << length | int(rng.integers(0, 1 << length)) | 1
+        taps = sorted(rng.choice(length, size=2, replace=False))
+        lfsrs.append(LfsrSpec(length, poly, taps))
+    toy = presets.toy_generator()
+    return GeneratorSpec(lfsrs, toy.function, toy.wiring)
+
+
+@pytest.mark.parametrize("which", ["toy", "random"])
+def test_final_direct_search_equals_plain_loop_oracle(toy, which):
+    # a window of m1 + 2 bits leaves false survivors; for each of four
+    # keys the search must return exactly the states that match every
+    # window bit, ascending
+    rng = np.random.default_rng(17)
+    spec = toy if which == "toy" else random_three_register_spec(
+        rng, (12, 10, 9))
+    survivors = 0
+    for _ in range(4):
+        state = gf2.random_state(spec, rng)
+        parts = spec.split_state(state)
+        known = {0: parts[0], 1: parts[1]}
+        bits = keystream(spec, state, spec.lfsrs[2].length + 2).bits
+        want = direct_search_oracle(spec, bits, known)
+        assert parts[2] in want
+        assert final_direct_search(spec, bits, known) == want
+        survivors += len(want)
+    assert survivors >= 4 + 3
 
 
 def test_final_direct_search_needs_one_unknown(toy):

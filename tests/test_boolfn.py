@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from combgen import boolfn, presets
+from combgen import presets
 from combgen.boolfn import (BooleanFunction, autocorrelation,
                             check_p_spectrum_bounds, fwht, nonlinearity,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function, resiliency_order,
                             walsh_spectrum)
-from combgen.boolfn import _float_exact, _fwht_blocked, _fwht_butterfly
+from combgen.boolfn import _float_exact, _fwht_blocked
 from combgen.errors import ValidationError
 
 
@@ -110,6 +110,29 @@ def test_fwht_matches_naive_oracle(rng):
     assert [int(arr[u]) for u in range(0, 1 << k, 37)] == naive
 
 
+def _fwht_butterfly(a):
+    """Integer reference for the blocked path: k levels of numpy
+    butterflies in a's own dtype, in place.  Exact where the list path
+    is, and fast enough for the k = 23 tables that path is too slow for."""
+    h = 1
+    while h < a.size:
+        view = a.reshape(-1, 2, h)
+        x, y = view[:, 0, :], view[:, 1, :]
+        diff = x - y
+        x += y
+        y[:] = diff
+        h <<= 1
+    return a
+
+
+def _refused(a, bound=None):
+    """fwht(a) raises ValidationError and leaves a as it was."""
+    before = a.copy()
+    with pytest.raises(ValidationError, match="wider signed dtype"):
+        fwht(a, bound=bound)
+    return np.array_equal(a, before)
+
+
 def _signed_table(rng, k, dtype):
     """Random signed entries as large as the float64-exact bound allows."""
     peak = min(1 << 53, int(np.iinfo(dtype).max)) >> k
@@ -138,50 +161,45 @@ def test_fwht_blocked_equals_list_path(rng):
 
 
 def test_fwht_beyond_float_exact_stays_exact(rng):
+    # sum|a| >= 2**53: the array is refused, the list path stays exact
     size = 1 << 10
     a = (rng.integers((1 << 45) - 1000, (1 << 45) + 1000, size=size)
          * rng.choice([-1, 1], size=size)).astype(np.int64)
     assert not _float_exact(a)
-    want = fwht([int(v) for v in a])
-    assert fwht(a).tolist() == want
+    assert _refused(a)
+    want = _fwht_butterfly(a.astype(object)).tolist()
+    assert fwht([int(v) for v in a]) == want
 
 
 def test_fwht_int32_overflow_wraps(rng):
+    # a result past the int32 range is refused, not wrapped; in int64
+    # the same table transforms exactly
     a = rng.integers(-(1 << 30), 1 << 30, size=1 << 12).astype(np.int32)
     exact = fwht([int(v) for v in a])
     assert max(abs(v) for v in exact) >= 1 << 31
-    wrapped = [(v + (1 << 31)) % (1 << 32) - (1 << 31) for v in exact]
-    assert fwht(a).tolist() == wrapped
+    assert _refused(a)
+    assert fwht(a.astype(np.int64)).tolist() == exact
 
 
-def test_fwht_blocked_path_bounded_by_l1_norm(rng, monkeypatch):
+def test_fwht_blocked_path_bounded_by_l1_norm(rng):
     # sum|a| <= 2**31 - 1 although max|a| * size = 2**42: the int32 table
-    # takes the blocked path, and the butterflies are never reached
-    def no_butterflies(a):
-        raise AssertionError("fell back to the butterflies")
-
+    # takes the blocked path
     a = rng.integers(-1000, 1001, size=1 << 12).astype(np.int32)
     a[7] = 1 << 30
     assert int(np.abs(a.astype(np.int64)).sum()) <= (1 << 31) - 1
     want = fwht([int(v) for v in a])
-    monkeypatch.setattr(boolfn, "_fwht_butterfly", no_butterflies)
     assert _float_exact(a)
     assert fwht(a).tolist() == want
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
-def test_fwht_dtype_minimum_never_blocked(dtype, monkeypatch):
-    def no_blocked(a):
-        raise AssertionError("sent a dtype minimum to the blocked path")
-
+def test_fwht_dtype_minimum_never_blocked(dtype):
+    # |min| = max + 1 reaches the int8 and int32 limit; in int64 it
+    # reaches 2**53 first
     a = np.zeros(8, dtype)
     a[3] = np.iinfo(dtype).min
     assert not _float_exact(a)
-    bits = 8 * a.itemsize
-    wrapped = [(v + (1 << bits - 1)) % (1 << bits) - (1 << bits - 1)
-               for v in fwht([int(v) for v in a])]
-    monkeypatch.setattr(boolfn, "_fwht_blocked", no_blocked)
-    assert fwht(a).tolist() == wrapped
+    assert _refused(a)
 
 
 def test_fwht_transforms_in_place_and_returns_input(rng):
@@ -193,7 +211,7 @@ def test_fwht_transforms_in_place_and_returns_input(rng):
     assert np.array_equal(base[1::2], before[1::2])
     wide = np.full(8, 1 << 60, dtype=np.int64)
     assert not _float_exact(wide)
-    assert fwht(wide) is wide
+    assert _refused(wide)
 
 
 def _float32_table(rng, k, dtype):
@@ -255,8 +273,23 @@ def test_fwht_with_a_bound_equals_without(rng, dtype, total):
     assert sum(abs(int(v)) for v in a) == total
     want = fwht([int(v) for v in a])
     assert _float_exact(a, bound=total) is _float_exact(a)
+    limit = min(1 << 53, int(np.iinfo(dtype).max) + 1)
     for bound in (None, total, 2 * total):
-        assert fwht(a.copy(), bound=bound).tolist() == want, bound
+        if (total if bound is None else bound) >= limit:
+            assert _refused(a.copy(), bound), bound
+        else:
+            assert fwht(a.copy(), bound=bound).tolist() == want, bound
+
+
+@pytest.mark.parametrize("a, bound", [
+    (np.ones(8, np.uint8), None),
+    (np.ones(8, np.float64), None),
+    (np.ones(8, np.int64), 1 << 53),
+    (np.ones(8, np.int32), 1 << 31),
+], ids=["uint8", "float64", "int64-bound-2^53", "int32-bound-2^31"])
+def test_fwht_refuses_arrays_outside_the_exact_range(a, bound):
+    # an unsigned or float dtype, or a caller's bound at the limit
+    assert _refused(a, bound)
 
 
 def test_float_exact_trusts_the_bound():

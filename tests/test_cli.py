@@ -321,6 +321,17 @@ def test_analyze_malformed_spec_exits_2(tmp_path, toy_spec_file, capsys):
     assert "malformed generator spec" in capsys.readouterr().err
 
 
+def test_boolean_in_spec_exits_2(tmp_path, toy_spec_file, capsys):
+    doc = json.loads(open(toy_spec_file).read())
+    doc["lfsrs"][2]["taps"] = [True, 8]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["gen", "--spec", str(bad), "--count", "10", "--seed", "1",
+                 "--out", str(tmp_path / "x.ks")]) == 2
+    assert "boolean taps" in capsys.readouterr().err
+    assert not (tmp_path / "x.ks").exists()
+
+
 def test_analyze_linear_function(capsys):
     rc = main(["analyze", "--function", "0x96"])  # parity of 3 bits
     assert rc == 0

@@ -5,6 +5,9 @@ artifact produces identical bytes.
 """
 
 import json
+import os
+import stat
+import types
 
 import numpy as np
 import pytest
@@ -100,6 +103,24 @@ def test_spec_rejects_malformed_fields(tmp_path, toy, edit):
         fileio.load_generator_spec(path)
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("length", lambda d: d["lfsrs"][0].update(length=True)),
+    ("taps", lambda d: d["lfsrs"][2].update(taps=[True, 8])),
+    ("feedback", lambda d: d["lfsrs"][0].update(feedback=False)),
+    ("n", lambda d: d["function"].update(n=True)),
+    ("wiring", lambda d: d["wiring"].__setitem__(1, [0, True])),
+    ("wiring", lambda d: d["wiring"].__setitem__(0, [False, 0])),
+], ids=["length", "taps", "feedback", "n", "wiring-tap", "wiring-register"])
+def test_spec_rejects_booleans(tmp_path, toy, field, edit):
+    # JSON true and false are not the integers 1 and 0
+    doc = fileio.generator_spec_to_dict(toy)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"boolean {field}"):
+        fileio.load_generator_spec(path)
+
+
 def test_keystream_roundtrip(tmp_path, rng):
     bits = Keystream(rng.integers(0, 2, size=777).astype(np.uint8))
     path = tmp_path / "x.ks"
@@ -153,6 +174,58 @@ def test_multiples_cache_roundtrip(tmp_path):
     again = tmp_path / "m2.txt"
     fileio.save_multiples_cache(again, back)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("fail", ["found", "rename"])
+def test_multiples_cache_save_interrupted_keeps_old_file(tmp_path,
+                                                         monkeypatch, fail):
+    # a save that fails after the header, or at the rename, leaves the
+    # previous cache byte-identical and no temporary file behind
+    path = tmp_path / "m.txt"
+    report = find_weight4(presets.TOY_POLY_13, 300)
+    fileio.save_multiples_cache(path, report)
+    before = path.read_bytes()
+
+    def found():
+        yield Weight4Multiple(21, 54, 60)
+        raise KeyboardInterrupt
+
+    def no_rename(src, dst):
+        raise KeyboardInterrupt
+
+    if fail == "found":
+        report = types.SimpleNamespace(modulus=presets.TOY_POLY_13,
+                                       degree_bound=300, found=found())
+    else:
+        monkeypatch.setattr(fileio.os, "replace", no_rename)
+    with pytest.raises(KeyboardInterrupt):
+        fileio.save_multiples_cache(path, report)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+
+def test_multiples_cache_written_through_links_and_pipes(tmp_path):
+    # a symlink keeps pointing at its target, which gets the new cache;
+    # a pipe is written in place, not replaced by a regular file
+    report = find_weight4(presets.TOY_POLY_13, 300)
+    want = tmp_path / "want.txt"
+    fileio.save_multiples_cache(want, report)
+    target = tmp_path / "target.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    fileio.save_multiples_cache(link, report)
+    assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        fileio.save_multiples_cache(fifo, report)
+        got = os.read(fd, 1 << 16)
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == want.read_bytes()
 
 
 def test_multiples_cache_empty(tmp_path):
