@@ -18,6 +18,8 @@ from combgen.multiples import verify_multiple
 from combgen.presets import (LARGE_MULTIPLE_31_37, POLY_31, POLY_37,
                              generator_29_31_37, large_multiples_31_37)
 
+# The plan ends with the first stage of every ordering: N grows with the
+# first target's length, keystream shrinks as the cancelled length grows.
 spec = generator_29_31_37()
 plan = attack.plan(spec, (0, 1, 2))
 print(plan.describe())
@@ -27,16 +29,6 @@ print(f"\nfirst stage: N = {stage.equations_required} = "
       f"2^{math.log2(stage.equations_required):.2f} relations")
 print(f"planned keystream: {plan.keystream_required} bits = "
       f"{plan.keystream_required / 8 / (1 << 20):.2f} MiB")
-
-# The choice of which register to attack first changes both the
-# equation count (it scales with the target's length) and the keystream
-# appetite; the cheapest-keystream ordering is not the cheapest-N one.
-print("\nordering comparison (first stage only):")
-print("  order        N                keystream bits")
-for order, st in attack.compare_orderings(spec):
-    print(f"  {str(list(order)):<12} 2^{math.log2(st.equations_required):5.2f}"
-          f"          2^{math.log2(st.keystream_estimate):5.2f}")
-print(f"note: {attack.EQUATION_SCALING_NOTE}")
 
 # At this size the birthday search for weight-4 multiples of the
 # degree-68 product is out of desk reach, so the instance ships with a

@@ -17,9 +17,8 @@ small sizes.
 from .attack import (AttackPlan, AttackResult, CandidateScore, EquationGroup,
                      EquationSet, FinalStage, ScoredStage, StageReport,
                      candidate_counts, candidate_counts_naive, candidates_tsv,
-                     compare_orderings, filter_known, final_direct_search,
-                     harvest_equations, plan, run_attack,
-                     score_candidates_naive, score_stage,
+                     filter_known, final_direct_search, harvest_equations,
+                     plan, run_attack, score_candidates_naive, score_stage,
                      search_stage_multiples, zero_sum_fraction)
 from .boolfn import (AutocorrSpectrum, BooleanFunction, PSpectrum,
                      PSpectrumBounds, WalshSpectrum, autocorrelation,
@@ -68,7 +67,6 @@ __all__ = [
     "candidate_counts_naive",
     "candidates_tsv",
     "check_p_spectrum_bounds",
-    "compare_orderings",
     "expected_count",
     "filter_known",
     "final_direct_search",

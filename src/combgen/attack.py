@@ -33,8 +33,8 @@ import numpy as np
 from .boolfn import autocorrelation, fwht
 from .errors import AttackExhaustedError, InvariantError, ValidationError
 from .fileio import load_multiples_cache, save_multiples_cache
-from .gf2 import (Keystream, input_words, keystream, residue_powers,
-                  residue_powers_reference)
+from .gf2 import (GeneratorSpec, Keystream, input_words, keystream,
+                  residue_powers, residue_powers_reference)
 from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (MultipleSearchReport, Weight4Multiple, degree_key,
                         density_bound, find_weight4, product_modulus,
@@ -52,7 +52,7 @@ _COUNT_SLICE = 1 << 16
 
 _log = logging.getLogger("combgen")
 
-# Printed with every multi-ordering comparison: the first-stage equation
+# Printed after the plan's ordering comparison: the first-stage equation
 # count N = m1 * 2**(2n + n1 + 1) scales with the length m1 of whichever
 # register is targeted first, so orderings that shrink keystream (larger
 # m2) pay for it in equations and search time (larger m1).
@@ -180,11 +180,21 @@ class FinalStage(_Stage):
 
 @dataclass(frozen=True)
 class AttackPlan:
+    spec: GeneratorSpec
     order: tuple
     stages: tuple
     keystream_required: int
-    notes: tuple
-    warnings: tuple
+
+    @property
+    def orderings(self):
+        """(order, first stage) for every target order of a 2- to
+        4-register spec, built on each read; () for other counts."""
+        count = len(self.order)
+        if not 2 <= count <= 4:
+            return ()
+        blowup = self.stages[0].blowup
+        return tuple((order, _stage(self.spec, order, 0, blowup))
+                     for order in permutations(range(count)))
 
     def describe(self):
         lines = [f"attack plan, target order {list(self.order)}"]
@@ -196,10 +206,22 @@ class AttackPlan:
             lines.extend(st.describe())
         lines.append(
             f"total keystream required: {_bits_human(self.keystream_required)}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
+        rows = self.orderings
+        if rows:
+            lines += ["first-stage cost by ordering:",
+                      "  order      m1  n1  m2     N                keystream"]
+            lines += [f"  {str(list(order)):<9} {st.m1:>3} {st.n1:>3} "
+                      f"{st.m2:>3}  N = {st.equations_required} = "
+                      f"2^{math.log2(st.equations_required):5.2f}  "
+                      f"{st.keystream_estimate} bits = "
+                      f"2^{math.log2(st.keystream_estimate):5.2f}"
+                      for order, st in rows]
+            lines.append(f"note: {EQUATION_SCALING_NOTE}")
+        if not self.stages[0].is_final:
+            lines.append(
+                "warning: an all-zero register state gives no usable "
+                "statistic; candidate 0 ranks last, so such keys are "
+                "recovered only with top_k = 2**m1")
         return "\n".join(lines)
 
 
@@ -212,6 +234,32 @@ def _bits_human(bits):
     else:
         human = f"{nbytes:.0f} B"
     return f"{bits} bits = 2^{math.log2(bits):.2f} ({human})"
+
+
+def _stage(spec, order, idx, blowup):
+    """Stage idx of the plan that targets the registers in `order`."""
+    target, known, group2 = order[idx], order[:idx], order[idx + 1:]
+    m1 = spec.lfsrs[target].length
+    m2 = sum(spec.lfsrs[r].length for r in group2)
+    n1 = len(spec.inputs_of_register(target))
+    n2 = sum(len(spec.inputs_of_register(r)) for r in group2)
+    n_known = sum(len(spec.inputs_of_register(r)) for r in known)
+    if n1 == 0:
+        raise ValidationError(
+            f"register {target} feeds no inputs and cannot be scored")
+    shared = dict(target=target, known=known, group2=group2, m1=m1, m2=m2,
+                  n1=n1, n2=n2, n_known=n_known)
+    if not group2:
+        return FinalStage(**shared)
+    samples = m1 << (2 * spec.n + 1)
+    false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * spec.n + 1)))
+    raw = (samples << n1) << n_known
+    d_min = math.ceil(density_bound(m2))
+    return ScoredStage(
+        **shared, samples_required=samples,
+        expected_false_survivors=false_surv, keystream_single=raw + d_min,
+        keystream_multi=math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4)),
+        blowup=blowup)
 
 
 def plan(spec, order=None):
@@ -231,49 +279,11 @@ def plan(spec, order=None):
     delta = autocorrelation(spec.function).delta
     n = spec.n
     blowup = (1 - delta / (1 << n)) ** -4 if delta < (1 << n) else math.inf
-    stages = []
-    for idx, target in enumerate(order):
-        known = tuple(order[:idx])
-        group2 = tuple(order[idx + 1:])
-        m1 = spec.lfsrs[target].length
-        m2 = sum(spec.lfsrs[r].length for r in group2)
-        n1 = len(spec.inputs_of_register(target))
-        n2 = sum(len(spec.inputs_of_register(r)) for r in group2)
-        n_known = sum(len(spec.inputs_of_register(r)) for r in known)
-        if n1 == 0:
-            raise ValidationError(
-                f"register {target} feeds no inputs and cannot be scored")
-        shared = dict(target=target, known=known, group2=group2, m1=m1,
-                      m2=m2, n1=n1, n2=n2, n_known=n_known)
-        if not group2:
-            stages.append(FinalStage(**shared))
-            continue
-        samples = m1 << (2 * n + 1)
-        false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * n + 1)))
-        raw = (samples << n1) << n_known
-        d_min = math.ceil(density_bound(m2))
-        stages.append(ScoredStage(
-            **shared, samples_required=samples,
-            expected_false_survivors=false_surv, keystream_single=raw + d_min,
-            keystream_multi=math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4)),
-            blowup=blowup))
-    warnings = (
-        "an all-zero register state gives no usable statistic; candidate 0 "
-        "ranks last, so such keys are recovered only with top_k = 2**m1",)
+    stages = tuple(_stage(spec, order, idx, blowup)
+                   for idx in range(len(order)))
     return AttackPlan(
-        order=order, stages=tuple(stages),
-        keystream_required=max(st.keystream_estimate for st in stages),
-        notes=(EQUATION_SCALING_NOTE,), warnings=warnings)
-
-
-def compare_orderings(spec):
-    """(ordering, first stage) for every target ordering; at most 4
-    registers, to keep the number of orderings sane."""
-    if len(spec.lfsrs) > 4:
-        raise ValidationError("orderings are compared for at most 4 "
-                              "registers")
-    return [(order, plan(spec, order).stages[0])
-            for order in permutations(range(len(spec.lfsrs)))]
+        spec=spec, order=order, stages=stages,
+        keystream_required=max(st.keystream_estimate for st in stages))
 
 
 # --------------------------------------------------------------------------

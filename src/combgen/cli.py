@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
-import math
 import os
 import sys
 import time
@@ -22,8 +21,8 @@ import time
 import numpy as np
 
 from . import attack, fileio, multiples
-from .boolfn import (BooleanFunction, autocorrelation, check_p_spectrum_bounds,
-                     nonlinearity, p_spectrum, p_spectrum_bruteforce,
+from .boolfn import (BooleanFunction, check_p_spectrum_bounds, nonlinearity,
+                     p_spectrum, p_spectrum_bruteforce,
                      random_balanced_function, resiliency_order,
                      walsh_spectrum)
 from .errors import AttackExhaustedError, InvariantError, ValidationError
@@ -101,25 +100,11 @@ def cmd_multiples(args):
     return 0
 
 
-def _print_orderings(spec):
-    rows = attack.compare_orderings(spec)
-    print("first-stage cost by ordering:")
-    print("  order      m1  n1  m2     N                keystream")
-    for order, st in rows:
-        print(f"  {str(list(order)):<9} {st.m1:>3} {st.n1:>3} {st.m2:>3}  "
-              f"N = {st.equations_required} = "
-              f"2^{math.log2(st.equations_required):5.2f}  "
-              f"{st.keystream_estimate} bits = "
-              f"2^{math.log2(st.keystream_estimate):5.2f}")
-
-
 def cmd_attack(args):
     spec = fileio.load_generator_spec(args.spec)
     order = tuple(_parse_int_list(args.order)) if args.order else None
     ap = attack.plan(spec, order)
     print(ap.describe())
-    if 2 <= len(spec.lfsrs) <= 4:
-        _print_orderings(spec)
     if args.plan_only:
         return 0
     if args.keystream is None:
@@ -174,15 +159,14 @@ def cmd_analyze(args):
           + (" (balanced)" if f.is_balanced else " (NOT balanced)"))
     print(f"resiliency order: {resiliency_order(f)}")
     print(f"nonlinearity: {nonlinearity(f)}")
-    print(f"autocorrelation peak: {autocorrelation(f).delta}")
-    ps = p_spectrum(f)
-    adv = 2 * (float(ps.p0) - 0.5)
-    print(f"quadruple-sum advantage 2*(P0 - 1/2): {adv} "
-          f"(P0 = {float(ps.p0)})")
     rep = check_p_spectrum_bounds(f)
+    print(f"autocorrelation peak: {rep.delta}")
+    p0 = float(rep.p0)
+    print(f"quadruple-sum advantage 2*(P0 - 1/2): {2 * (p0 - 0.5)} "
+          f"(P0 = {p0})")
     print(f"floor bound P0 >= 1/2 + 2^-(n+1): "
           f"{'holds' if rep.p0 >= rep.p0_bound else 'VIOLATED'} "
-          f"(P0 = {float(rep.p0):.6f}, bound = {float(rep.p0_bound):.6f})")
+          f"(P0 = {p0:.6f}, bound = {float(rep.p0_bound):.6f})")
     print(f"gap bound vs autocorrelation: "
           f"{'holds' if rep.min_gap >= rep.gap_bound else 'VIOLATED'} "
           f"(min gap = {float(rep.min_gap):.6f}, "
@@ -321,10 +305,7 @@ def main(argv=None):
     _log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AttackExhaustedError as exc:

@@ -237,7 +237,7 @@ def test_07_toy_recovery_nine_of_ten(toy):
 
 def test_08_full_size_planning_figures(tmp_path, capsys):
     spec = presets.generator_29_31_37()
-    rows = dict(attack.compare_orderings(spec))
+    rows = dict(attack.plan(spec).orderings)
     first = rows[(0, 1, 2)]
     assert round(math.log2(first.equations_required), 2) == 26.86
     mb_306 = 3.06 * (1 << 20) * 8

@@ -5,7 +5,7 @@ filter) where everything is small enough for exact oracles.
 """
 
 import math
-from itertools import groupby
+from itertools import groupby, permutations
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ import pytest
 from combgen import attack, boolfn, gf2, presets
 from combgen.attack import (AttackExhaustedError, candidate_counts,
                             candidate_counts_naive, candidates_tsv,
-                            compare_orderings, filter_known,
-                            final_direct_search, harvest_equations,
-                            iter_column_chunks, plan, run_attack,
+                            filter_known, final_direct_search,
+                            harvest_equations, iter_column_chunks, plan,
+                            run_attack,
                             score_candidates_naive, score_stage,
                             search_stage_multiples, zero_sum_fraction)
 from combgen.boolfn import BooleanFunction
@@ -71,7 +71,7 @@ def single_register_spec():
 # ------------------------------------------------------------------- plan
 
 # describe() of three plans, pinned byte for byte: the toy and the
-# paper instance in two orders
+# paper instance in two orders, each with the ordering comparison
 DESCRIBE_TOY = "\n".join([
     'attack plan, target order [0, 1, 2]',
     'stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, '
@@ -98,6 +98,14 @@ DESCRIBE_TOY = "\n".join([
     'stage 3: register 2 (m1=9)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
     '  direct search over 2^9 states on a window of 49 bits',
     'total keystream required: 1522 bits = 2^10.57 (190 B)',
+    'first-stage cost by ordering:',
+    '  order      m1  n1  m2     N                keystream',
+    '  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57',
+    '  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57',
+    '  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01',
+    '  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01',
+    '  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44',
+    '  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -131,6 +139,20 @@ DESCRIBE_FULL_012 = "\n".join([
     'stage 3: register 2 (m1=37)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
     '  direct search over 2^37 states on a window of 77 bits',
     'total keystream required: 25619445 bits = 2^24.61 (3.05 MB)',
+    'first-stage cost by ordering:',
+    '  order      m1  n1  m2     N                keystream',
+    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
+    '2^24.61',
+    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
+    '2^24.61',
+    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
+    '2^24.13',
+    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
+    '2^24.13',
+    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
+    '2^22.70',
+    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
+    '2^22.70',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -164,6 +186,20 @@ DESCRIBE_FULL_120 = "\n".join([
     'stage 3: register 0 (m1=29)  known=[1, 2]  cancelled=[] (m2=0, n2=0)',
     '  direct search over 2^29 states on a window of 69 bits',
     'total keystream required: 18420256 bits = 2^24.13 (2.20 MB)',
+    'first-stage cost by ordering:',
+    '  order      m1  n1  m2     N                keystream',
+    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
+    '2^24.61',
+    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
+    '2^24.61',
+    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
+    '2^24.13',
+    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
+    '2^24.13',
+    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
+    '2^22.70',
+    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
+    '2^22.70',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -216,11 +252,62 @@ def test_plan_describe_is_pinned(order, expected):
 
 
 def test_compare_orderings_covers_all_permutations(toy):
-    rows = compare_orderings(toy)
+    rows = plan(toy).orderings
     assert len(rows) == 6
     n_by_order = {order: st.equations_required for order, st in rows}
     assert n_by_order[(0, 1, 2)] == 13 * 2 ** 15
     assert n_by_order[(2, 1, 0)] == 9 * 2 ** 15
+
+
+def test_plan_builds_the_other_orders_only_when_read(toy, monkeypatch):
+    built = []
+    scored_stage = attack.ScoredStage
+
+    def counted(**fields):
+        built.append(fields["target"])
+        return scored_stage(**fields)
+    monkeypatch.setattr(attack, "ScoredStage", counted)
+    ap = plan(toy)
+    assert built == [0, 1]
+    assert [order for order, _ in ap.orderings] == list(
+        permutations(range(3)))
+    assert built == [0, 1, 0, 0, 1, 1, 2, 2]
+
+
+def chain_spec(count):
+    """count one-tap registers of 3, 4, ... bits under a majority vote."""
+    polys = (0b1011, 0b10011, 0b100101, 0b1000011, 0b10000011)[:count]
+    x = np.arange(1 << count)
+    return GeneratorSpec(
+        tuple(LfsrSpec(p.bit_length() - 1, p, taps=(0,)) for p in polys),
+        BooleanFunction(count, 2 * np.bitwise_count(x) > count),
+        tuple((r, 0) for r in range(count)))
+
+
+@pytest.mark.parametrize("count, rows", [(1, 0), (2, 2), (4, 24), (5, 0)])
+def test_plan_compares_the_orders_of_2_to_4_registers(count, rows):
+    ap = plan(chain_spec(count))
+    assert len(ap.orderings) == rows
+    lines = ap.describe().splitlines()
+    tail = lines[1 + next(i for i, line in enumerate(lines)
+                          if line.startswith("total keystream required")):]
+    # the all-zero warning concerns scored stages, which one register
+    # lacks; the comparison and its note appear only with 2 to 4
+    warned = count > 1
+    assert len(tail) == (rows + 3 if rows else 0) + warned
+    assert sum("first-stage cost by ordering" in line
+               for line in lines) == bool(rows)
+    assert sum("orderings differ" in line for line in lines) == bool(rows)
+    if rows:
+        assert tail[:2] == [
+            "first-stage cost by ordering:",
+            "  order      m1  n1  m2     N                keystream"]
+        for line, (order, st) in zip(tail[2:], ap.orderings):
+            assert line.startswith(f"  {list(order)} ")
+            assert f" N = {st.equations_required} = " in line
+        assert tail[2 + rows] == f"note: {attack.EQUATION_SCALING_NOTE}"
+    if warned:
+        assert tail[-1].startswith("warning: an all-zero register state")
 
 
 def test_plan_worstcase_blowup_uses_autocorrelation(toy):
@@ -1399,3 +1486,47 @@ def test_search_stage_multiples_returns_verified(toy):
     assert chosen
     degrees = [m.t3 for m in chosen]
     assert degrees == sorted(degrees)
+
+
+# ------------------------------------------------------------ input checks
+
+
+def unwired_spec():
+    """Register 1 has no taps, so it feeds no input of f."""
+    return GeneratorSpec(
+        lfsrs=(LfsrSpec(3, P3, taps=(0,)), LfsrSpec(4, 0b10011, taps=())),
+        function=BooleanFunction(1, [0, 1]), wiring=((0, 0),))
+
+
+NO_RELATIONS = attack.EquationSet(np.zeros(64, dtype=np.uint8), ())
+ZEROS = Keystream(np.zeros(100, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda toy: plan(unwired_spec()), "register 1 feeds no inputs"),
+    (lambda toy: score_stage(unwired_spec(), 1, NO_RELATIONS),
+     "register 1 feeds no inputs"),
+    (lambda toy: score_stage(toy, 0, NO_RELATIONS, split_bits=-1),
+     r"split_bits must lie in \[0, 13\]"),
+    (lambda toy: score_stage(toy, 0, NO_RELATIONS, split_bits=14),
+     r"split_bits must lie in \[0, 13\]"),
+    (lambda toy: search_stage_multiples(toy, plan(toy).stages[-1], 1 << 12),
+     "the final stage uses direct search"),
+    (lambda toy: final_direct_search(toy, ZEROS, {0: 1}),
+     r"exactly one unknown register, got \[1, 2\]"),
+    (lambda toy: final_direct_search(presets.generator_29_31_37(), ZEROS,
+                                     {0: 1, 1: 1}),
+     "limited to length <= 26"),
+    (lambda toy: final_direct_search(toy, ZEROS[:8], {0: 1, 1: 1}),
+     "window shorter than the register"),
+    (lambda toy: candidate_counts_naive(presets.generator_29_31_37(), 0,
+                                        NO_RELATIONS),
+     "naive scoring limited to m1 <= 22"),
+    (lambda toy: zero_sum_fraction(toy, TRUE_KEY, NO_RELATIONS),
+     "empty relation set"),
+], ids=["plan-unwired", "score-unwired", "split-negative", "split-past-m1",
+        "final-stage-multiples", "direct-two-unknown", "direct-37-bits",
+        "direct-short-keystream", "naive-29-bits", "zero-sum-empty"])
+def test_input_checks_refuse_before_work(toy, call, match):
+    with pytest.raises(ValidationError, match=match):
+        call(toy)

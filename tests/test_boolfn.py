@@ -492,3 +492,20 @@ class _no_warning:
 
     def __exit__(self, *exc):
         return False
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fwht(np.zeros((2, 2), dtype=np.int64)),
+     "expected a one-dimensional array"),
+    (lambda: BooleanFunction(0, [0]), "bad arity 0"),
+    (lambda: BooleanFunction.from_hex("0xzz"), "bad hex truth table"),
+    (lambda: autocorrelation(BooleanFunction(21, np.zeros(1 << 21,
+                                                          np.uint8))),
+     "autocorrelation supported up to n = 20"),
+    (lambda: random_balanced_function(0, np.random.default_rng(0)),
+     "need n >= 1"),
+], ids=["fwht-2d", "arity-0", "hex-digits", "autocorrelation-n-21",
+        "random-n-0"])
+def test_input_checks_refuse(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

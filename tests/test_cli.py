@@ -313,7 +313,7 @@ def test_analyze_toy_spec(toy_spec_file, capsys):
 
 
 def test_analyze_malformed_spec_exits_2(tmp_path, toy_spec_file, capsys):
-    doc = json.loads(open(toy_spec_file).read())
+    doc = json.loads(pathlib.Path(toy_spec_file).read_text())
     doc["lfsrs"][0].update(length=13.7, taps=[0.9, 5.2])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -322,7 +322,7 @@ def test_analyze_malformed_spec_exits_2(tmp_path, toy_spec_file, capsys):
 
 
 def test_boolean_in_spec_exits_2(tmp_path, toy_spec_file, capsys):
-    doc = json.loads(open(toy_spec_file).read())
+    doc = json.loads(pathlib.Path(toy_spec_file).read_text())
     doc["lfsrs"][2]["taps"] = [True, 8]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -342,7 +342,9 @@ def test_analyze_linear_function(capsys):
 
 
 def test_analyze_unbalanced_function_warns(capsys):
-    rc = main(["analyze", "--function", "0x01"])
+    with pytest.warns(UserWarning, match="unbalanced") as caught:
+        rc = main(["analyze", "--function", "0x01"])
+    assert len(caught) == 1
     assert rc == 0
     assert "NOT balanced" in capsys.readouterr().out
 

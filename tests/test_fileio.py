@@ -275,3 +275,25 @@ def test_multiples_cache_large_modulus(tmp_path):
     path = tmp_path / "big.txt"
     fileio.save_multiples_cache(path, report)
     assert fileio.load_multiples_cache(path).modulus == modulus
+
+
+@pytest.mark.parametrize("load, content, match", [
+    (fileio.load_generator_spec, '{"lfsrs": [', "bad spec JSON"),
+    (fileio.load_keystream, b"CGKS\x02" + bytes(8),
+     "unsupported keystream version 2"),
+    (fileio.load_multiples_cache, "# modulus 0x201b min-degree 300\n",
+     "bad header"),
+    (fileio.load_multiples_cache, "# modulus 0x201b max-degree\n",
+     "bad header"),
+    (fileio.load_multiples_cache,
+     "# modulus 0x201b max-degree 300\n18 38\n", "bad line '18 38'"),
+], ids=["spec-json", "keystream-version", "multiples-header-word",
+        "multiples-header-short", "multiples-pair"])
+def test_loaders_refuse_malformed_files(tmp_path, load, content, match):
+    path = tmp_path / "bad"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    with pytest.raises(ValidationError, match=match):
+        load(path)

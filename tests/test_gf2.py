@@ -466,3 +466,53 @@ def test_random_state_avoids_all_zero_registers(toy, rng):
     for _ in range(20):
         state = random_state(toy, rng)
         assert all(part != 0 for part in toy.split_state(state))
+
+
+TWO_TAPS = LfsrSpec(3, P3, taps=(0, 1))
+AND2 = BooleanFunction(2, [0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda toy: x_power_mod(-1, P3), "negative exponent -1"),
+    (lambda toy: x_power_mod(5, 1), "modulus must have degree >= 1"),
+    (lambda toy: poly_is_primitive((1 << 65) | 0b11),
+     "limited to degree <= 64"),
+    (lambda toy: sequence_bits(P3, 3, 8, 10),
+     "initial state out of range for length 3"),
+    (lambda toy: sequence_bits(P3, 4, 1, 10),
+     "feedback degree does not match length"),
+    (lambda toy: GeneratorSpec((), BooleanFunction(1, [0, 1]), ()),
+     "need at least one register"),
+    (lambda toy: GeneratorSpec((TWO_TAPS,), AND2, ((0, 0),)),
+     "wiring must list every tap exactly once"),
+    (lambda toy: GeneratorSpec((TWO_TAPS,), AND2, ((0, 0), (1, 0))),
+     "wiring names register 1"),
+    (lambda toy: GeneratorSpec((TWO_TAPS,), AND2, ((0, 0), (0, 2))),
+     "wiring names tap 2 of register 0"),
+    (lambda toy: toy.join_state([1, 2]), "wrong number of register states"),
+    (lambda toy: toy.join_state([1 << 13, 1, 1]),
+     "register state out of range"),
+    (lambda toy: lfsr_sequence(TWO_TAPS, 8, 5),
+     "initial state out of range for length 3"),
+    (lambda toy: keystream(toy, 1, -1), "count must be nonnegative"),
+], ids=["x-power-negative", "x-power-degree-0", "primitive-degree-65",
+        "sequence-state", "sequence-degree", "spec-no-register",
+        "spec-short-wiring", "spec-bad-register", "spec-bad-tap",
+        "join-count", "join-part", "lfsr-sequence-state", "keystream-count"])
+def test_input_checks_refuse(toy, call, match):
+    with pytest.raises(ValidationError, match=match):
+        call(toy)
+
+
+def test_random_state_rerolls_a_zero_register(toy):
+    class Draws:
+        """Stub rng: hands out the given values in turn."""
+
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def integers(self, low, high):
+            return next(self.values)
+
+    assert toy.split_state(random_state(toy, Draws([0, 5, 0, 0, 7, 9]))) == [
+        5, 7, 9]

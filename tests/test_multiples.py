@@ -235,3 +235,17 @@ def test_find_weight4_equals_bruteforce_with_a_shrunk_table(
         sizes.clear()
         assert find_weight4(modulus, bound).found == found, hex(modulus)
         assert sizes[0] == bound and sizes[1] >= bound * 3 // 4
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: product_modulus([]), "empty polynomial group"),
+    (lambda: product_modulus([1]), "group members must have degree >= 1"),
+    (lambda: expected_count(0, 5), "need degree >= 1 and bound >= 1"),
+    (lambda: find_weight4(1, 100), "modulus must have degree >= 1"),
+    (lambda: find_weight4(P3, 2), "below the minimum weight-4 degree"),
+    (lambda: find_weight4(P3, (1 << 24) + 1), "bound over 2\\*\\*24"),
+], ids=["product-empty", "product-degree-0", "expected-degree-0",
+        "search-modulus-1", "search-bound-2", "search-bound-2^24+1"])
+def test_input_checks_refuse(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
