@@ -47,7 +47,7 @@ DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
 FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
 RAW_MARGIN = 1.25
-_RANK_SLICE = 1 << 22
+_RANK_SLICE = 1 << 20
 _COUNT_SLICE = 1 << 16
 
 _log = logging.getLogger("combgen")
@@ -464,34 +464,73 @@ def _table_dtype(total, n1):
     return np.int32 if total << n1 < 1 << 31 else np.int64
 
 
-def _accumulate_chunk(tables, cols, classes, n1, prefix, suffix_bits):
-    """Add one chunk's mask counts into the (2, 2**suffix_bits) count
-    array, row = class.  Each mask adds its sign, the parity of (prefix
-    AND its high bits), at its low suffix_bits bits, so prefix 0 adds
-    plain ones; the 2**n1 - 1 nonzero masks run in Gray-code order, one
-    XOR each.  Row and index arithmetic runs in the narrowest unsigned
-    dtype that addresses the count array, whatever the columns' width."""
-    flat = tables.reshape(-1)
-    rows = classes.astype(np.min_scalar_type(flat.size - 1)) << suffix_bits
-    low = (1 << suffix_bits) - 1
-    one = tables.dtype.type(1)
+def _key_dtype(m1):
+    """Narrowest unsigned dtype of an (m1 + 1)-bit key."""
+    return np.min_scalar_type((2 << m1) - 1)
+
+
+def _mask_keys(cols, classes, n1, m1, split_bits, out=None):
+    """One chunk's (m1 + 1)-bit keys in out (new if None), a run per
+    nonzero mask in Gray-code order (one XOR each): the class, the mask's
+    low m1 - split_bits bits, then its high split_bits bits, so key >>
+    split_bits indexes the flattened (2, 2**(m1 - split_bits)) array."""
+    n, suffix_bits = classes.size, m1 - split_bits
+    if out is None:
+        out = np.empty(n * ((1 << n1) - 1), _key_dtype(m1))
+    rows = classes.astype(out.dtype) << m1
     for y in range(1, 1 << n1):
         v = cols[0] if y == 1 else v ^ cols[(y & -y).bit_length() - 1]
-        sign = one
-        if prefix:
-            sign = one - 2 * (np.bitwise_count((v >> suffix_bits) & prefix)
-                              & 1).astype(tables.dtype)
-        np.add.at(flat, rows | (v & low), sign)
+        rot = ((v & ((1 << suffix_bits) - 1)) << split_bits
+               | v >> suffix_bits) if split_bits else v
+        np.bitwise_or(rows, rot, out=out[(y - 1) * n:y * n],
+                      casting="unsafe")
+    return out
 
 
-def _fill_tables(chunks, n1, bits, class_counts, prefix=0):
-    """(2, 2**bits) mask-count array over every chunk, row b counting the
-    class-b relations; entry 0 of each row is seeded with its class count
-    (the all-zero mask of each relation)."""
+def _accumulate_chunk(tables, cols, classes, n1, split_bits=0, prefix=0):
+    """Add one chunk's mask counts, signed for prefix, into the count
+    array, row = class, by one unsorted scatter of its keys."""
+    m1 = tables.shape[1].bit_length() - 1 + split_bits
+    _scatter_keys(tables, _mask_keys(cols, classes, n1, m1, split_bits),
+                  split_bits, prefix)
+
+
+def _fill_tables(chunks, n1, bits, class_counts, split_bits=0, prefix=0):
+    """(2, 2**bits) mask-count array over every chunk for one prefix, row
+    b counting the class-b relations; entry 0 of each row is seeded with
+    its class count (the all-zero mask of each relation)."""
     tables = np.zeros((2, 1 << bits), _table_dtype(sum(class_counts), n1))
     tables[:, 0] = class_counts
     for cols, classes in chunks:
-        _accumulate_chunk(tables, cols, classes, n1, prefix, bits)
+        _accumulate_chunk(tables, cols, classes, n1, split_bits, prefix)
+    return tables
+
+
+def _sorted_keys(chunks, m1, n1, total, split_bits):
+    """Every chunk's _mask_keys in one array of total * (2**n1 - 1)
+    entries, filled in place and then sorted in place."""
+    keys = np.empty(total * ((1 << n1) - 1), _key_dtype(m1))
+    hi = 0
+    for cols, classes in chunks:
+        lo, hi = hi, hi + classes.size * ((1 << n1) - 1)
+        _mask_keys(cols, classes, n1, m1, split_bits, keys[lo:hi])
+    if hi != keys.size:
+        raise InvariantError(f"chunks held {hi} of {keys.size} keys")
+    keys.sort()
+    return keys
+
+
+def _scatter_keys(tables, keys, split_bits, prefix):
+    """Add each key's sign, the parity of (key AND prefix), at entry
+    key >> split_bits of tables, one cache-sized slice at a time;
+    returns tables."""
+    flat = tables.reshape(-1)
+    for lo in range(0, keys.size, _COUNT_SLICE):
+        k = keys[lo:lo + _COUNT_SLICE]
+        sign = 1 - 2 * (np.bitwise_count(k & prefix) & 1).astype(
+            tables.dtype) if prefix else tables.dtype.type(1)
+        # a Python int 1 would take np.add.at's casting path, 30x slower
+        np.add.at(flat, k >> split_bits if split_bits else k, sign)
     return tables
 
 
@@ -668,19 +707,27 @@ def score_candidates_naive(spec, target, eqs, top_k=DEFAULT_BEAM):
 def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
     """Yield (offset, n0, n1) per prefix of the split candidate space.
 
-    chunks_factory() restarts the (columns, classes) chunk stream; one
-    full pass runs per prefix, against one (2, 2**(m1 - split_bits))
-    count array.
+    chunks_factory() restarts the (columns, classes) chunk stream; each
+    pass fills one (2, 2**(m1 - split_bits)) count array.  A split stage
+    whose keys fit in as many bytes streams once and sorts them, so each
+    pass walks the array in order; a larger one restreams every pass.
     """
     if not 0 <= split_bits <= m1:
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
-    suffix_bits = m1 - split_bits
+    total, suffix_bits = sum(class_counts), m1 - split_bits
+    key_bytes = total * ((1 << n1) - 1) * _key_dtype(m1).itemsize
+    table_bytes = np.dtype(_table_dtype(total, n1)).itemsize << suffix_bits + 1
+    keys = None
+    if split_bits and key_bytes <= table_bytes:
+        keys = _sorted_keys(chunks_factory(), m1, n1, total, split_bits)
     for prefix in range(1 << split_bits):
         # built inside the yield: no local keeps this pass's count array
         # alive while the next pass fills its own
-        yield (prefix << suffix_bits, *candidate_counts(
-            *_fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
-                          prefix), n1, class_counts))
+        yield (prefix << suffix_bits, *candidate_counts(*(
+            _fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
+                         split_bits, prefix) if keys is None else
+            _scatter_keys(_fill_tables((), n1, suffix_bits, class_counts),
+                          keys, split_bits, prefix)), n1, class_counts))
 
 
 def check_top_k(top_k):
@@ -694,8 +741,9 @@ def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
     by (n0-n1)/sqrt(n0+n1) descending, ties broken by candidate value;
     candidate 0 matches every relation and ranks below any with one.
 
-    Column chunks stream through 2**split_bits prefix passes, each over
-    one (2, 2**(m1 - split_bits)) count array.
+    Column chunks feed 2**split_bits prefix passes, each over one
+    (2, 2**(m1 - split_bits)) count array; a split stage whose
+    relations * (2**n1 - 1) keys fit in as many bytes streams once.
     """
     check_top_k(top_k)
     lf, taps = _target(spec, target)
@@ -862,7 +910,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     `cache_dir` if they reach the target, else by a search saved to
     `cache_dir`; progress goes to the "combgen" logger.  split_bits is a
     memory budget: one count array of 2**(M - split_bits) entries per
-    row, M the longest scored register.  That stage scores in
+    row, M the longest scored register, and at most as many bytes of
+    sorted keys, kept while they fit.  That stage scores in
     2**split_bits prefix passes; a stage of m1 bits splits only the
     max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
     table fits scores in one pass.  A top_k below 1, a split_bits

@@ -343,13 +343,9 @@ class GeneratorSpec:
         if not self.lfsrs:
             raise ValidationError("need at least one register")
         feedbacks = [lf.feedback for lf in self.lfsrs]
+        # primitive feedbacks are irreducible, so distinct ones are coprime
         if len(set(feedbacks)) != len(feedbacks):
             raise ValidationError("feedback polynomials must be distinct")
-        for i in range(len(feedbacks)):
-            for j in range(i + 1, len(feedbacks)):
-                if poly_gcd(feedbacks[i], feedbacks[j]) != 1:
-                    raise ValidationError(
-                        f"feedback polynomials {i} and {j} share a factor")
         total_taps = sum(len(lf.taps) for lf in self.lfsrs)
         if self.function.n != total_taps:
             raise ValidationError(

@@ -545,7 +545,7 @@ def test_accumulate_int32_tables_equal_int64(prefix, bits):
     arrays = []
     for dtype in (np.int32, np.int64):
         tables = np.zeros((2, 1 << bits), dtype)
-        attack._accumulate_chunk(tables, cols, classes, 3, prefix, bits)
+        attack._accumulate_chunk(tables, cols, classes, 3, 12 - bits, prefix)
         arrays.append(tables)
     assert arrays[0].dtype == np.int32
     assert np.array_equal(arrays[0], arrays[1])
@@ -744,14 +744,13 @@ def test_scorer_tables_always_take_the_blocked_path(n1):
         assert not boolfn.fwht(a, bound=total << n1).any()
 
 
-def test_tradeoff_passes_hold_one_table_pair():
-    # a (2, 2**16) int32 count array is 512 KiB, so a pass that still
-    # holds the previous pass's array peaks a full array above the first;
-    # 64 KiB of slack absorbs incidental interpreter allocations
+def tradeoff_pass_peaks(relations):
+    """tracemalloc peak of each of split 2's four passes over random
+    18-bit columns of n1 = 2: (2, 2**16) int32 count arrays of 512 KiB."""
     import tracemalloc
     rng = np.random.default_rng(3)
-    cols = [rng.integers(0, 1 << 18, 4000) for _ in range(2)]
-    classes = rng.integers(0, 2, 4000).astype(np.uint8)
+    cols = [rng.integers(0, 1 << 18, relations) for _ in range(2)]
+    classes = rng.integers(0, 2, relations).astype(np.uint8)
     ones = int(classes.sum())
     peaks = np.zeros(4, dtype=np.int64)
     tracemalloc.start()
@@ -767,7 +766,79 @@ def test_tradeoff_passes_hold_one_table_pair():
         assert next(blocks, None) is None
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_tradeoff_passes_hold_one_table_pair():
+    # a pass that still holds the previous pass's array peaks a full
+    # array above the first; 64 KiB of slack absorbs incidental
+    # interpreter allocations.  4000 relations make 48 KB of uint32
+    # keys, kept and sorted: the first pass peaks above the others by
+    # those keys alone
+    peaks = tradeoff_pass_peaks(4000)
     assert peaks[1:].max() <= peaks[0] + (1 << 16)
+    assert peaks[0] <= peaks[1:].min() + 4000 * 3 * 4 + (1 << 16)
+
+
+def test_restreamed_tradeoff_passes_hold_one_table_pair():
+    # 50000 relations' 600 KB of keys outgrow the count array, so every
+    # pass restreams them and peaks alike
+    peaks = tradeoff_pass_peaks(50000)
+    assert peaks.max() <= peaks.min() + (1 << 16)
+
+
+@pytest.mark.parametrize("split, streamed", [(0, 1), (2, 1), (3, 8)])
+def test_split_stage_streams_once_while_its_keys_fit(toy, monkeypatch, split,
+                                                     streamed):
+    # 2000 relations make 12,000 bytes of uint16 keys: within split 2's
+    # 16 KiB int32 count array, so the column stream runs once and every
+    # pass scatters one sorted key array; split 3's 8 KiB array restreams
+    # once per pass, and split 0 builds no key array
+    eqs = scored_stage(toy, max_eq=2000)
+    assert eqs.total == 2000
+    streams, key_arrays = [], []
+    real_stream, real_keys = attack.iter_column_chunks, attack._sorted_keys
+
+    def counted_stream(*args):
+        streams.append(args)
+        return real_stream(*args)
+
+    def recorded_keys(*args):
+        key_arrays.append(real_keys(*args))
+        return key_arrays[-1]
+
+    monkeypatch.setattr(attack, "iter_column_chunks", counted_stream)
+    monkeypatch.setattr(attack, "_sorted_keys", recorded_keys)
+    ref = score_candidates_naive(toy, 0, eqs, top_k=4)
+    assert score_stage(toy, 0, eqs, top_k=4, split_bits=split) == ref
+    assert len(streams) == streamed
+    assert [(k.size, k.dtype) for k in key_arrays] == (
+        [(eqs.total * 3, np.uint16)] if split == 2 else [])
+
+
+@pytest.mark.parametrize("m1, dtype", [(13, np.uint16), (24, np.uint32)])
+def test_sorted_keys_hold_class_low_then_high_mask_bits(m1, dtype):
+    # the toy's 13-bit register and the benchmark's 24-bit mid-split one,
+    # split by 2 bits: one (m1 + 1)-bit key per nonzero mask of n1 = 2
+    rng = np.random.default_rng(5)
+    cols = [rng.integers(0, 1 << m1, 3000).astype(
+        np.min_scalar_type((1 << m1) - 1)) for _ in range(2)]
+    classes = rng.integers(0, 2, 3000).astype(np.uint8)
+    keys = attack._sorted_keys(iter([(cols, classes)]), m1, 2, 3000, 2)
+    v = np.concatenate([cols[0], cols[1], cols[0] ^ cols[1]]).astype(int)
+    want = (np.tile(classes, 3).astype(int) << m1
+            | (v & (1 << m1 - 2) - 1) << 2 | v >> m1 - 2)
+    assert keys.dtype == dtype
+    assert np.array_equal(keys, np.sort(want))
+
+
+def test_sorted_keys_refuse_a_short_chunk_stream():
+    # class counts that promise more relations than stream would leave
+    # unwritten keys in the sorted array
+    cols = [np.arange(100, dtype=np.uint16)] * 2
+    classes = np.zeros(100, np.uint8)
+    with pytest.raises(InvariantError, match="300 of 303 keys"):
+        attack._sorted_keys(iter([(cols, classes)]), 13, 2, 101, 2)
 
 
 def test_true_candidate_ranks_first(toy):
@@ -1144,9 +1215,9 @@ def test_split_beyond_a_shorter_stage_recovers_the_same_state(toy):
 
 
 def test_fill_tables_transient_memory_follows_the_chunk(toy, monkeypatch):
-    # 2**19 relations in 128 chunks of 2**12: a signed pass holds its
-    # count array and a few per-chunk arrays, nothing that grows with
-    # the stage
+    # 2**19 relations in 128 chunks of 2**12: a signed pass of split 1
+    # holds its count array and a few per-chunk arrays, nothing that
+    # grows with the stage, since 3 MB of keys outgrow its 32 KiB array
     import tracemalloc
     monkeypatch.setattr(attack, "DEFAULT_CHUNK", 1 << 12)
     eqs = scored_stage(toy, max_eq=1 << 19)
@@ -1154,13 +1225,15 @@ def test_fill_tables_transient_memory_follows_the_chunk(toy, monkeypatch):
     list(iter_column_chunks(toy, 0, eqs))  # warm the residue cache
     tracemalloc.start()
     try:
-        tables = attack._fill_tables(iter_column_chunks(toy, 0, eqs), 2, 12,
-                                     class_counts, prefix=1)
+        blocks = attack._tradeoff_blocks(
+            lambda: iter_column_chunks(toy, 0, eqs), 13, 2, class_counts, 1)
+        next(blocks)
+        next(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert eqs.total == 1 << 19
-    assert peak <= tables.nbytes + 8 * attack.DEFAULT_CHUNK * 8
+    assert peak <= (2 << 12) * 4 + 8 * attack.DEFAULT_CHUNK * 8
 
 
 def filtered_toy_stage2(toy):
@@ -1293,12 +1366,14 @@ def test_fill_tables_on_a_sparse_filtered_stage_follows_the_chunk(
     list(iter_column_chunks(toy, 2, eqs))  # warm the residue cache
     tracemalloc.start()
     try:
-        tables = attack._fill_tables(iter_column_chunks(toy, 2, eqs), 2, 9,
-                                     class_counts, prefix=1)
+        blocks = attack._tradeoff_blocks(
+            lambda: iter_column_chunks(toy, 2, eqs), 9, 2, class_counts, 1)
+        next(blocks)
+        next(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= tables.nbytes + 2 * attack.DEFAULT_CHUNK * 8
+    assert peak <= (2 << 8) * 4 + 2 * attack.DEFAULT_CHUNK * 8
 
 
 def test_stage_scorer_rejects_bad_top_k_before_work(toy, monkeypatch):

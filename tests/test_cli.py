@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,6 +385,46 @@ def test_verify_rejects_trials_below_one(trials, capsys, monkeypatch):
     assert main(["verify", "--n", "4", "--trials", trials]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and "checked" not in out
+
+
+def test_verify_rejects_n_past_the_brute_force_cap(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a function before checking --n")
+
+    monkeypatch.setattr("combgen.cli.random_balanced_function", no_draw)
+    assert main(["verify", "--n", "7"]) == 2
+    assert "capped at n=6" in capsys.readouterr().err
+
+
+def test_verify_mismatch_exits_4(capsys, monkeypatch):
+    # a brute-force leg that disagrees is an implementation bug: exit 4
+    from combgen.boolfn import p_spectrum
+
+    def off_by_one(f):
+        ps = p_spectrum(f)
+        return SimpleNamespace(numerators=(ps.numerators[0] + 1,
+                                           *ps.numerators[1:]))
+
+    monkeypatch.setattr("combgen.cli.p_spectrum_bruteforce", off_by_one)
+    assert main(["verify", "--n", "4", "--trials", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("internal invariant violated: p-spectrum mismatch")
+    assert "checked" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attack", "--spec", "{spec}", "--order", "0,x", "--plan-only"],
+     "bad integer list '0,x'"),
+    (["multiples", "--degree-bound", "64"], "need --modulus, or --spec"),
+    (["multiples", "--spec", "{spec}", "--degree-bound", "64"],
+     "need --modulus, or --spec"),
+    (["analyze"], "need --spec or --function"),
+], ids=["order", "multiples-nothing", "multiples-no-registers", "analyze"])
+def test_missing_or_bad_arguments_exit_2(toy_spec_file, capsys, argv,
+                                         message):
+    assert main([a.format(spec=toy_spec_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}") and not out
 
 
 def test_check_rejects_negative_state(toy_spec_file, toy_ks_file, capsys):
