@@ -14,15 +14,17 @@ the reference keystream loop) so results can be checked exactly at
 small sizes.
 """
 
-from .attack import (AttackPlan, AttackResult, CandidateScore, EquationGroup,
-                     EquationSet, FinalStage, ScoredStage, StageReport,
-                     candidate_counts, candidate_counts_naive, candidates_tsv,
-                     filter_known, final_direct_search, harvest_equations,
-                     plan, run_attack, score_candidates_naive, score_stage,
+from .attack import (AttackPlan, AttackResult, CandidateScore, CollapseStage,
+                     EquationGroup, EquationSet, FinalStage, ScoredStage,
+                     StageReport, candidate_counts, candidate_counts_naive,
+                     candidates_tsv, collapse_solve, filter_known,
+                     final_direct_search, harvest_equations, plan,
+                     run_attack, score_candidates_naive, score_stage,
                      search_stage_multiples, zero_sum_fraction)
 from .boolfn import (AutocorrSpectrum, BooleanFunction, PSpectrum,
-                     PSpectrumBounds, WalshSpectrum, autocorrelation,
-                     check_p_spectrum_bounds, fwht, nonlinearity, p_spectrum,
+                     PSpectrumBounds, WalshSpectrum, annihilators,
+                     autocorrelation, check_p_spectrum_bounds, fwht,
+                     nonlinearity, p_spectrum,
                      p_spectrum_bruteforce, random_balanced_function,
                      resiliency_order, walsh_spectrum)
 from .errors import (AttackExhaustedError, CombgenError, InvariantError,
@@ -34,7 +36,7 @@ from .gf2 import (GeneratorSpec, Keystream, LfsrSpec, keystream,
                   keystream_reference, lfsr_sequence, poly_degree,
                   poly_from_exponents, poly_gcd, poly_is_primitive, poly_mul,
                   poly_mulmod, poly_rem, random_state, sequence_bits,
-                  x_power_mod)
+                  solve_linear, x_power_mod)
 from .multiples import (MultipleSearchReport, Weight4Multiple, expected_count,
                         find_weight4, find_weight4_bruteforce,
                         product_modulus, verify_multiple)
@@ -46,6 +48,7 @@ __all__ = [
     "AutocorrSpectrum",
     "BooleanFunction",
     "CandidateScore",
+    "CollapseStage",
     "CombgenError",
     "EquationGroup",
     "EquationSet",
@@ -62,11 +65,13 @@ __all__ = [
     "ValidationError",
     "WalshSpectrum",
     "Weight4Multiple",
+    "annihilators",
     "autocorrelation",
     "candidate_counts",
     "candidate_counts_naive",
     "candidates_tsv",
     "check_p_spectrum_bounds",
+    "collapse_solve",
     "expected_count",
     "filter_known",
     "final_direct_search",
@@ -103,6 +108,7 @@ __all__ = [
     "score_stage",
     "search_stage_multiples",
     "sequence_bits",
+    "solve_linear",
     "verify_multiple",
     "walsh_spectrum",
     "x_power_mod",

@@ -16,25 +16,33 @@ multiple, and filtering stores only the survivors.
 a row per relation class, and one Walsh transform per row instead of a
 per-candidate pass (`score_candidates_naive`, its oracle); a split
 parameter trades table memory for repeated accumulation passes.
-The last register is recovered by direct search on a short window.
+Once the first stage has given its register, every register left is
+solved at once where the linearization of Courtois and Meier fits (the
+collapse, `collapse_solve`): the known inputs restrict f at each
+keystream bit, and each low-degree annihilator of the restriction is one
+equation in the open state, so one GF(2) elimination over its monomials
+recovers them.  Where it does not fit, later registers are scored in
+turn and the last one is recovered by direct search on a short window.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import groupby, permutations
+from fractions import Fraction
+from itertools import accumulate, combinations, groupby, permutations
 
 import numpy as np
 
-from .boolfn import autocorrelation, fwht
+from .boolfn import annihilators, autocorrelation, fwht
 from .errors import AttackExhaustedError, InvariantError, ValidationError
 from .fileio import load_multiples_cache, save_multiples_cache
 from .gf2 import (GeneratorSpec, Keystream, input_words, keystream,
-                  residue_powers, residue_powers_reference)
+                  residue_powers, residue_powers_reference, solve_linear)
 from .gf2 import sequence_bits  # noqa: F401  perfbench/spans.py wraps it here
 from .multiples import (MultipleSearchReport, Weight4Multiple, degree_key,
                         density_bound, find_weight4, product_modulus,
@@ -49,6 +57,19 @@ FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
 RAW_MARGIN = 1.25
 _RANK_SLICE = 1 << 20
 _COUNT_SLICE = 1 << 16
+# The collapse linearizes over the monomials of degree at most
+# COLLAPSE_MAX_DEGREE in the open state bits (its rows expand products
+# of at most two linear forms) and is planned only while they number at
+# most COLLAPSE_MAX_MONOMIALS.  Its window offers COLLAPSE_WINDOW_FACTOR
+# equations per monomial on average, and a solve whose rank still falls
+# short at the keystream's end enumerates at most 2**COLLAPSE_MAX_FREE
+# states.  Rows are expanded in slabs of time steps whose uint8 terms
+# take about _COLLAPSE_SLAB bytes.
+COLLAPSE_MAX_DEGREE = 2
+COLLAPSE_MAX_MONOMIALS = 1 << 12
+COLLAPSE_WINDOW_FACTOR = 2
+COLLAPSE_MAX_FREE = 8
+_COLLAPSE_SLAB = 1 << 18
 
 _log = logging.getLogger("combgen")
 
@@ -68,8 +89,9 @@ EQUATION_SCALING_NOTE = (
 @dataclass(frozen=True)
 class _Stage:
     """What every stage kind records: the target register, its length
-    m1 and wired inputs n1; the registers cancelled (group2), with
-    summed length m2 and inputs n2; the known ones, with inputs n_known."""
+    m1 and wired inputs n1; the later registers (group2), with summed
+    length m2 and inputs n2, which a scored stage cancels and a collapse
+    solves with the target; the known ones, with inputs n_known."""
 
     target: int
     known: tuple
@@ -80,6 +102,11 @@ class _Stage:
     n2: int
     n_known: int
 
+    def heading(self, number):
+        return (f"stage {number}: register {self.target} "
+                f"(m1={self.m1})  known={list(self.known)}  "
+                f"cancelled={list(self.group2)} (m2={self.m2}, n2={self.n2})")
+
 
 @dataclass(frozen=True)
 class ScoredStage(_Stage):
@@ -89,7 +116,6 @@ class ScoredStage(_Stage):
     the combining function has a linear structure."""
 
     samples_required: int
-    expected_false_survivors: float
     keystream_single: int
     keystream_multi: int
     blowup: float
@@ -137,8 +163,6 @@ class ScoredStage(_Stage):
             f"2^{math.log2(self.equations_required):.2f}   "
             f"(n1={self.n1})",
             f"  worst-case spectrum-gap figures: {worst}",
-            f"  expected false survivors ~ "
-            f"{self.expected_false_survivors:.2f}",
             f"  keystream: one multiple -> "
             f"{_bits_human(self.keystream_single)}; "
             f"many multiples -> {_bits_human(self.keystream_multi)}; "
@@ -179,6 +203,55 @@ class FinalStage(_Stage):
 
 
 @dataclass(frozen=True)
+class CollapseStage(_Stage):
+    """The target and every later register (group2) solved at once, the
+    known registers given.  At each keystream bit the known inputs pick
+    a restriction of f, and each annihilator of degree at most `degree`
+    of that restriction (of its complement where the bit is 0) is one
+    equation in the open state bits, linear over their `monomials`
+    monomials of degree at most `degree`, the constant included.
+    per_bit is the exact mean number of such equations per keystream
+    bit (_restricted_annihilators)."""
+
+    degree: int
+    per_bit: Fraction
+    monomials: int
+    is_final = True  # perfbench/workloads.py reads it
+
+    @property
+    def registers(self):
+        return (self.target, *self.group2)
+
+    @property
+    def window(self):
+        """Keystream bits of the first solve: COLLAPSE_WINDOW_FACTOR
+        equations per monomial on average, plus FINAL_WINDOW_EXTRA."""
+        return (math.ceil(COLLAPSE_WINDOW_FACTOR * self.monomials
+                          / self.per_bit) + FINAL_WINDOW_EXTRA)
+
+    @property
+    def keystream_estimate(self):
+        return self.window
+
+    def check(self, number, ks_len):
+        """Raise unless a ks_len-bit keystream covers the window."""
+        if ks_len < self.window:
+            raise ValidationError(
+                f"keystream has {ks_len} bits; the collapse of registers "
+                f"{list(self.registers)} (stage {number}) needs at least "
+                f"{self.window}")
+
+    def heading(self, number):
+        return (f"stage {number}: registers {list(self.registers)} "
+                f"(m={self.m1 + self.m2})  known={list(self.known)}")
+
+    def describe(self):
+        return [f"  collapse: degree {self.degree} over {self.monomials} "
+                f"monomials, {float(self.per_bit):.3f} equations per "
+                f"keystream bit, window of {self.window} bits"]
+
+
+@dataclass(frozen=True)
 class AttackPlan:
     spec: GeneratorSpec
     order: tuple
@@ -199,10 +272,7 @@ class AttackPlan:
     def describe(self):
         lines = [f"attack plan, target order {list(self.order)}"]
         for i, st in enumerate(self.stages, start=1):
-            lines.append(
-                f"stage {i}: register {st.target} "
-                f"(m1={st.m1})  known={list(st.known)}  "
-                f"cancelled={list(st.group2)} (m2={st.m2}, n2={st.n2})")
+            lines.append(st.heading(i))
             lines.extend(st.describe())
         lines.append(
             f"total keystream required: {_bits_human(self.keystream_required)}")
@@ -236,35 +306,118 @@ def _bits_human(bits):
     return f"{bits} bits = 2^{math.log2(bits):.2f} ({human})"
 
 
-def _stage(spec, order, idx, blowup):
-    """Stage idx of the plan that targets the registers in `order`."""
+def _stage_fields(spec, order, idx):
+    """The _Stage fields of stage idx of the plan for `order`."""
     target, known, group2 = order[idx], order[:idx], order[idx + 1:]
-    m1 = spec.lfsrs[target].length
-    m2 = sum(spec.lfsrs[r].length for r in group2)
-    n1 = len(spec.inputs_of_register(target))
-    n2 = sum(len(spec.inputs_of_register(r)) for r in group2)
-    n_known = sum(len(spec.inputs_of_register(r)) for r in known)
-    if n1 == 0:
+    return dict(
+        target=target, known=known, group2=group2,
+        m1=spec.lfsrs[target].length,
+        m2=sum(spec.lfsrs[r].length for r in group2),
+        n1=len(spec.inputs_of_register(target)),
+        n2=sum(len(spec.inputs_of_register(r)) for r in group2),
+        n_known=sum(len(spec.inputs_of_register(r)) for r in known))
+
+
+def _stage(spec, order, idx, blowup):
+    """Scored stage idx of the plan that targets the registers in
+    `order`, or its FinalStage when no register follows."""
+    shared = _stage_fields(spec, order, idx)
+    target, group2, m1 = shared["target"], shared["group2"], shared["m1"]
+    if shared["n1"] == 0:
         raise ValidationError(
             f"register {target} feeds no inputs and cannot be scored")
-    shared = dict(target=target, known=known, group2=group2, m1=m1, m2=m2,
-                  n1=n1, n2=n2, n_known=n_known)
     if not group2:
         return FinalStage(**shared)
     samples = m1 << (2 * spec.n + 1)
-    false_surv = (1 << m1) * 2.0 ** (-samples / (1 << (2 * spec.n + 1)))
-    raw = (samples << n1) << n_known
-    d_min = math.ceil(density_bound(m2))
+    raw = (samples << shared["n1"]) << shared["n_known"]
+    m2 = shared["m2"]
     return ScoredStage(
         **shared, samples_required=samples,
-        expected_false_survivors=false_surv, keystream_single=raw + d_min,
+        keystream_single=raw + math.ceil(density_bound(m2)),
         keystream_multi=math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4)),
         blowup=blowup)
 
 
+def _split_inputs(spec, known):
+    """f's inputs wired from the registers in `known`, and the others,
+    each as an ascending tuple."""
+    known_in = sorted(j for r in known for j, _ in spec.inputs_of_register(r))
+    return tuple(known_in), tuple(sorted(set(range(spec.n)) - set(known_in)))
+
+
+def _spread(positions):
+    """For each i below 2**len(positions), the word that carries bit k
+    of i at bit positions[k]."""
+    i = np.arange(1 << len(positions))
+    word = np.zeros_like(i)
+    for k, j in enumerate(positions):
+        word |= ((i >> k) & 1) << j
+    return word
+
+
+def _collapse_terms(n_open, degree):
+    """The monomials of degree at most `degree` in n_open variables, each
+    as the tuple of its variables, by degree: the constant first."""
+    return [c for d in range(degree + 1)
+            for c in combinations(range(n_open), d)]
+
+
+@functools.lru_cache(maxsize=64)
+def _restricted_annihilators(function, known_in, open_in, degree):
+    """(equations, count, cases) for f with the inputs known_in known.
+
+    Bit k of a pattern a is known input known_in[k], bit k of an open
+    point y open input open_in[k].  equations[a][z] holds the
+    annihilators of degree at most `degree` that keystream bit z leaves
+    at pattern a, as read-only rows of ANF coefficients over
+    _collapse_terms; count sums their number over the cases, every
+    (a, y) with z = f(a, y)."""
+    tables = function.table[_spread(known_in)[:, None]
+                            | _spread(open_in)[None, :]]
+    columns = [sum(1 << i for i in term)
+               for term in _collapse_terms(len(open_in), degree)]
+    # bit z leaves the annihilators of f (z = 1) or of 1 + f (z = 0)
+    equations = tuple(
+        tuple(annihilators(t ^ z ^ 1, degree)[:, columns] for z in (0, 1))
+        for t in tables)
+    for eq in equations:
+        for a in eq:
+            a.setflags(write=False)
+    count = sum(int(t.sum()) * len(eq[1])
+                + (t.size - int(t.sum())) * len(eq[0])
+                for t, eq in zip(tables, equations))
+    return equations, count, tables.size
+
+
+def _collapse_stage(spec, order, idx):
+    """The collapse of the registers order[idx:] with order[:idx] known,
+    at the lowest degree that yields equations, or None when no degree
+    up to COLLAPSE_MAX_DEGREE does within COLLAPSE_MAX_MONOMIALS, or a
+    register it would solve feeds no input."""
+    if not all(spec.inputs_of_register(r) for r in order[idx:]):
+        return None
+    shared = _stage_fields(spec, order, idx)
+    bits = shared["m1"] + shared["m2"]
+    known_in, open_in = _split_inputs(spec, order[:idx])
+    for degree in range(1, COLLAPSE_MAX_DEGREE + 1):
+        monomials = sum(math.comb(bits, i) for i in range(degree + 1))
+        if monomials > COLLAPSE_MAX_MONOMIALS:
+            return None
+        _, count, cases = _restricted_annihilators(
+            spec.function, known_in, open_in, degree)
+        if count:
+            return CollapseStage(**shared, degree=degree, monomials=monomials,
+                                 per_bit=Fraction(count, cases))
+    return None
+
+
 def plan(spec, order=None):
-    """Per-stage cost model for recovering the registers in `order`: a
-    ScoredStage for each register but the last, a FinalStage for it.
+    """Per-stage cost model for recovering the registers in `order`.
+
+    Stage 1 is a ScoredStage.  From stage 2 on, the first stage whose
+    registers fit a collapse (_collapse_stage) solves them all and ends
+    the plan; until then each register gets a ScoredStage, and a last
+    register that no collapse fits gets a FinalStage, the direct search.
 
     The autocorrelation peak delta of the combining function feeds the
     worst-case sample counts: the guaranteed spectrum gap shrinks as
@@ -279,10 +432,14 @@ def plan(spec, order=None):
     delta = autocorrelation(spec.function).delta
     n = spec.n
     blowup = (1 - delta / (1 << n)) ** -4 if delta < (1 << n) else math.inf
-    stages = tuple(_stage(spec, order, idx, blowup)
-                   for idx in range(len(order)))
+    stages = []
+    for idx in range(len(order)):
+        collapse = _collapse_stage(spec, order, idx) if idx else None
+        stages.append(collapse or _stage(spec, order, idx, blowup))
+        if collapse:
+            break
     return AttackPlan(
-        spec=spec, order=order, stages=stages,
+        spec=spec, order=order, stages=tuple(stages),
         keystream_required=max(st.keystream_estimate for st in stages))
 
 
@@ -795,6 +952,161 @@ def final_direct_search(spec, ks, known):
 
 
 # --------------------------------------------------------------------------
+# the collapse: every open register from one GF(2) elimination
+
+
+def _collapse_forms(spec, stage, lo, hi):
+    """(hi - lo, open inputs, m) bits, m = m1 + m2: each open input's
+    value at the time steps [lo, hi) as a linear form over the open
+    state, which holds register stage.registers[k] at the summed length
+    of those before it.  Open inputs come in ascending input order."""
+    lengths = [spec.lfsrs[r].length for r in stage.registers]
+    offsets = dict(zip(stage.registers, accumulate([0, *lengths])))
+    wired = sorted((j, r, p) for r in stage.registers
+                   for j, p in spec.inputs_of_register(r))
+    forms = np.zeros((hi - lo, len(wired), sum(lengths)), dtype=np.uint8)
+    for i, (_, r, p) in enumerate(wired):
+        lf = spec.lfsrs[r]
+        masks = residue_powers(lf.feedback, hi + p)[lo + p:]
+        forms[:, i, offsets[r]:offsets[r] + lf.length] = (
+            masks[:, None] >> np.arange(lf.length, dtype=masks.dtype)) & 1
+    return forms
+
+
+def _collapse_rows(spec, stage, patterns, bits, window):
+    """The collapse's rows in gf2.solve_linear's layout for the keystream
+    bits [0, window), built one slab of time steps at a time.
+
+    At time t, pattern patterns[t] and bit bits[t] select the
+    annihilators equations[pattern][bit] of _restricted_annihilators;
+    each row is one of them evaluated on the open inputs' linear forms.
+    Variable i < m is state bit i; the variables above it are the
+    products of two state bits u < v, in np.triu_indices order.  Each
+    monomial of _collapse_terms expands to one vector: the constant to
+    the right-hand side, an input to its form, a product of two inputs
+    a * b to a_u b_v + a_v b_u on each pair u < v and, as x * x = x, to
+    a_u b_u on each single bit u.
+    """
+    m = stage.m1 + stage.m2
+    nvars = stage.monomials - 1
+    known_in, open_in = _split_inputs(spec, stage.known)
+    equations, _, _ = _restricted_annihilators(spec.function, known_in,
+                                               open_in, stage.degree)
+    terms = _collapse_terms(len(open_in), stage.degree)
+    pair_u, pair_v = np.triu_indices(m, 1)
+    step = max(1, _COLLAPSE_SLAB // (len(terms) * (nvars + 1)))
+    for lo in range(0, window, step):
+        hi = min(window, lo + step)
+        forms = _collapse_forms(spec, stage, lo, hi)
+        expanded = np.zeros((hi - lo, len(terms), nvars + 1), dtype=np.uint8)
+        if stage.degree > 1:
+            # each form's bits at the first and the second state bit of
+            # every pair u < v
+            at_u, at_v = forms[:, :, pair_u], forms[:, :, pair_v]
+        for k, ins in enumerate(terms):
+            if not ins:
+                expanded[:, k, nvars] = 1
+            elif len(ins) == 1:
+                expanded[:, k, :m] = forms[:, ins[0]]
+            else:
+                i, j = ins
+                expanded[:, k, :m] = forms[:, i] & forms[:, j]
+                expanded[:, k, m:nvars] = (at_u[:, i] & at_v[:, j]
+                                           ^ at_v[:, i] & at_u[:, j])
+        # a float32 product on BLAS is exact here: every sum counts at
+        # most len(terms) ones
+        expanded = expanded.astype(np.float32)
+        keys = patterns[lo:hi] << 1 | bits[lo:hi]
+        for key in np.unique(keys).tolist():
+            coeffs = equations[key >> 1][key & 1]
+            if not coeffs.size:
+                continue
+            rows = np.matmul(coeffs.astype(np.float32),
+                             expanded[keys == key]).astype(np.uint8) & 1
+            packed = np.packbits(rows.reshape(-1, nvars + 1), axis=1,
+                                 bitorder="little")
+            raw, width = packed.tobytes(), packed.shape[1]
+            for at in range(0, len(raw), width):
+                yield int.from_bytes(raw[at:at + width], "little")
+
+
+def _collapse(spec, ks, known, stage):
+    """collapse_solve's states, the rank reached (None when the rows are
+    inconsistent) and the window of the last solve, in bits."""
+    bits = Keystream.of(ks).bits
+    if set(known) != set(stage.known):
+        raise ValidationError(f"the collapse needs registers "
+                              f"{sorted(stage.known)} known, got "
+                              f"{sorted(known)}")
+    if bits.size < stage.window:
+        raise ValidationError(f"keystream has {bits.size} bits; the "
+                              f"collapse needs at least {stage.window}")
+    m = stage.m1 + stage.m2
+    known_in, _ = _split_inputs(spec, stage.known)
+    window = stage.window
+    while True:
+        words = input_words(spec, known, window)
+        patterns = np.zeros(window, dtype=np.intp)
+        for k, j in enumerate(known_in):
+            patterns |= ((words >> j) & 1).astype(np.intp) << k
+        solved = solve_linear(
+            _collapse_rows(spec, stage, patterns, bits, window),
+            stage.monomials - 1)
+        if solved is None:
+            return [], None, window
+        solution, null = solved
+        # free directions that move a state bit, as a reduced basis
+        free = []
+        for v in null:
+            v &= (1 << m) - 1
+            for b in free:
+                v = min(v, v ^ b)
+            if v:
+                free = sorted([*free, v], reverse=True)
+        if not free or window == bits.size:
+            break
+        window = min(2 * window, bits.size)
+    if len(free) > COLLAPSE_MAX_FREE:
+        raise ValidationError(
+            f"the collapse of registers {list(stage.registers)} leaves "
+            f"{len(free)} free directions in its state bits on all "
+            f"{bits.size} keystream bits, more than the "
+            f"{COLLAPSE_MAX_FREE} it enumerates")
+    found = []
+    for pick in range(1 << len(free)):
+        x = solution
+        for k, v in enumerate(free):
+            if pick >> k & 1:
+                x ^= v
+        states = {}
+        for r in stage.registers:
+            length = spec.lfsrs[r].length
+            states[r] = x & ((1 << length) - 1)
+            x >>= length
+        got = spec.function.table[words | input_words(spec, states, window)]
+        if np.array_equal(got, bits[:window]):
+            found.append(states)
+    found.sort(key=lambda st: [st[r] for r in sorted(st)])
+    return found, stage.monomials - 1 - len(null), window
+
+
+def collapse_solve(spec, ks, known, stage):
+    """Solve every register of a CollapseStage from `known` (register ->
+    state, exactly stage.known) by one GF(2) elimination.
+
+    The rows of stage.window keystream bits (_collapse_rows) go to
+    gf2.solve_linear; the states are the solution's first m bits.  While
+    free variables still move a state bit, the window doubles up to the
+    keystream's length; then every assignment of those free directions
+    (at most 2**COLLAPSE_MAX_FREE, else ValidationError) is kept if it
+    regenerates every bit of the window.  Returns the kept states as
+    dicts (register -> state), ascending; an inconsistent system, as a
+    wrong known state gives, returns [].
+    """
+    return _collapse(spec, ks, known, stage)[0]
+
+
+# --------------------------------------------------------------------------
 # full attack driver
 
 
@@ -809,6 +1121,10 @@ class StageReport:
     relations_raw: int = 0
     relations_used: int = 0
     warnings: tuple = ()
+    # a collapse's rank reached (None if its rows are inconsistent) and
+    # the window of its last solve, in bits
+    rank: int | None = None
+    window: int = 0
 
 
 @dataclass
@@ -829,8 +1145,8 @@ def search_stage_multiples(spec, stage, ks_len):
     lowest-degree prefix of them that meets it); run_attack caches that.
     """
     if not isinstance(stage, ScoredStage):
-        raise ValidationError("the final stage uses direct search, not "
-                              "multiples")
+        raise ValidationError("the final stage uses direct search or the "
+                              "collapse, not multiples")
     modulus = product_modulus([spec.lfsrs[r].feedback for r in stage.group2])
     raw_target = stage.raw_target
     # the collision scan needs distinct residues, so never look past
@@ -904,7 +1220,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     Stages follow the plan's order; at each stage the top_k candidates
     are tried depth-first, so a stage-1 miss can be repaired by
     backtracking, and the recovered state must regenerate the keystream
-    exactly.  Each scored stage's multiples are harvested once, before
+    exactly; a collapse stage tries each of its solutions.  Each scored
+    stage's multiples are harvested once, before
     the search, lowest degree first up to its raw relation target: from
     `multiples` (stage index -> list of Weight4Multiple), else from
     `cache_dir` if they reach the target, else by a search saved to
@@ -915,8 +1232,9 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     2**split_bits prefix passes; a stage of m1 bits splits only the
     max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
     table fits scores in one pass.  A top_k below 1, a split_bits
-    outside [0, M] or a final stage that FinalStage.check refuses is
-    rejected before any work.
+    outside [0, M] or a last stage whose check refuses the keystream
+    (a direct search past its register limit, a window longer than the
+    keystream) is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
@@ -966,19 +1284,26 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 relations_raw=raw.total,
                 relations_used=eqs.total, candidates=tuple(ranked),
                 seconds=time.perf_counter() - t0, warnings=warnings))
-            values = [c.candidate for c in ranked]
+            branches = [{stage.target: c.candidate} for c in ranked]
+        elif isinstance(stage, CollapseStage):
+            branches, rank, window = _collapse(spec, ks, known, stage)
+            result.reports.append(StageReport(
+                stage=idx, target=stage.target, known=dict(known),
+                candidates=tuple(branches), rank=rank, window=window,
+                seconds=time.perf_counter() - t0))
         else:
             values = final_direct_search(spec, ks, known)
             result.reports.append(StageReport(
                 stage=idx, target=stage.target, known=dict(known),
                 candidates=tuple(values[:top_k]),
                 seconds=time.perf_counter() - t0))
-        for rank, value in enumerate(values):
+            branches = [{stage.target: v} for v in values]
+        for i, branch in enumerate(branches):
             # a runner-up of a scored stage is a backtrack; another
-            # survivor of the direct search is not
-            if rank and isinstance(stage, ScoredStage):
+            # solution of a collapse or a direct search is not
+            if i and isinstance(stage, ScoredStage):
                 result.backtracks += 1
-            found = solve(idx + 1, {**known, stage.target: value})
+            found = solve(idx + 1, {**known, **branch})
             if found is not None:
                 return found
         return None

@@ -36,6 +36,8 @@ _FWHT_SLAB = 1 << 17
 _BLAS_PRODUCT = 1 << 18
 # Each float type with the bound below which it holds every integer.
 _FLOAT_EXACT = ((np.float32, 1 << 24), (np.float64, 1 << 53))
+# Support points per slab of annihilator equations.
+_ANNIHILATOR_SLAB = 1 << 12
 
 
 def fwht(table, bound=None):
@@ -398,6 +400,41 @@ def check_p_spectrum_bounds(f):
     min_gap = Fraction(min_gap_num, spec.denominator)
     gap_bound = Fraction(((1 << n) - delta) ** 2, 1 << (3 * n + 1))
     return PSpectrumBounds(n, delta, p0, p0_bound, min_gap, gap_bound)
+
+
+def annihilators(table, degree):
+    """A basis of the functions g of degree at most `degree` that vanish
+    wherever the 0/1 truth table is 1, as rows of ANF coefficients:
+    entry u of a row is the coefficient of the monomial prod_{j in u} x_j,
+    so every row is 0 outside the masks of weight <= degree.
+
+    The monomial u is 1 at x exactly when u is a subset of x, so each
+    point of the table's support is one homogeneous equation over the
+    monomials, and the basis is the null space of those equations.
+    """
+    from .gf2 import solve_linear  # gf2 imports this module
+
+    table = np.asarray(table)
+    size = table.size
+    if table.ndim != 1 or size == 0 or size & (size - 1):
+        raise ValidationError(f"table length {size} is not a power of two")
+    masks = np.flatnonzero(np.bitwise_count(np.arange(size)) <= degree)
+    support = np.flatnonzero(table)
+
+    def rows():
+        # a slab of points at a time, as the solver stops at full rank
+        for lo in range(0, support.size, _ANNIHILATOR_SLAB):
+            x = support[lo:lo + _ANNIHILATOR_SLAB, None]
+            packed = np.packbits((x & masks) == masks, axis=1,
+                                 bitorder="little")
+            yield from (int.from_bytes(row.tobytes(), "little")
+                        for row in packed)
+
+    _, null = solve_linear(rows(), masks.size)
+    basis = np.zeros((len(null), size), dtype=np.uint8)
+    for k, v in enumerate(null):
+        basis[k, masks[[i for i in range(masks.size) if v >> i & 1]]] = 1
+    return basis
 
 
 def resiliency_order(f):

@@ -125,6 +125,7 @@ def cmd_attack(args):
     for r, part in enumerate(spec.split_state(result.state)):
         print(f"  register {r}: 0x{part:x}")
     for rep in result.reports:
+        stage = ap.stages[rep.stage]
         if rep.multiples:
             print(f"stage {rep.stage + 1} (register {rep.target}): "
                   f"{rep.relations_used} relations from "
@@ -132,6 +133,14 @@ def cmd_attack(args):
             print(attack.candidates_tsv(rep.candidates))
             for w in rep.warnings:
                 print(f"  warning: {w}")
+        elif isinstance(stage, attack.CollapseStage):
+            rank = ("inconsistent" if rep.rank is None
+                    else f"rank {rep.rank}")
+            print(f"stage {rep.stage + 1} (registers "
+                  f"{list(stage.registers)}): collapse of degree "
+                  f"{stage.degree} over {stage.monomials} monomials, {rank} "
+                  f"on a {rep.window}-bit window, {len(rep.candidates)} "
+                  f"solution(s), {rep.seconds:.2f}s")
         else:
             print(f"stage {rep.stage + 1} (register {rep.target}): direct "
                   f"search, {len(rep.candidates)} survivor(s), "

@@ -159,6 +159,52 @@ def poly_is_primitive(p):
     return all(x_power_mod(order // q, p) != 1 for q in _prime_factors(order))
 
 
+def solve_linear(rows, nvars):
+    """One solution of a linear system over GF(2), and its null space.
+
+    Each row is a Python int: bit i < nvars is the coefficient of
+    variable i and bit nvars the right-hand side.  Rows are read one at
+    a time and reduced against one pivot per leading bit; reading stops
+    at full rank, so rows past that point are never checked.  Returns
+    None when a row reduces to 0 = 1, else (solution, null): solution
+    has every free variable 0, and null holds one vector per free
+    variable (that variable 1, the other free ones 0), so the solutions
+    of the rows read are solution XOR any sum of null vectors.
+    """
+    if nvars < 0:
+        raise ValidationError(f"nvars must be nonnegative, got {nvars}")
+    # inside, variable i sits at bit i + 1 and the right-hand side at bit
+    # 0, so a row's bit length names its leading variable's pivot slot
+    # and a row of bit length 1 says 0 = 1
+    mask = (1 << nvars) - 1
+    pivots = [0] * (nvars + 1)
+    rank = 0
+    for row in rows:
+        row = (row & mask) << 1 | (row >> nvars & 1)
+        lead = row.bit_length()
+        while lead > 1 and pivots[lead - 1]:
+            row ^= pivots[lead - 1]
+            lead = row.bit_length()
+        if lead == 1:
+            return None
+        if lead:
+            pivots[lead - 1] = row
+            rank += 1
+            if rank == nvars:
+                break
+    # back substitution, lowest pivot first: a pivot row's other
+    # variables all sit below its leading one
+    solution, null = 0, []
+    for i in range(1, nvars + 1):
+        row = pivots[i]
+        if row:
+            solution |= ((row ^ (row & solution).bit_count()) & 1) << i
+            null = [v | ((row & v).bit_count() & 1) << i for v in null]
+        else:
+            null.append(1 << i)
+    return solution >> 1, [v >> 1 for v in null]
+
+
 # --- residue tables -------------------------------------------------------
 #
 # X**t mod P for consecutive t, stored at the register's width: the

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import attack, presets
 
 
 def pytest_collection_modifyitems(config, items):
@@ -24,3 +24,10 @@ def toy():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def no_collapse(monkeypatch):
+    """Plans without the collapse, as before it: a scored stage for every
+    register but the last, and the direct search for the last."""
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 0)

@@ -23,7 +23,7 @@ from combgen.boolfn import (BooleanFunction, check_p_spectrum_bounds, fwht,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function)
 from combgen.cli import _balanced_tables_3, main
-from combgen.errors import AttackExhaustedError
+from combgen.errors import AttackExhaustedError, ValidationError
 from combgen.gf2 import (GeneratorSpec, LfsrSpec, keystream,
                          poly_is_primitive, poly_mul, random_state)
 from combgen.multiples import (expected_count, find_weight4,
@@ -206,9 +206,9 @@ def test_06_scoring_paths_agree_exactly():
 def test_07_toy_recovery_nine_of_ten(toy):
     ap = attack.plan(toy, (0, 1, 2))
     length = 1 << 19
-    mults = {idx: list(attack.search_stage_multiples(toy, ap.stages[idx],
-                                                     length)[1])
-             for idx in (0, 1)}
+    mults = {idx: list(attack.search_stage_multiples(toy, st, length)[1])
+             for idx, st in enumerate(ap.stages)
+             if isinstance(st, attack.ScoredStage)}
     expected_bias = float(2 * (p_spectrum(toy.function).p0 - Fraction(1, 2)))
     rng = np.random.default_rng(0xACCE55)
     wins = 0
@@ -276,6 +276,47 @@ def test_09_joint_multiple_cancels_every_register(toy):
     assert frac == 1.0
     print(f"check 09 PASS: joint multiples zero the full input sum on "
           f"{eqs.total} of {eqs.total} relations")
+
+
+def test_13_paper_instance_collapses_after_register_0(monkeypatch):
+    # with register 0 known, f = a*phi(b) is affine in the a block at
+    # every pattern, so registers 1 and 2 (68 bits) fall to one degree-1
+    # elimination over a few hundred keystream bits
+    spec = presets.generator_29_31_37()
+    ap = attack.plan(spec, (0, 1, 2))
+    assert len(ap.stages) == 2
+    collapse = ap.stages[1]
+    assert isinstance(collapse, attack.CollapseStage)
+    assert (collapse.registers, collapse.degree, collapse.monomials) == (
+        (1, 2), 1, 69)
+    assert collapse.per_bit == 1 and collapse.window == 2 * 69 + 40
+    rng = np.random.default_rng(0x29_31_37)
+    for _ in range(3):
+        state = random_state(spec, rng)
+        parts = spec.split_state(state)
+        ks = keystream(spec, state, collapse.window)
+        t0 = time.perf_counter()
+        got = attack.collapse_solve(spec, ks, {0: parts[0]}, collapse)
+        assert time.perf_counter() - t0 < 1.0
+        assert got == [{1: parts[1], 2: parts[2]}]
+    # started from register 1, stage 2 needs degree 3 and stays scored;
+    # the 29-bit register 0 then collapses, where the direct search
+    # stops at 26 bits
+    ap = attack.plan(spec, (1, 2, 0))
+    assert [type(st).__name__ for st in ap.stages] == [
+        "ScoredStage", "ScoredStage", "CollapseStage"]
+    last = ap.stages[-1]
+    assert (last.registers, last.known, last.degree) == ((0,), (1, 2), 1)
+    assert last.m1 > attack.FINAL_SEARCH_MAX_BITS
+    last.check(3, last.window)
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 0)
+    final = attack.plan(spec, (1, 2, 0)).stages[-1]
+    assert isinstance(final, attack.FinalStage) and final.target == 0
+    with pytest.raises(ValidationError, match="limited to 26-bit"):
+        final.check(3, 1 << 20)
+    print(f"check 13 PASS: registers 1 and 2 of the paper instance from "
+          f"{collapse.window} bits by one {collapse.monomials}-monomial "
+          f"elimination; order (1, 2, 0) ends in a 29-bit collapse")
 
 
 @pytest.mark.large_scale

@@ -5,6 +5,7 @@ filter) where everything is small enough for exact oracles.
 """
 
 import math
+from fractions import Fraction
 from itertools import groupby, permutations
 
 import numpy as np
@@ -70,7 +71,8 @@ def single_register_spec():
 
 # ------------------------------------------------------------------- plan
 
-# describe() of three plans, pinned byte for byte: the toy and the
+# describe() of three plans, pinned byte for byte: the toy without the
+# collapse (its plan with the collapse is pinned in test_cli.py) and the
 # paper instance in two orders, each with the ordering comparison
 DESCRIBE_TOY = "\n".join([
     'attack plan, target order [0, 1, 2]',
@@ -79,7 +81,6 @@ DESCRIBE_TOY = "\n".join([
     '  samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   '
     '(n1=2)',
     '  worst-case spectrum-gap figures: S = 697933, N = 2791729',
-    '  expected false survivors ~ 1.00',
     '  keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many '
     'multiples -> 1522 bits = 2^10.57 (190 B); planned 1522 bits = '
     '2^10.57 (190 B)',
@@ -89,7 +90,6 @@ DESCRIBE_TOY = "\n".join([
     '  samples S = 90112 = 2^16.46   equations N = 360448 = 2^18.46   '
     '(n1=2)',
     '  worst-case spectrum-gap figures: S = 590559, N = 2362233',
-    '  expected false survivors ~ 1.00',
     '  keystream: one multiple -> 1441807 bits = 2^20.46 (176 KB); many '
     'multiples -> 307 bits = 2^8.26 (38 B); planned 307 bits = 2^8.26 '
     '(38 B)',
@@ -120,24 +120,14 @@ DESCRIBE_FULL_012 = "\n".join([
     '  samples S = 15204352 = 2^23.86   equations N = 121634816 = '
     '2^26.86   (n1=3)',
     '  worst-case spectrum-gap figures: S = 243269632, N = 1946157056',
-    '  expected false survivors ~ 1.00',
     '  keystream: one multiple -> 133733283 bits = 2^26.99 (15.94 MB); '
     'many multiples -> 25619445 bits = 2^24.61 (3.05 MB); planned '
     '25619445 bits = 2^24.61 (3.05 MB)',
     '  search: time 2^36.86, memory 2^29.00 counters; tradeoff endpoint '
     'time 2^54.86, memory 2^25.86',
-    'stage 2: register 1 (m1=31)  known=[0]  cancelled=[2] (m2=37, n2=3)',
-    '  samples S = 16252928 = 2^23.95   equations N = 130023424 = '
-    '2^26.95   (n1=3)',
-    '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
-    '  expected false survivors ~ 1.00',
-    '  keystream: one multiple -> 1040196770 bits = 2^29.95 (124.00 MB); '
-    'many multiples -> 203517 bits = 2^17.63 (25 KB); planned 203517 '
-    'bits = 2^17.63 (25 KB)',
-    '  search: time 2^38.95, memory 2^31.00 counters; tradeoff endpoint '
-    'time 2^56.95, memory 2^25.95',
-    'stage 3: register 2 (m1=37)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
-    '  direct search over 2^37 states on a window of 77 bits',
+    'stage 2: registers [1, 2] (m=68)  known=[0]',
+    '  collapse: degree 1 over 69 monomials, 1.000 equations per keystream '
+    'bit, window of 178 bits',
     'total keystream required: 25619445 bits = 2^24.61 (3.05 MB)',
     'first-stage cost by ordering:',
     '  order      m1  n1  m2     N                keystream',
@@ -167,7 +157,6 @@ DESCRIBE_FULL_120 = "\n".join([
     '  samples S = 16252928 = 2^23.95   equations N = 130023424 = '
     '2^26.95   (n1=3)',
     '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
-    '  expected false survivors ~ 1.00',
     '  keystream: one multiple -> 137644981 bits = 2^27.04 (16.41 MB); '
     'many multiples -> 18420256 bits = 2^24.13 (2.20 MB); planned '
     '18420256 bits = 2^24.13 (2.20 MB)',
@@ -177,14 +166,14 @@ DESCRIBE_FULL_120 = "\n".join([
     '  samples S = 19398656 = 2^24.21   equations N = 155189248 = '
     '2^27.21   (n1=3)',
     '  worst-case spectrum-gap figures: S = 310378496, N = 2483027968',
-    '  expected false survivors ~ 1.00',
     '  keystream: one multiple -> 1241515461 bits = 2^30.21 (148.00 MB); '
     'many multiples -> 53181 bits = 2^15.70 (6 KB); planned 53181 bits = '
     '2^15.70 (6 KB)',
     '  search: time 2^45.21, memory 2^37.00 counters; tradeoff endpoint '
     'time 2^63.21, memory 2^26.21',
-    'stage 3: register 0 (m1=29)  known=[1, 2]  cancelled=[] (m2=0, n2=0)',
-    '  direct search over 2^29 states on a window of 69 bits',
+    'stage 3: registers [0] (m=29)  known=[1, 2]',
+    '  collapse: degree 1 over 30 monomials, 0.328 equations per keystream '
+    'bit, window of 223 bits',
     'total keystream required: 18420256 bits = 2^24.13 (2.20 MB)',
     'first-stage cost by ordering:',
     '  order      m1  n1  m2     N                keystream',
@@ -215,10 +204,14 @@ def test_plan_toy_parameters(toy):
     assert s1.samples_required == 13 * 2 ** 13
     assert s1.equations_required == 13 * 2 ** 15
     assert s1.equations_required == s1.samples_required << s1.n1
-    assert s1.expected_false_survivors == pytest.approx(1.0)
-    assert ap.stages[-1].is_final and not ap.stages[-1].group2
-    targets = [s.target for s in ap.stages]
-    assert sorted(targets) == [0, 1, 2]
+    # registers 1 and 2 fall to one degree-2 collapse over their 20 bits
+    last = ap.stages[-1]
+    assert len(ap.stages) == 2 and last.is_final
+    assert isinstance(last, attack.CollapseStage)
+    assert (last.registers, last.known, last.degree) == ((1, 2), (0,), 2)
+    assert last.monomials == 1 + 20 + 190
+    assert last.per_bit == Fraction(5, 2)
+    assert last.window == math.ceil(2 * 211 / 2.5) + 40 == 209
 
 
 def test_plan_group2_is_union_of_later_targets(toy):
@@ -238,14 +231,17 @@ def test_plan_rejects_bad_order(toy):
 
 def test_plan_describe_mentions_each_stage(toy):
     text = plan(toy).describe()
-    assert "stage 1" in text and "direct search" in text
+    assert "stage 1" in text
+    assert "collapse: degree 2 over 211 monomials" in text
     assert f"N = {13 * 2 ** 15}" in text
 
 
 @pytest.mark.parametrize("order, expected", [
     (None, DESCRIBE_TOY), ((0, 1, 2), DESCRIBE_FULL_012),
     ((1, 2, 0), DESCRIBE_FULL_120)])
-def test_plan_describe_is_pinned(order, expected):
+def test_plan_describe_is_pinned(order, expected, request):
+    if order is None:
+        request.getfixturevalue("no_collapse")
     spec = (presets.toy_generator() if order is None
             else presets.generator_29_31_37())
     assert plan(spec, order).describe() == expected
@@ -268,10 +264,10 @@ def test_plan_builds_the_other_orders_only_when_read(toy, monkeypatch):
         return scored_stage(**fields)
     monkeypatch.setattr(attack, "ScoredStage", counted)
     ap = plan(toy)
-    assert built == [0, 1]
+    assert built == [0]
     assert [order for order, _ in ap.orderings] == list(
         permutations(range(3)))
-    assert built == [0, 1, 0, 0, 1, 1, 2, 2]
+    assert built == [0, 0, 0, 1, 1, 2, 2]
 
 
 def chain_spec(count):
@@ -1115,6 +1111,139 @@ def test_final_direct_search_needs_one_unknown(toy):
         final_direct_search(toy, ks, {0: 1})
 
 
+# ---------------------------------------------------------------- collapse
+
+
+def last_register_collapse(spec, monkeypatch):
+    """The collapse of register 2 alone, registers 0 and 1 known: a cap
+    of 100 monomials leaves out the 211 of registers 1 and 2 together."""
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 100)
+    stage = plan(spec).stages[-1]
+    assert isinstance(stage, attack.CollapseStage)
+    assert (stage.registers, stage.known, stage.degree) == ((2,), (0, 1), 1)
+    return stage
+
+
+@pytest.mark.parametrize("which", ["toy", "random"])
+def test_collapse_equals_direct_search_on_the_last_register(toy, monkeypatch,
+                                                            which):
+    # for five keys, with the true known states and with a corrupt one,
+    # the collapse keeps exactly the states the direct search keeps
+    rng = np.random.default_rng(29)
+    spec = toy if which == "toy" else random_three_register_spec(
+        rng, (12, 10, 9))
+    stage = last_register_collapse(spec, monkeypatch)
+    assert stage.per_bit > 0 and stage.monomials == 10
+    for _ in range(5):
+        state = gf2.random_state(spec, rng)
+        parts = spec.split_state(state)
+        ks = keystream(spec, state, 400)
+        for known in ({0: parts[0], 1: parts[1]},
+                      {0: parts[0] ^ 5, 1: parts[1]}):
+            want = final_direct_search(spec, ks, known)
+            got = attack.collapse_solve(spec, ks, known, stage)
+            assert [s[2] for s in got] == want
+            assert all(set(s) == {2} for s in got)
+        # the corrupt register 0 leaves no state either way
+        assert want == []
+        assert attack.collapse_solve(spec, ks, {0: parts[0], 1: parts[1]},
+                                     stage) == [{2: parts[2]}]
+
+
+def test_collapse_rejects_every_wrong_register_0(toy):
+    # registers 1 and 2 from register 0's state: the true one gives the
+    # truth, each of 40 wrong ones an inconsistent or refuted system
+    stage = plan(toy).stages[1]
+    parts = toy.split_state(TRUE_KEY)
+    ks = toy_keystream(toy, 1 << 12)
+    assert attack.collapse_solve(toy, ks, {0: parts[0]}, stage) == [
+        {1: parts[1], 2: parts[2]}]
+    rng = np.random.default_rng(31)
+    for wrong in rng.choice(np.arange(1, 1 << 13), 40, replace=False):
+        if wrong != parts[0]:
+            assert attack.collapse_solve(toy, ks, {0: int(wrong)},
+                                         stage) == []
+
+
+def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
+    # stage 1 ranks the truth third: the collapse under each of the two
+    # wrong register-0 states yields no solution, so nothing reaches
+    # the regeneration check but the true state
+    true0 = toy.split_state(TRUE_KEY)[0]
+    real_score = attack.score_stage
+    regenerated = []
+    real_keystream = attack.keystream
+
+    def demoted_score(spec, target, eqs, top_k, split_bits):
+        ranked = real_score(spec, target, eqs, top_k, split_bits)
+        rest = [c for c in ranked if c.candidate != true0]
+        return rest[:2] + [c for c in ranked if c.candidate == true0]
+
+    def counted_keystream(spec, state, count):
+        regenerated.append(state)
+        return real_keystream(spec, state, count)
+
+    monkeypatch.setattr(attack, "score_stage", demoted_score)
+    monkeypatch.setattr(attack, "keystream", counted_keystream)
+    result = run_attack(toy, toy_keystream(toy))
+    assert result.state == TRUE_KEY and result.backtracks == 2
+    collapses = [r for r in result.reports if r.stage == 1]
+    assert [r.known[0] for r in collapses][-1] == true0
+    assert [len(r.candidates) for r in collapses] == [0, 0, 1]
+    assert regenerated == [TRUE_KEY]
+
+
+def test_collapse_doubles_then_enumerates_free_directions(toy, monkeypatch):
+    # a solver that always leaves state bit 0 free: the window doubles up
+    # to the keystream's end, both assignments are tried and only the
+    # true one regenerates the window; with no free direction allowed,
+    # the collapse refuses
+    stage = plan(toy).stages[1]
+    parts = toy.split_state(TRUE_KEY)
+    ks = toy_keystream(toy, 4 * stage.window)
+    windows = []
+    solve = attack.solve_linear
+
+    def leaving_bit_0_free(rows, nvars):
+        rows = list(rows)
+        windows.append(len(rows))
+        solution, null = solve(rows, nvars)
+        return solution, [*null, 1]
+
+    monkeypatch.setattr(attack, "solve_linear", leaving_bit_0_free)
+    found, rank, window = attack._collapse(toy, ks, {0: parts[0]}, stage)
+    assert found == [{1: parts[1], 2: parts[2]}]
+    assert window == 4 * stage.window and len(windows) == 3
+    assert windows[0] < windows[1] < windows[2]
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_FREE", 0)
+    with pytest.raises(ValidationError, match="1 free directions"):
+        attack.collapse_solve(toy, ks, {0: parts[0]}, stage)
+
+
+@pytest.mark.parametrize("nbits", [0, 208])
+def test_run_attack_rejects_keystream_below_collapse_window(toy, monkeypatch,
+                                                            nbits):
+    # the toy's collapse of registers 1 and 2 needs its 209-bit window;
+    # nothing may be searched or harvested first
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the keystream length")
+
+    monkeypatch.setattr(attack, "search_stage_multiples", no_work)
+    monkeypatch.setattr(attack, "harvest_equations", no_work)
+    with pytest.raises(ValidationError, match=r"collapse of registers "
+                       r"\[1, 2\] \(stage 2\) needs at least 209"):
+        run_attack(toy, toy_keystream(toy, nbits))
+
+
+def test_collapse_input_checks(toy):
+    stage = plan(toy).stages[1]
+    ks = toy_keystream(toy, 1 << 10)
+    with pytest.raises(ValidationError, match=r"registers \[0\] known"):
+        attack.collapse_solve(toy, ks, {0: 1, 1: 1}, stage)
+    with pytest.raises(ValidationError, match="at least 209"):
+        attack.collapse_solve(toy, ks[:208], {0: 1}, stage)
+
+
 # -------------------------------------------------------------- run_attack
 
 
@@ -1124,8 +1253,12 @@ def test_run_attack_recovers_exact_state(toy):
     assert result.success
     assert result.state == TRUE_KEY
     assert keystream(toy, result.state, len(ks)) == ks
-    assert [r.target for r in result.reports[-3:]] == [0, 1, 2]
-    assert result.reports[-1].multiples == ()
+    parts = toy.split_state(TRUE_KEY)
+    collapse = result.reports[-1]
+    assert [r.stage for r in result.reports[-2:]] == [0, 1]
+    assert collapse.multiples == () and collapse.known == {0: parts[0]}
+    assert collapse.candidates == ({1: parts[1], 2: parts[2]},)
+    assert (collapse.rank, collapse.window) == (210, 209)
 
 
 def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
@@ -1137,7 +1270,8 @@ def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
     assert result.success and result.state == TRUE_KEY
 
 
-def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch):
+def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch,
+                                                          no_collapse):
     # 40,684 multiples of the 9-bit register's feedback, all usable for
     # stage 2: the pick verifies only those it reaches, and harvests the
     # same groups as the whole pool
@@ -1161,7 +1295,7 @@ def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch):
         for g in harvest_equations(ks, pool, stage.raw_target).groups]
 
 
-def test_run_attack_same_candidates_at_every_split(toy):
+def test_run_attack_same_candidates_at_every_split(toy, no_collapse):
     ks = toy_keystream(toy, 1 << 18)
     ap = plan(toy)
     mults = {0: list(stage1_multiples(toy, 2500)),
@@ -1180,7 +1314,7 @@ def test_run_attack_same_candidates_at_every_split(toy):
 @pytest.mark.parametrize("split, expected", [(2, {0: 2, 1: 0}),
                                              (3, {0: 3, 1: 1})])
 def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
-                                                      expected):
+                                                      expected, no_collapse):
     # split_bits budgets the 13-bit stage 1 a 2**(13 - split)-entry row;
     # the 11-bit stage 2 splits only the bits that do not fit in it
     calls = []
@@ -1199,7 +1333,8 @@ def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
     assert len(set(calls)) == 2 and dict(calls) == expected
 
 
-def test_split_beyond_a_shorter_stage_recovers_the_same_state(toy):
+def test_split_beyond_a_shorter_stage_recovers_the_same_state(toy,
+                                                              no_collapse):
     # split 12 leaves the 13-bit stage 1 a 2-entry row and splits the
     # 11-bit stage 2 by 10 bits: only the longest stage bounds the split.
     # Four and sixteen multiples on 2**14 bits give each stage about
@@ -1246,7 +1381,8 @@ def filtered_toy_stage2(toy):
 
 
 @pytest.mark.parametrize("split", [0, 2])
-def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split):
+def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split,
+                                              no_collapse):
     # filtered toy stage 2: stored bases and classes, walked 7 at a time
     stage = plan(toy).stages[1]
     eqs = filtered_toy_stage2(toy)
@@ -1407,9 +1543,11 @@ def test_run_attack_rejects_bad_split_before_work(toy, monkeypatch, split):
         run_attack(toy, toy_keystream(toy, 1 << 16), split_bits=split)
 
 
-def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch):
-    # the paper instance's last register has 37 bits, beyond the final
-    # direct search; nothing may be searched or harvested first
+def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch,
+                                                               no_collapse):
+    # without the collapse, the paper instance's last register has 37
+    # bits, beyond the final direct search; nothing may be searched or
+    # harvested first
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking the final stage")
 
@@ -1422,9 +1560,9 @@ def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch):
 
 @pytest.mark.parametrize("nbits", [0, 1, 48])
 def test_run_attack_rejects_keystream_below_final_window(toy, monkeypatch,
-                                                         nbits):
-    # the final stage's 9-bit register needs a 9 + 40 = 49-bit window;
-    # nothing may be searched or harvested first
+                                                         nbits, no_collapse):
+    # without the collapse, the final stage's 9-bit register needs a
+    # 9 + 40 = 49-bit window; nothing may be searched or harvested first
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking the keystream length")
 
@@ -1453,7 +1591,7 @@ def test_run_attack_exhausts_on_unrelated_bits(toy):
     assert info.value.result.backtracks > 0
 
 
-def test_backtrack_searches_each_stage_once(toy, monkeypatch):
+def test_backtrack_searches_each_stage_once(toy, monkeypatch, no_collapse):
     # the true stage-1 candidate is forced to rank third, so stage 2 is
     # visited three times; its multiples and relations are made once
     true0 = toy.split_state(TRUE_KEY)[0]
@@ -1482,7 +1620,8 @@ def test_backtrack_searches_each_stage_once(toy, monkeypatch):
     assert [r.target for r in result.reports if r.multiples].count(1) == 3
 
 
-def test_run_attack_drops_multiples_that_cancel_the_target(toy):
+def test_run_attack_drops_multiples_that_cancel_the_target(toy,
+                                                            no_collapse):
     # stage 1's multiples of P11*P9 cancel register 2 but also stage 2's
     # target, register 1, so every stage-2 candidate would tie
     ks = toy_keystream(toy)
@@ -1495,7 +1634,8 @@ def test_run_attack_drops_multiples_that_cancel_the_target(toy):
                               for m in stage2)
 
 
-def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch):
+def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch,
+                                     no_collapse):
     ks = toy_keystream(toy)
     first = run_attack(toy, ks, cache_dir=str(tmp_path))
     moduli = [product_modulus([toy.lfsrs[1], toy.lfsrs[2]]),
@@ -1514,7 +1654,7 @@ def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch):
 
 
 def test_run_attack_cache_serves_a_shorter_keystream_in_full(
-        toy, tmp_path, caplog):
+        toy, tmp_path, caplog, no_collapse):
     # a cache written on 2**19 bits holds few multiples; at 2**15 bits
     # they offer too few relations, so the stage searches again
     run_attack(toy, toy_keystream(toy), cache_dir=str(tmp_path))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from combgen import presets
+from combgen import boolfn, presets
 from combgen.boolfn import (BooleanFunction, autocorrelation,
                             check_p_spectrum_bounds, fwht, nonlinearity,
                             p_spectrum, p_spectrum_bruteforce,
@@ -509,3 +509,42 @@ class _no_warning:
 def test_input_checks_refuse(call, match):
     with pytest.raises(ValidationError, match=match):
         call()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_annihilators_equal_brute_force(n):
+    # every function of degree <= d that vanishes on the support, found
+    # by evaluating all of them, is exactly the span of the basis
+    rng = np.random.default_rng(n)
+    size = 1 << n
+    x = np.arange(size)
+    for degree in range(n + 1):
+        monomials = [u for u in range(size) if u.bit_count() <= degree]
+        # all 2**len(monomials) functions: bit i of a pick is the ANF
+        # coefficient of monomials[i]; monomial u is 1 at x when u is in x
+        picks = np.arange(1 << len(monomials))
+        values = np.zeros((picks.size, size), dtype=np.uint8)
+        for i, u in enumerate(monomials):
+            values ^= ((picks[:, None] >> i & 1)
+                       & ((x & u) == u)[None, :]).astype(np.uint8)
+        for _ in range(4):
+            table = rng.integers(0, 2, size, dtype=np.uint8)
+            want = set(picks[~np.any(values & table, axis=1)].tolist())
+            basis = boolfn.annihilators(table, degree)
+            assert basis.shape[1] == size
+            assert not np.any(np.delete(basis, monomials, axis=1))
+            span = {0}
+            for row in basis:
+                pick = sum(1 << i for i, u in enumerate(monomials) if row[u])
+                span |= {s ^ pick for s in span}
+            assert len(span) == 1 << len(basis)
+            assert span == want
+
+
+def test_annihilators_of_the_toy_filter():
+    # the toy's 6-input filter has algebraic immunity 3: no annihilator
+    # of f or 1 + f below degree 3
+    table = presets.toy_filter().table
+    assert boolfn.annihilators(table, 2).shape == (0, 64)
+    assert boolfn.annihilators(1 ^ table, 2).shape == (0, 64)
+    assert len(boolfn.annihilators(table, 3)) > 0

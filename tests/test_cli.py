@@ -159,6 +159,41 @@ def test_attack_plan_only_prints_parameters(toy_spec_file, capsys):
     assert "orderings differ in N as well as in keystream" in text
 
 
+# `combgen attack --plan-only` on the toy, pinned byte for byte: one
+# scored stage, then the collapse of registers 1 and 2
+PLAN_ONLY_TOY = """\
+attack plan, target order [0, 1, 2]
+stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, n2=4)
+  samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   (n1=2)
+  worst-case spectrum-gap figures: S = 697933, N = 2791729
+  keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many multiples \
+-> 1522 bits = 2^10.57 (190 B); planned 1522 bits = 2^10.57 (190 B)
+  search: time 2^18.70, memory 2^13.00 counters; tradeoff endpoint time \
+2^30.70, memory 2^17.70
+stage 2: registers [1, 2] (m=20)  known=[0]
+  collapse: degree 2 over 211 monomials, 2.500 equations per keystream bit, \
+window of 209 bits
+total keystream required: 1522 bits = 2^10.57 (190 B)
+first-stage cost by ordering:
+  order      m1  n1  m2     N                keystream
+  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57
+  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57
+  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01
+  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01
+  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44
+  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44
+note: equation counts N = m1 * 2^(2n+n1+1) scale with the first target's \
+length m1, so orderings differ in N as well as in keystream
+warning: an all-zero register state gives no usable statistic; candidate 0 \
+ranks last, so such keys are recovered only with top_k = 2**m1
+"""
+
+
+def test_attack_plan_only_toy_is_pinned(toy_spec_file, capsys):
+    assert main(["attack", "--spec", toy_spec_file, "--plan-only"]) == 0
+    assert capsys.readouterr().out == PLAN_ONLY_TOY
+
+
 def test_attack_plan_only_with_a_linear_structure(tmp_path, toy, capsys):
     # f'(x) = x0 + f(x with bit 0 cleared) has autocorrelation peak 2**n,
     # so the worst-case figures have no bound
@@ -224,23 +259,28 @@ def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
     assert "keystream regenerated exactly: yes" in out
     assert "candidate\tn0\tn1\tbias\tzscore" in out
     assert "stage 1 (register 0): searching multiples of" in err
-    assert "stage 2 (register 1): searching multiples of 0x211" in err
-    assert re.search(r"^stage 2 \(register 1\): \d+ multiples up to degree "
+    assert re.search(r"^stage 1 \(register 0\): \d+ multiples up to degree "
                      r"\d+ in \d+\.\d\ds$", err, re.M)
-    # second run hits the on-disk caches and must agree
+    # registers 1 and 2 fall to the collapse, which searches nothing
+    assert "stage 2" not in err
+    assert re.search(r"^stage 2 \(registers \[1, 2\]\): collapse of degree 2 "
+                     r"over 211 monomials, rank 210 on a 209-bit window, 1 "
+                     r"solution\(s\), \d+\.\d\ds$", out, re.M)
+    # second run hits the on-disk cache and must agree
     rc = main(["attack", "--spec", toy_spec_file, "--keystream",
                toy_ks_file])
     assert rc == 0
     out, err = capsys.readouterr()
     assert "recovered state: 0x15543210f" in out
-    assert "stage 2 (register 1): multiples from cache" in err
+    assert "stage 1 (register 0): multiples from cache" in err
+    assert "searching multiples" not in err
 
 
 def test_attack_with_supplied_multiples_file(tmp_path, toy_spec_file,
                                             toy_ks_file, capsys,
-                                            monkeypatch):
-    # stage 1's file also lands in stage 2's pool, where its multiples
-    # cancel the target too; stage 2 searches its own
+                                            monkeypatch, no_collapse):
+    # without the collapse, stage 1's file also lands in stage 2's pool,
+    # where its multiples cancel the target too; stage 2 searches its own
     monkeypatch.delenv("COMBGEN_CACHE_DIR", raising=False)
     s1 = str(tmp_path / "s1.txt")
     assert main(["multiples", "--spec", toy_spec_file, "--registers", "1,2",

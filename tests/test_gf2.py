@@ -516,3 +516,80 @@ def test_random_state_rerolls_a_zero_register(toy):
 
     assert toy.split_state(random_state(toy, Draws([0, 5, 0, 0, 7, 9]))) == [
         5, 7, 9]
+
+
+# ---------------------------------------------------------- linear systems
+
+
+def random_system(rng, nvars, kind):
+    """Rows over nvars variables: "consistent" rows of a planted
+    solution, more of them than nvars; "deficient" ones fewer than
+    nvars; "inconsistent" ones, 2 to nvars - 1 of them, so that the
+    rank stays short and every row is read, plus the sum of two of them
+    with its right-hand side flipped."""
+    planted = int(rng.integers(0, 1 << nvars))
+    count = {"consistent": lambda: rng.integers(nvars + 1, 2 * nvars + 2),
+             "deficient": lambda: rng.integers(0, nvars),
+             "inconsistent": lambda: rng.integers(2, nvars)}[kind]()
+    rows = []
+    for _ in range(int(count)):
+        coeffs = int(rng.integers(0, 1 << nvars))
+        rows.append(coeffs | ((coeffs & planted).bit_count() & 1) << nvars)
+    if kind == "inconsistent":
+        a, b = rng.choice(len(rows), 2, replace=False)
+        rows.insert(int(rng.integers(0, len(rows) + 1)),
+                    rows[a] ^ rows[b] ^ 1 << nvars)
+    return rows
+
+
+def brute_force_solutions(rows, nvars):
+    """Every x below 2**nvars that satisfies every row."""
+    return {x for x in range(1 << nvars)
+            if all(((row & x).bit_count() & 1) == row >> nvars & 1
+                   for row in rows)}
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
+def test_solve_linear_equals_enumeration(kind):
+    # the solver's answer on the rows it read (it stops at full rank)
+    # is exactly the solution set that enumeration finds for them
+    rng = np.random.default_rng(["consistent", "inconsistent",
+                                 "deficient"].index(kind))
+    seen_none = seen_free = 0
+    for _ in range(60):
+        nvars = int(rng.integers(3 if kind == "inconsistent" else 1, 13))
+        rows = random_system(rng, nvars, kind)
+        read = []
+
+        def reading(rows=rows):
+            for row in rows:
+                read.append(row)
+                yield row
+        solved = gf2.solve_linear(reading(), nvars)
+        want = brute_force_solutions(read, nvars)
+        if solved is None:
+            seen_none += 1
+            assert want == set()
+            continue
+        solution, null = solved
+        assert all(v >> nvars == 0 for v in [solution, *null])
+        space = {solution}
+        for v in null:
+            space |= {x ^ v for x in space}
+        assert len(space) == 1 << len(null)
+        assert space == want
+        seen_free += bool(null)
+    assert seen_none == (60 if kind == "inconsistent" else 0)
+    if kind == "deficient":
+        assert seen_free == 60
+
+
+def test_solve_linear_edge_cases():
+    assert gf2.solve_linear([], 0) == (0, [])
+    assert gf2.solve_linear([1], 0) is None
+    assert gf2.solve_linear([0b000], 2) == (0, [1, 2])
+    assert gf2.solve_linear([0b100], 2) is None
+    # x0 = 1 and x0 + x1 = 0
+    assert gf2.solve_linear([0b101, 0b011], 2) == (3, [])
+    with pytest.raises(ValidationError, match="nvars"):
+        gf2.solve_linear([], -1)
