@@ -224,15 +224,27 @@ def solve_linear(rows, nvars):
 # in slices of _RESIDUE_SLICE entries to keep the temporaries small.
 # residue_powers_reference is the plain stepping loop the tables are
 # tested against.
+#
+# Register output comes from one base sequence per polynomial, its
+# impulse response w: the output from state 2**(l-1), so w_t is bit l - 1
+# of X**t mod P and its first l bits are 0, ..., 0, 1.  Every output
+# sequence is a sum of shifts of w (Golomb's shift-and-add property):
+# s_t = XOR of a_i * w_{t+i} over i < l, where bit t of s is read as
+# bit l - 1 of X**t * A mod P for the polynomial A = sum a_i X**i.
+# Starting a slab n bits later multiplies A by X**n mod P.  The phase
+# cache holds eight packed copies of w per polynomial, phase k being
+# w[k:] packed LSB first, so shift 8q + k reads phase k from byte q;
+# it sits beside the residue tables, under the same lock.
 
 # The widest modulus that residue tables, the weight-4 collision scan and
 # registers accept: the int64 oracle steps a residue through l + 1 bits.
 RESIDUE_MAX_DEGREE = 62
 
 _residue_cache = {}
+_phase_cache = {}
 _residue_lock = threading.Lock()
 _RESIDUE_SLICE = 1 << 15
-_SLAB = 1 << 20
+_SLAB = 1 << 16
 
 
 def _check_residue_degree(poly):
@@ -315,30 +327,71 @@ def residue_powers_reference(poly, count):
 
 
 def clear_residue_cache():
-    """Drop all cached residue tables (frees memory after large runs)."""
+    """Drop all cached residue tables and sequence phases (frees memory
+    after large runs)."""
     with _residue_lock:
         _residue_cache.clear()
+        _phase_cache.clear()
+
+
+def _reverse(v, width):
+    """The low `width` bits of v in reverse order."""
+    return int(format(v, f"0{width}b")[::-1], 2)
+
+
+def _phases(poly, length, n):
+    """X**t mod poly for t < n + length, and the eight packed phases
+    of the impulse response w that serve slabs of up to n bits: row k,
+    byte q holds w[8q + k:8q + k + 8], zero past the end."""
+    r = residue_powers(poly, n + length)
+    with _residue_lock:
+        served, phases = _phase_cache.get(poly, (0, None))
+        if served < n:
+            w = (r >> (length - 1)).astype(np.uint8)
+            phases = np.zeros((8, (w.size + 7) // 8), dtype=np.uint8)
+            for k in range(8):
+                row = np.packbits(w[k:], bitorder="little")
+                phases[k, :row.size] = row
+            phases.setflags(write=False)
+            _phase_cache[poly] = (n, phases)
+    return r, phases
 
 
 def sequence_bits(poly, length, init, count):
     """First `count` output bits of the LFSR, fast bulk path.
 
     Bit t is the parity of (X**t mod poly) AND init, per the convention
-    in the module docstring.  Each _SLAB bits start from the state the
-    previous slab hands over, its next `length` bits (the last slab
-    computes none), so no residue table outgrows a slab plus `length`.
+    in the module docstring, and also s_t = XOR of a_i * w_{t+i} over
+    i < length, for the impulse response w (see the residue table
+    notes).  a follows from init in closed form: with P*(z) the
+    reciprocal of poly, s(z) * P*(z) = init(z) * P*(z) mod z**length, and
+    shift i of w is z**(length-1-i) / P*(z), so a is init * P* mod
+    z**length read backwards.  Each slab of _SLAB bits XORs the packed
+    phases of w at the set bits of a and unpacks once; the next slab
+    starts from a * X**_SLAB mod poly.  No residue table outgrows a slab
+    plus `length`.
     """
     if not 0 <= init < 1 << length:
         raise ValidationError(f"initial state out of range for length {length}")
     if poly_degree(poly) != length:
         raise ValidationError("feedback degree does not match length")
-    out = np.empty(max(count, 0), dtype=np.uint8)
-    for lo in range(0, out.size, _SLAB):
-        n = min(_SLAB, out.size - lo)
-        r = residue_powers(poly, n if lo + n == out.size else n + length)
-        np.bitwise_and(np.bitwise_count(r[:n] & init), 1, out=out[lo:lo + n])
-        init = sum(((int(v) & init).bit_count() & 1) << i
-                   for i, v in enumerate(r[n:]))
+    if count < 0:
+        raise ValidationError("count must be nonnegative")
+    low = (1 << length) - 1
+    a = _reverse(poly_mul(init, _reverse(poly, length + 1) & low) & low,
+                 length)
+    r, phases = _phases(poly, length, min(count, _SLAB))
+    out = np.empty(count, dtype=np.uint8)
+    for lo in range(0, count, _SLAB):
+        if lo:
+            a = poly_mulmod(a, int(r[_SLAB]), poly)
+        n = min(_SLAB, count - lo)
+        nbytes = (n + 7) // 8
+        acc = np.zeros(nbytes, dtype=np.uint8)
+        for i in range(a.bit_length()):
+            if a >> i & 1:
+                acc ^= phases[i & 7, i >> 3:(i >> 3) + nbytes]
+        out[lo:lo + n] = np.unpackbits(acc, count=n, bitorder="little")
     return out
 
 
@@ -482,7 +535,7 @@ def lfsr_sequence(spec, init, count):
     """Reference bit-at-a-time simulation of one register.
 
     Walks the recurrence s_{t+l} = sum c_i s_{t+i} directly; used as the
-    semantic baseline that the residue-table fast path is tested against.
+    semantic baseline that sequence_bits is tested against.
     """
     l = spec.length
     if not 0 <= init < 1 << l:
@@ -501,13 +554,19 @@ def input_words(spec, states, count):
     """The one packer of register outputs: wired inputs of the registers
     in `states` (register -> initial state), one word per time step, bit
     j being input j of f; other registers' inputs read zero."""
+    if count < 0:
+        raise ValidationError("count must be nonnegative")
     words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
+    # multiplying by 2**j, not shifting: numpy's uint8 shifts do not vectorise
+    scaled = np.empty_like(words)
     for r, state in states.items():
         lf = spec.lfsrs[r]
         bits = sequence_bits(lf.feedback, lf.length, state,
                              count + max(lf.taps, default=0))
         for j, p in spec.inputs_of_register(r):
-            words |= np.left_shift(bits[p:p + count], j, dtype=words.dtype)
+            np.multiply(bits[p:p + count], words.dtype.type(1 << j),
+                        out=scaled)
+            words |= scaled
     return words
 
 
@@ -515,10 +574,15 @@ def keystream(spec, state, count):
     """Generator output z_t = f(wired tap bits), fast bulk path: the
     truth-table lookup of input_words over every register."""
     parts = spec.split_state(state)
-    if count < 0:
-        raise ValidationError("count must be nonnegative")
-    return Keystream(
-        spec.function.table[input_words(spec, dict(enumerate(parts)), count)])
+    words = input_words(spec, dict(enumerate(parts)), count)
+    out = np.empty(count, dtype=np.uint8)
+    # np.take copies its indices to intp, so slab by slab that copy stays
+    # small; "clip" never clips (every word indexes the table) but spares
+    # the buffered output that "raise" makes
+    for lo in range(0, count, _SLAB):
+        np.take(spec.function.table, words[lo:lo + _SLAB],
+                out=out[lo:lo + _SLAB], mode="clip")
+    return Keystream(out)
 
 
 def keystream_reference(spec, state, count):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -121,13 +121,17 @@ def verify_multiple(mult, polys):
     in logarithmic time instead of materialising the dense polynomial.
     """
     polys = [p.feedback if hasattr(p, "feedback") else int(p) for p in polys]
-    for p in polys:
-        acc = 1
-        for t in (mult.t1, mult.t2, mult.t3):
-            acc ^= x_power_mod(t, p)
-        if acc != 0:
-            return False
-    return True
+    return all(_divides(mult, p) for p in polys)
+
+
+@lru_cache(maxsize=1 << 12)
+def _divides(mult, p):
+    """p divides the multiple; remembered, as an attack checks the same
+    supplied multiples against the same feedbacks on every call."""
+    acc = 1
+    for t in (mult.t1, mult.t2, mult.t3):
+        acc ^= x_power_mod(t, p)
+    return acc == 0
 
 
 def _collision_scan(r, bound, one=1, exps=None):

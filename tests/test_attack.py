@@ -11,7 +11,7 @@ from itertools import groupby, permutations
 import numpy as np
 import pytest
 
-from combgen import attack, boolfn, gf2, presets
+from combgen import attack, boolfn, gf2, multiples, presets
 from combgen.attack import (AttackExhaustedError, candidate_counts,
                             candidate_counts_naive, candidates_tsv,
                             filter_known, final_direct_search,
@@ -1293,6 +1293,32 @@ def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch,
     assert [(g.multiple, g.count) for g in groups] == [
         (g.multiple, g.count)
         for g in harvest_equations(ks, pool, stage.raw_target).groups]
+
+
+def test_supplied_multiples_are_checked_once_per_feedback(toy, monkeypatch):
+    # a second attack on the same supplied multiples reuses their
+    # divisibility verdicts: no X**t mod p is computed again, and a
+    # multiple that divides neither feedback is still refused
+    ks = toy_keystream(toy, 1 << 18)
+    stage = plan(toy).stages[0]
+    bogus = Weight4Multiple(1, 2, 3)
+    pool = [bogus, *stage1_multiples(toy, 2500)]
+    picked = attack._stage_multiples(toy, 0, stage, len(ks), pool, None)
+    assert picked and bogus not in picked
+    assert run_attack(toy, ks, multiples={0: pool}).state == TRUE_KEY
+    calls = []
+    power = multiples.x_power_mod
+
+    def counted(t, m):
+        calls.append((t, m))
+        return power(t, m)
+
+    monkeypatch.setattr(multiples, "x_power_mod", counted)
+    assert run_attack(toy, ks, multiples={0: pool}).state == TRUE_KEY
+    assert attack._stage_multiples(toy, 0, stage, len(ks), pool,
+                                   None) == picked
+    assert not verify_multiple(bogus, [toy.lfsrs[1], toy.lfsrs[2]])
+    assert calls == []
 
 
 def test_run_attack_same_candidates_at_every_split(toy, no_collapse):

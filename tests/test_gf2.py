@@ -450,6 +450,77 @@ def test_keystream_caches_no_table_beyond_a_slab(toy):
         clear_residue_cache()
 
 
+def random_primitive(rng, l):
+    while True:
+        poly = (1 << l) | int(rng.integers(0, 1 << l)) | 1
+        if poly_is_primitive(poly):
+            return poly
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 8, 13, 16, 17, 31, 32, 33, 47, 62])
+def test_sequence_bits_equal_lfsr_sequence(l, monkeypatch):
+    # states at both ends of the range, the top bit alone and one random;
+    # slabs around a byte, so shifts cross byte and slab edges
+    rng = np.random.default_rng(l)
+    lf = LfsrSpec(l, random_primitive(rng, l), (0,))
+    states = {1, (1 << l) - 1, 1 << (l - 1), int(rng.integers(1, 1 << l))}
+    for slab in (7, 8, 9, 64):
+        monkeypatch.setattr(gf2, "_SLAB", slab)
+        for init in states:
+            for count in (0, 1, l - 1, l, 2 * slab + 3):
+                assert np.array_equal(
+                    sequence_bits(lf.feedback, l, init, count),
+                    lfsr_sequence(lf, init, count)), (slab, init, count)
+    clear_residue_cache()
+
+
+@pytest.mark.parametrize("slab", [64, gf2._SLAB])
+def test_sequence_bits_longer_call_after_a_shorter_one(slab, monkeypatch):
+    # the phases cached for a short call serve too few bits for a longer
+    # one on the same polynomial, which must build them again
+    monkeypatch.setattr(gf2, "_SLAB", slab)
+    lf = presets.toy_generator().lfsrs[0]
+    clear_residue_cache()
+    for count in (10, slab + 5, 2 * slab + 3, 10):
+        assert np.array_equal(
+            sequence_bits(lf.feedback, lf.length, 0x10F, count),
+            lfsr_sequence(lf, 0x10F, count)), count
+    clear_residue_cache()
+
+
+def test_clear_residue_cache_drops_the_phases(toy):
+    clear_residue_cache()
+    keystream(toy, 0x15543210F, 100)
+    assert set(gf2._phase_cache) == {lf.feedback for lf in toy.lfsrs}
+    clear_residue_cache()
+    assert not gf2._phase_cache and not gf2._residue_cache
+
+
+@pytest.mark.parametrize("slab", [7, gf2._SLAB])
+def test_keystream_equals_reference_on_random_specs(slab, monkeypatch):
+    # four registers with one to three taps each, wired in random order
+    # into a random function
+    monkeypatch.setattr(gf2, "_SLAB", slab)
+    rng = np.random.default_rng(slab)
+    for _ in range(3):
+        lfsrs = []
+        for l in rng.choice(np.arange(4, 20), size=4, replace=False):
+            taps = rng.choice(int(l), size=int(rng.integers(1, 4)),
+                              replace=False)
+            lfsrs.append(LfsrSpec(int(l), random_primitive(rng, int(l)),
+                                  taps))
+        wiring = [(r, k) for r, lf in enumerate(lfsrs)
+                  for k in range(len(lf.taps))]
+        wiring = [wiring[i] for i in rng.permutation(len(wiring))]
+        n = len(wiring)
+        spec = GeneratorSpec(lfsrs, BooleanFunction(
+            n, rng.integers(0, 2, size=1 << n, dtype=np.uint8)), wiring)
+        state = random_state(spec, rng)
+        assert keystream(spec, state, 500) == keystream_reference(spec,
+                                                                  state, 500)
+    clear_residue_cache()
+
+
 @pytest.mark.parametrize("raw", [[0, 1, 2], [0, 1, 256], [0.5, 1.0],
                                  [[0, 1], [1, 0]]])
 def test_keystream_bits_must_be_flat_zero_one(raw):
@@ -481,6 +552,9 @@ AND2 = BooleanFunction(2, [0, 0, 0, 1])
      "initial state out of range for length 3"),
     (lambda toy: sequence_bits(P3, 4, 1, 10),
      "feedback degree does not match length"),
+    (lambda toy: sequence_bits(P3, 3, 1, -5), "count must be nonnegative"),
+    (lambda toy: gf2.input_words(toy, {0: 1}, -3),
+     "count must be nonnegative"),
     (lambda toy: GeneratorSpec((), BooleanFunction(1, [0, 1]), ()),
      "need at least one register"),
     (lambda toy: GeneratorSpec((TWO_TAPS,), AND2, ((0, 0),)),
@@ -496,7 +570,8 @@ AND2 = BooleanFunction(2, [0, 0, 0, 1])
      "initial state out of range for length 3"),
     (lambda toy: keystream(toy, 1, -1), "count must be nonnegative"),
 ], ids=["x-power-negative", "x-power-degree-0", "primitive-degree-65",
-        "sequence-state", "sequence-degree", "spec-no-register",
+        "sequence-state", "sequence-degree", "sequence-count",
+        "input-words-count", "spec-no-register",
         "spec-short-wiring", "spec-bad-register", "spec-bad-tap",
         "join-count", "join-part", "lfsr-sequence-state", "keystream-count"])
 def test_input_checks_refuse(toy, call, match):
