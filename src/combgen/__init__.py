@@ -10,13 +10,14 @@ time until the full initial state is recovered.
 
 Every fast path has a brute-force counterpart (`p_spectrum_bruteforce`,
 `find_weight4_bruteforce`, `score_candidates_naive` for `score_stage`,
-the reference keystream loop) so results can be checked exactly at
-small sizes.
+`final_direct_search` for `collapse_solve` on a last register, the
+reference keystream loop) so results can be checked exactly at small
+sizes.
 """
 
 from .attack import (AttackPlan, AttackResult, CandidateScore, CollapseStage,
-                     EquationGroup, EquationSet, FinalStage, ScoredStage,
-                     StageReport, candidate_counts, candidate_counts_naive,
+                     EquationGroup, EquationSet, ScoredStage, StageReport,
+                     candidate_counts, candidate_counts_naive,
                      candidates_tsv, collapse_solve, filter_known,
                      final_direct_search, harvest_equations, plan,
                      run_attack, score_candidates_naive, score_stage,
@@ -52,7 +53,6 @@ __all__ = [
     "CombgenError",
     "EquationGroup",
     "EquationSet",
-    "FinalStage",
     "GeneratorSpec",
     "InvariantError",
     "Keystream",

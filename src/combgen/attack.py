@@ -22,7 +22,8 @@ collapse, `collapse_solve`): the known inputs restrict f at each
 keystream bit, and each low-degree annihilator of the restriction is one
 equation in the open state, so one GF(2) elimination over its monomials
 recovers them.  Where it does not fit, later registers are scored in
-turn and the last one is recovered by direct search on a short window.
+turn, and the last one falls to a collapse of its own, with the direct
+search over its states (`final_direct_search`) as the oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby, permutations
+from itertools import accumulate, combinations, groupby, permutations, product
 
 import numpy as np
 
@@ -53,14 +54,13 @@ from .multiples import (MultipleSearchReport, Weight4Multiple, degree_key,
 DEFAULT_CHUNK = 1 << 16
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
-FINAL_SEARCH_MAX_BITS = 26  # the final stage enumerates 2**length states
 RAW_MARGIN = 1.25
 _RANK_SLICE = 1 << 20
 _COUNT_SLICE = 1 << 16
-# The collapse linearizes over the monomials of degree at most
-# COLLAPSE_MAX_DEGREE in the open state bits (its rows expand products
-# of at most two linear forms) and is planned only while they number at
-# most COLLAPSE_MAX_MONOMIALS.  Its window offers COLLAPSE_WINDOW_FACTOR
+# The collapse linearizes over the monomials of degree at most its degree
+# in the open state bits, planned only while they number at most
+# COLLAPSE_MAX_MONOMIALS and, for two or more registers, at a degree of
+# at most COLLAPSE_MAX_DEGREE.  Its window offers COLLAPSE_WINDOW_FACTOR
 # equations per monomial on average, and a solve whose rank still falls
 # short at the keystream's end enumerates at most 2**COLLAPSE_MAX_FREE
 # states.  Rows are expanded in slabs of time steps whose uint8 terms
@@ -171,35 +171,6 @@ class ScoredStage(_Stage):
             f"memory 2^{self.m1:.2f} counters; tradeoff "
             f"endpoint time 2^{tradeoff_memory_log2 + self.m1:.2f}, "
             f"memory 2^{tradeoff_memory_log2:.2f}"]
-
-
-@dataclass(frozen=True)
-class FinalStage(_Stage):
-    """The last register, recovered by direct search over its 2**m1
-    states on a window of m1 + FINAL_WINDOW_EXTRA keystream bits."""
-
-    is_final = True  # perfbench/workloads.py reads it
-
-    @property
-    def keystream_estimate(self):
-        return self.m1 + FINAL_WINDOW_EXTRA
-
-    def check(self, number, ks_len):
-        """Raise unless the search and a ks_len-bit keystream are in reach."""
-        if self.m1 > FINAL_SEARCH_MAX_BITS:
-            raise ValidationError(
-                f"stage {number} (register {self.target}) would enumerate "
-                f"2^{self.m1} states; the final direct search is limited to "
-                f"{FINAL_SEARCH_MAX_BITS}-bit registers")
-        if ks_len < self.keystream_estimate:
-            raise ValidationError(
-                f"keystream has {ks_len} bits; the final direct search on "
-                f"register {self.target} needs at least "
-                f"{self.keystream_estimate}")
-
-    def describe(self):
-        return [f"  direct search over 2^{self.m1} states on a window of "
-                f"{self.keystream_estimate} bits"]
 
 
 @dataclass(frozen=True)
@@ -320,21 +291,21 @@ def _stage_fields(spec, order, idx):
 
 def _stage(spec, order, idx, blowup):
     """Scored stage idx of the plan that targets the registers in
-    `order`, or its FinalStage when no register follows."""
+    `order`; some register must follow it."""
     shared = _stage_fields(spec, order, idx)
-    target, group2, m1 = shared["target"], shared["group2"], shared["m1"]
+    target, m1 = shared["target"], shared["m1"]
     if shared["n1"] == 0:
         raise ValidationError(
             f"register {target} feeds no inputs and cannot be scored")
-    if not group2:
-        return FinalStage(**shared)
     samples = m1 << (2 * spec.n + 1)
     raw = (samples << shared["n1"]) << shared["n_known"]
     m2 = shared["m2"]
+    # the weight-4 multiples of degree up to L offer sum(L - t3), about
+    # L**4 / (24 * 2**m2) relations, so L = (24 * raw * 2**m2)**(1/4)
     return ScoredStage(
         **shared, samples_required=samples,
         keystream_single=raw + math.ceil(density_bound(m2)),
-        keystream_multi=math.ceil((12 * raw * 2.0 ** m2) ** (1 / 4)),
+        keystream_multi=math.ceil((24 * raw * 2.0 ** m2) ** (1 / 4)),
         blowup=blowup)
 
 
@@ -364,18 +335,20 @@ def _collapse_terms(n_open, degree):
 
 @functools.lru_cache(maxsize=64)
 def _restricted_annihilators(function, known_in, open_in, degree):
-    """(equations, count, cases) for f with the inputs known_in known.
+    """(equations, count, cases, used) for f with the inputs known_in
+    known.
 
     Bit k of a pattern a is known input known_in[k], bit k of an open
     point y open input open_in[k].  equations[a][z] holds the
     annihilators of degree at most `degree` that keystream bit z leaves
     at pattern a, as read-only rows of ANF coefficients over
     _collapse_terms; count sums their number over the cases, every
-    (a, y) with z = f(a, y)."""
+    (a, y) with z = f(a, y).  used is the frozenset of terms with a
+    nonzero coefficient in an equation that some case selects."""
     tables = function.table[_spread(known_in)[:, None]
                             | _spread(open_in)[None, :]]
-    columns = [sum(1 << i for i in term)
-               for term in _collapse_terms(len(open_in), degree)]
+    terms = _collapse_terms(len(open_in), degree)
+    columns = [sum(1 << i for i in term) for term in terms]
     # bit z leaves the annihilators of f (z = 1) or of 1 + f (z = 0)
     equations = tuple(
         tuple(annihilators(t ^ z ^ 1, degree)[:, columns] for z in (0, 1))
@@ -386,38 +359,64 @@ def _restricted_annihilators(function, known_in, open_in, degree):
     count = sum(int(t.sum()) * len(eq[1])
                 + (t.size - int(t.sum())) * len(eq[0])
                 for t, eq in zip(tables, equations))
-    return equations, count, tables.size
+    used = frozenset(terms[c] for t, eq in zip(tables, equations)
+                     for z in set(t.tolist())
+                     for c in np.flatnonzero(eq[z].any(0)))
+    return equations, count, tables.size, used
 
 
 def _collapse_stage(spec, order, idx):
     """The collapse of the registers order[idx:] with order[:idx] known,
-    at the lowest degree that yields equations, or None when no degree
-    up to COLLAPSE_MAX_DEGREE does within COLLAPSE_MAX_MONOMIALS, or a
-    register it would solve feeds no input."""
-    if not all(spec.inputs_of_register(r) for r in order[idx:]):
-        return None
+    at the lowest degree whose equations pin each register it solves,
+    or None.
+
+    A register is pinned when some used term (_restricted_annihilators)
+    is a product of its inputs alone: linearization makes every other
+    product a variable of its own, so a register that enters only
+    through products with another one's inputs is never determined.  A
+    collapse of two or more registers keeps to COLLAPSE_MAX_DEGREE; the
+    last register alone may take any degree up to its number of inputs,
+    and raises ValidationError where none fits COLLAPSE_MAX_MONOMIALS.
+    """
+    registers = order[idx:]
     shared = _stage_fields(spec, order, idx)
-    bits = shared["m1"] + shared["m2"]
     known_in, open_in = _split_inputs(spec, order[:idx])
-    for degree in range(1, COLLAPSE_MAX_DEGREE + 1):
-        monomials = sum(math.comb(bits, i) for i in range(degree + 1))
-        if monomials > COLLAPSE_MAX_MONOMIALS:
-            return None
-        _, count, cases = _restricted_annihilators(
+    where = {j: k for k, j in enumerate(open_in)}
+    own = [{where[j] for j, _ in spec.inputs_of_register(r)}
+           for r in registers]
+    top = len(open_in) if len(registers) == 1 else COLLAPSE_MAX_DEGREE
+    reason = f"is pinned by no annihilator of degree up to {top}"
+    for degree in range(1, top + 1):
+        _, count, cases, used = _restricted_annihilators(
             spec.function, known_in, open_in, degree)
-        if count:
-            return CollapseStage(**shared, degree=degree, monomials=monomials,
-                                 per_bit=Fraction(count, cases))
-    return None
+        if all(any(term and mine.issuperset(term) for term in used)
+               for mine in own):
+            monomials = sum(math.comb(shared["m1"] + shared["m2"], i)
+                            for i in range(degree + 1))
+            if monomials <= COLLAPSE_MAX_MONOMIALS:
+                return CollapseStage(**shared, degree=degree,
+                                     monomials=monomials,
+                                     per_bit=Fraction(count, cases))
+            reason = (f"needs degree {degree} over {monomials} monomials, "
+                      f"more than COLLAPSE_MAX_MONOMIALS = "
+                      f"{COLLAPSE_MAX_MONOMIALS}")
+            break
+    if len(registers) > 1:
+        return None
+    raise ValidationError(
+        f"no collapse ends order {list(order)}: register {registers[0]} "
+        f"(open inputs {list(open_in)}) {reason}")
 
 
 def plan(spec, order=None):
     """Per-stage cost model for recovering the registers in `order`.
 
-    Stage 1 is a ScoredStage.  From stage 2 on, the first stage whose
-    registers fit a collapse (_collapse_stage) solves them all and ends
-    the plan; until then each register gets a ScoredStage, and a last
-    register that no collapse fits gets a FinalStage, the direct search.
+    Stage 1 is a ScoredStage, unless the spec has one register.  From
+    stage 2 on, the first stage whose registers fit a collapse
+    (_collapse_stage) solves them all and ends the plan; until then each
+    register gets a ScoredStage.  The last register always gets a
+    collapse of its own, or plan raises ValidationError before any
+    search or harvest.
 
     The autocorrelation peak delta of the combining function feeds the
     worst-case sample counts: the guaranteed spectrum gap shrinks as
@@ -434,7 +433,8 @@ def plan(spec, order=None):
     blowup = (1 - delta / (1 << n)) ** -4 if delta < (1 << n) else math.inf
     stages = []
     for idx in range(len(order)):
-        collapse = _collapse_stage(spec, order, idx) if idx else None
+        collapse = (_collapse_stage(spec, order, idx)
+                    if idx or len(order) == 1 else None)
         stages.append(collapse or _stage(spec, order, idx, blowup))
         if collapse:
             break
@@ -911,11 +911,12 @@ def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
 
 
 # --------------------------------------------------------------------------
-# direct search for the last register
+# the collapse's oracle: direct search for the last register
 
 
 def final_direct_search(spec, ks, known):
-    """Recover the one remaining register by filtering all its states.
+    """Recover the one remaining register by filtering all its states,
+    the oracle of a collapse that solves the last register alone.
 
     Uses a window of length + FINAL_WINDOW_EXTRA keystream bits; each wrong
     state survives a bit only with the function's agreement probability,
@@ -930,9 +931,9 @@ def final_direct_search(spec, ks, known):
                               f"register, got {unknown}")
     r_open = unknown[0]
     lf = spec.lfsrs[r_open]
-    if lf.length > FINAL_SEARCH_MAX_BITS:
-        raise ValidationError(f"direct search enumerates 2**length states; "
-                              f"limited to length <= {FINAL_SEARCH_MAX_BITS}")
+    if lf.length > 26:
+        raise ValidationError("direct search enumerates 2**length states; "
+                              "limited to length <= 26")
     window = min(bits.size, lf.length + FINAL_WINDOW_EXTRA)
     if window < lf.length:
         raise ValidationError("window shorter than the register")
@@ -980,39 +981,46 @@ def _collapse_rows(spec, stage, patterns, bits, window):
     At time t, pattern patterns[t] and bit bits[t] select the
     annihilators equations[pattern][bit] of _restricted_annihilators;
     each row is one of them evaluated on the open inputs' linear forms.
-    Variable i < m is state bit i; the variables above it are the
-    products of two state bits u < v, in np.triu_indices order.  Each
-    monomial of _collapse_terms expands to one vector: the constant to
-    the right-hand side, an input to its form, a product of two inputs
-    a * b to a_u b_v + a_v b_u on each pair u < v and, as x * x = x, to
-    a_u b_u on each single bit u.
+    Variable i < m is state bit i; above them come the products of s
+    state bits for s = 2 .. degree, a block per s in
+    itertools.combinations order (for pairs, np.triu_indices order).
+    Each monomial of _collapse_terms expands to one vector: the constant
+    to the right-hand side, and a product of k inputs, as x * x = x, on
+    each set S of s <= k state bits to the sum over the maps of the k
+    factors onto S of the product of each factor's form at the bit it
+    maps to: an input to its form, a * b to a_u b_u on each bit u and to
+    a_u b_v + a_v b_u on each pair u < v.
     """
     m = stage.m1 + stage.m2
     nvars = stage.monomials - 1
     known_in, open_in = _split_inputs(spec, stage.known)
-    equations, _, _ = _restricted_annihilators(spec.function, known_in,
-                                               open_in, stage.degree)
+    equations = _restricted_annihilators(spec.function, known_in, open_in,
+                                         stage.degree)[0]
     terms = _collapse_terms(len(open_in), stage.degree)
-    pair_u, pair_v = np.triu_indices(m, 1)
+    # block s spans variables starts[s - 1] .. starts[s] - 1; picks[s][p]
+    # is the bit at position p of each of its sets
+    starts = [0, *accumulate(math.comb(m, s)
+                             for s in range(1, stage.degree + 1))]
+    picks = {s: np.array(list(combinations(range(m), s))).T
+             for s in range(2, stage.degree + 1)}
     step = max(1, _COLLAPSE_SLAB // (len(terms) * (nvars + 1)))
     for lo in range(0, window, step):
         hi = min(window, lo + step)
         forms = _collapse_forms(spec, stage, lo, hi)
         expanded = np.zeros((hi - lo, len(terms), nvars + 1), dtype=np.uint8)
-        if stage.degree > 1:
-            # each form's bits at the first and the second state bit of
-            # every pair u < v
-            at_u, at_v = forms[:, :, pair_u], forms[:, :, pair_v]
+        # each form's bits at every position of every set, gathered once
+        # per slab for all the terms
+        at = {1: [forms], **{s: [forms[:, :, bits_at] for bits_at in pick]
+                             for s, pick in picks.items()}}
         for k, ins in enumerate(terms):
             if not ins:
                 expanded[:, k, nvars] = 1
-            elif len(ins) == 1:
-                expanded[:, k, :m] = forms[:, ins[0]]
-            else:
-                i, j = ins
-                expanded[:, k, :m] = forms[:, i] & forms[:, j]
-                expanded[:, k, m:nvars] = (at_u[:, i] & at_v[:, j]
-                                           ^ at_v[:, i] & at_u[:, j])
+            for s in range(1, len(ins) + 1):
+                expanded[:, k, starts[s - 1]:starts[s]] = functools.reduce(
+                    np.bitwise_xor, (functools.reduce(np.bitwise_and, (
+                        at[s][p][:, i] for p, i in zip(onto, ins)))
+                        for onto in product(range(s), repeat=len(ins))
+                        if len(set(onto)) == s))
         # a float32 product on BLAS is exact here: every sum counts at
         # most len(terms) ones
         expanded = expanded.astype(np.float32)
@@ -1145,8 +1153,7 @@ def search_stage_multiples(spec, stage, ks_len):
     lowest-degree prefix of them that meets it); run_attack caches that.
     """
     if not isinstance(stage, ScoredStage):
-        raise ValidationError("the final stage uses direct search or the "
-                              "collapse, not multiples")
+        raise ValidationError("a collapse stage uses no multiples")
     modulus = product_modulus([spec.lfsrs[r].feedback for r in stage.group2])
     raw_target = stage.raw_target
     # the collision scan needs distinct residues, so never look past
@@ -1232,9 +1239,8 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     2**split_bits prefix passes; a stage of m1 bits splits only the
     max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
     table fits scores in one pass.  A top_k below 1, a split_bits
-    outside [0, M] or a last stage whose check refuses the keystream
-    (a direct search past its register limit, a window longer than the
-    keystream) is rejected before any work.
+    outside [0, M] or a keystream shorter than the last collapse's
+    window is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
@@ -1285,22 +1291,15 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 relations_used=eqs.total, candidates=tuple(ranked),
                 seconds=time.perf_counter() - t0, warnings=warnings))
             branches = [{stage.target: c.candidate} for c in ranked]
-        elif isinstance(stage, CollapseStage):
+        else:
             branches, rank, window = _collapse(spec, ks, known, stage)
             result.reports.append(StageReport(
                 stage=idx, target=stage.target, known=dict(known),
                 candidates=tuple(branches), rank=rank, window=window,
                 seconds=time.perf_counter() - t0))
-        else:
-            values = final_direct_search(spec, ks, known)
-            result.reports.append(StageReport(
-                stage=idx, target=stage.target, known=dict(known),
-                candidates=tuple(values[:top_k]),
-                seconds=time.perf_counter() - t0))
-            branches = [{stage.target: v} for v in values]
         for i, branch in enumerate(branches):
             # a runner-up of a scored stage is a backtrack; another
-            # solution of a collapse or a direct search is not
+            # solution of a collapse is not
             if i and isinstance(stage, ScoredStage):
                 result.backtracks += 1
             found = solve(idx + 1, {**known, **branch})

@@ -133,7 +133,7 @@ def cmd_attack(args):
             print(attack.candidates_tsv(rep.candidates))
             for w in rep.warnings:
                 print(f"  warning: {w}")
-        elif isinstance(stage, attack.CollapseStage):
+        else:
             rank = ("inconsistent" if rep.rank is None
                     else f"rank {rep.rank}")
             print(f"stage {rep.stage + 1} (registers "
@@ -141,10 +141,6 @@ def cmd_attack(args):
                   f"{stage.degree} over {stage.monomials} monomials, {rank} "
                   f"on a {rep.window}-bit window, {len(rep.candidates)} "
                   f"solution(s), {rep.seconds:.2f}s")
-        else:
-            print(f"stage {rep.stage + 1} (register {rep.target}): direct "
-                  f"search, {len(rep.candidates)} survivor(s), "
-                  f"{rep.seconds:.2f}s")
     print("keystream regenerated exactly: yes")
     return 0
 

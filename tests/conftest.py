@@ -27,7 +27,8 @@ def rng():
 
 
 @pytest.fixture
-def no_collapse(monkeypatch):
-    """Plans without the collapse, as before it: a scored stage for every
-    register but the last, and the direct search for the last."""
-    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 0)
+def scored_stage_2(monkeypatch):
+    """Plans with a second scored stage: a cap of 100 monomials leaves
+    out the toy's 211 of registers 1 and 2 together, so register 1 is
+    scored and register 2, 10 monomials at degree 1, collapses alone."""
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 100)

@@ -6,6 +6,7 @@ summary.  Unit-level coverage lives in the other test files; nothing
 here should be the only test of a code path.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -245,6 +246,9 @@ def test_08_full_size_planning_figures(tmp_path, capsys):
     swapped = rows[(2, 0, 1)]
     kb_985 = 985 * (1 << 10) * 8
     assert 0.5 <= swapped.keystream_estimate / kb_985 <= 2.0
+    # L**4 / (24 * 2**m2) relations from the multiples up to degree L
+    assert (first.keystream_estimate, swapped.keystream_estimate) == (
+        30466827, 8095025)
     assert swapped.equations_required != first.equations_required
 
     path = tmp_path / "full.json"
@@ -300,20 +304,22 @@ def test_13_paper_instance_collapses_after_register_0(monkeypatch):
         assert time.perf_counter() - t0 < 1.0
         assert got == [{1: parts[1], 2: parts[2]}]
     # started from register 1, stage 2 needs degree 3 and stays scored;
-    # the 29-bit register 0 then collapses, where the direct search
-    # stops at 26 bits
+    # the 29-bit register 0 then collapses alone, at degree 1 over 30
+    # monomials, and with no monomial allowed no collapse ends the plan
     ap = attack.plan(spec, (1, 2, 0))
     assert [type(st).__name__ for st in ap.stages] == [
         "ScoredStage", "ScoredStage", "CollapseStage"]
     last = ap.stages[-1]
     assert (last.registers, last.known, last.degree) == ((0,), (1, 2), 1)
-    assert last.m1 > attack.FINAL_SEARCH_MAX_BITS
+    assert (last.m1, last.monomials) == (29, 30)
     last.check(3, last.window)
+    with pytest.raises(ValidationError, match="needs at least"):
+        last.check(3, last.window - 1)
     monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 0)
-    final = attack.plan(spec, (1, 2, 0)).stages[-1]
-    assert isinstance(final, attack.FinalStage) and final.target == 0
-    with pytest.raises(ValidationError, match="limited to 26-bit"):
-        final.check(3, 1 << 20)
+    with pytest.raises(ValidationError, match=(
+            r"register 0 \(open inputs \[6, 7, 8\]\) needs degree 1 over 30 "
+            r"monomials")):
+        attack.plan(spec, (1, 2, 0))
     print(f"check 13 PASS: registers 1 and 2 of the paper instance from "
           f"{collapse.window} bits by one {collapse.monomials}-monomial "
           f"elimination; order (1, 2, 0) ends in a 29-bit collapse")
@@ -388,6 +394,57 @@ def test_11_full_size_stage2_filter_in_bounded_memory(tmp_path):
     assert rss < 10 ** 9
     print(f"check 11 PASS: harvest + filter of {raw} relations kept {kept} "
           f"in {float(seconds):.1f} s, peak RSS {rss / 2 ** 20:.0f} MiB")
+
+
+# The paper's instance recovered whole, alone in a child process so its
+# peak RSS (VmHWM) is the attack's own: the plan's keystream from a
+# seeded key, stage 1 scored in four prefix passes over the squarings of
+# LARGE_MULTIPLE_31_37, then the degree-1 collapse of registers 1 and 2.
+_END_TO_END_CHILD = """
+import json, time
+import numpy as np
+from combgen import attack, presets
+from combgen.gf2 import keystream, random_state
+
+spec = presets.generator_29_31_37()
+ap = attack.plan(spec, (0, 1, 2))
+state = random_state(spec, np.random.default_rng(0x29_31_37_1))
+t0 = time.perf_counter()
+ks = keystream(spec, state, ap.keystream_required)
+mults = presets.large_multiples_31_37(len(ks) - 1)
+result = attack.run_attack(spec, ks, ap, multiples={0: mults}, split_bits=2)
+scored, collapse = result.reports
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status
+               if line.startswith("VmHWM:"))
+print(json.dumps(dict(
+    recovered=result.state == state, bits=len(ks),
+    seconds=time.perf_counter() - t0, rss_kb=int(hwm),
+    stage1_s=scored.seconds, relations=scored.relations_used,
+    z=[c.zscore for c in scored.candidates[:2]],
+    collapse_s=collapse.seconds, rank=collapse.rank,
+    window=collapse.window)))
+"""
+
+
+@pytest.mark.large_scale
+def test_14_paper_instance_recovered_end_to_end():
+    src = str(Path(combgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _END_TO_END_CHILD],
+                         capture_output=True, text=True, check=True, env=env)
+    run = json.loads(out.stdout)
+    assert run["recovered"]
+    assert run["seconds"] < 600
+    assert run["rss_kb"] * 1024 < 3 * 10 ** 9
+    assert run["rank"] == 68
+    print(f"check 14 PASS: the 97-bit state of the paper instance from "
+          f"{run['bits']} bits in {run['seconds']:.0f} s at peak RSS "
+          f"{run['rss_kb'] / 1024:.0f} MiB; stage 1 {run['stage1_s']:.0f} s "
+          f"over {run['relations']} relations, z={run['z'][0]:.1f} vs "
+          f"runner-up {run['z'][1]:.1f}; collapse rank {run['rank']} on a "
+          f"{run['window']}-bit window in {run['collapse_s'] * 1e3:.1f} ms")
 
 
 @pytest.mark.large_scale

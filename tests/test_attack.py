@@ -4,9 +4,10 @@ Most tests run on the toy generator (13/11/9-bit registers, 6-input
 filter) where everything is small enough for exact oracles.
 """
 
+import functools
 import math
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import accumulate, combinations, groupby, permutations
 
 import numpy as np
 import pytest
@@ -71,9 +72,10 @@ def single_register_spec():
 
 # ------------------------------------------------------------------- plan
 
-# describe() of three plans, pinned byte for byte: the toy without the
-# collapse (its plan with the collapse is pinned in test_cli.py) and the
-# paper instance in two orders, each with the ordering comparison
+# describe() of three plans, pinned byte for byte: the toy with a
+# second scored stage and register 2 collapsed alone (its default plan
+# is pinned in test_cli.py) and the paper instance in two orders, each
+# with the ordering comparison
 DESCRIBE_TOY = "\n".join([
     'attack plan, target order [0, 1, 2]',
     'stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, '
@@ -82,8 +84,8 @@ DESCRIBE_TOY = "\n".join([
     '(n1=2)',
     '  worst-case spectrum-gap figures: S = 697933, N = 2791729',
     '  keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many '
-    'multiples -> 1522 bits = 2^10.57 (190 B); planned 1522 bits = '
-    '2^10.57 (190 B)',
+    'multiples -> 1810 bits = 2^10.82 (226 B); planned 1810 bits = '
+    '2^10.82 (226 B)',
     '  search: time 2^18.70, memory 2^13.00 counters; tradeoff endpoint '
     'time 2^30.70, memory 2^17.70',
     'stage 2: register 1 (m1=11)  known=[0]  cancelled=[2] (m2=9, n2=2)',
@@ -91,21 +93,22 @@ DESCRIBE_TOY = "\n".join([
     '(n1=2)',
     '  worst-case spectrum-gap figures: S = 590559, N = 2362233',
     '  keystream: one multiple -> 1441807 bits = 2^20.46 (176 KB); many '
-    'multiples -> 307 bits = 2^8.26 (38 B); planned 307 bits = 2^8.26 '
-    '(38 B)',
+    'multiples -> 365 bits = 2^8.51 (46 B); planned 365 bits = 2^8.51 '
+    '(46 B)',
     '  search: time 2^16.46, memory 2^11.00 counters; tradeoff endpoint '
     'time 2^28.46, memory 2^17.46',
-    'stage 3: register 2 (m1=9)  known=[0, 1]  cancelled=[] (m2=0, n2=0)',
-    '  direct search over 2^9 states on a window of 49 bits',
-    'total keystream required: 1522 bits = 2^10.57 (190 B)',
+    'stage 3: registers [2] (m=9)  known=[0, 1]',
+    '  collapse: degree 1 over 10 monomials, 0.625 equations per keystream '
+    'bit, window of 72 bits',
+    'total keystream required: 1810 bits = 2^10.82 (226 B)',
     'first-stage cost by ordering:',
     '  order      m1  n1  m2     N                keystream',
-    '  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57',
-    '  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57',
-    '  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01',
-    '  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01',
-    '  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44',
-    '  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44',
+    '  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1810 bits = 2^10.82',
+    '  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1810 bits = 2^10.82',
+    '  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2455 bits = 2^11.26',
+    '  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2455 bits = 2^11.26',
+    '  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  3302 bits = 2^11.69',
+    '  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  3302 bits = 2^11.69',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -121,28 +124,28 @@ DESCRIBE_FULL_012 = "\n".join([
     '2^26.86   (n1=3)',
     '  worst-case spectrum-gap figures: S = 243269632, N = 1946157056',
     '  keystream: one multiple -> 133733283 bits = 2^26.99 (15.94 MB); '
-    'many multiples -> 25619445 bits = 2^24.61 (3.05 MB); planned '
-    '25619445 bits = 2^24.61 (3.05 MB)',
+    'many multiples -> 30466827 bits = 2^24.86 (3.63 MB); planned '
+    '30466827 bits = 2^24.86 (3.63 MB)',
     '  search: time 2^36.86, memory 2^29.00 counters; tradeoff endpoint '
     'time 2^54.86, memory 2^25.86',
     'stage 2: registers [1, 2] (m=68)  known=[0]',
     '  collapse: degree 1 over 69 monomials, 1.000 equations per keystream '
     'bit, window of 178 bits',
-    'total keystream required: 25619445 bits = 2^24.61 (3.05 MB)',
+    'total keystream required: 30466827 bits = 2^24.86 (3.63 MB)',
     'first-stage cost by ordering:',
     '  order      m1  n1  m2     N                keystream',
-    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
-    '2^24.61',
-    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
-    '2^24.61',
-    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
-    '2^24.13',
-    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
-    '2^24.13',
-    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
-    '2^22.70',
-    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
-    '2^22.70',
+    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  30466827 bits = '
+    '2^24.86',
+    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  30466827 bits = '
+    '2^24.86',
+    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  21905499 bits = '
+    '2^24.38',
+    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  21905499 bits = '
+    '2^24.38',
+    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  8095025 bits = '
+    '2^22.95',
+    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  8095025 bits = '
+    '2^22.95',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -158,8 +161,8 @@ DESCRIBE_FULL_120 = "\n".join([
     '2^26.95   (n1=3)',
     '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
     '  keystream: one multiple -> 137644981 bits = 2^27.04 (16.41 MB); '
-    'many multiples -> 18420256 bits = 2^24.13 (2.20 MB); planned '
-    '18420256 bits = 2^24.13 (2.20 MB)',
+    'many multiples -> 21905499 bits = 2^24.38 (2.61 MB); planned '
+    '21905499 bits = 2^24.38 (2.61 MB)',
     '  search: time 2^38.95, memory 2^31.00 counters; tradeoff endpoint '
     'time 2^56.95, memory 2^25.95',
     'stage 2: register 2 (m1=37)  known=[1]  cancelled=[0] (m2=29, n2=3)',
@@ -167,28 +170,28 @@ DESCRIBE_FULL_120 = "\n".join([
     '2^27.21   (n1=3)',
     '  worst-case spectrum-gap figures: S = 310378496, N = 2483027968',
     '  keystream: one multiple -> 1241515461 bits = 2^30.21 (148.00 MB); '
-    'many multiples -> 53181 bits = 2^15.70 (6 KB); planned 53181 bits = '
-    '2^15.70 (6 KB)',
+    'many multiples -> 63243 bits = 2^15.95 (8 KB); planned 63243 bits = '
+    '2^15.95 (8 KB)',
     '  search: time 2^45.21, memory 2^37.00 counters; tradeoff endpoint '
     'time 2^63.21, memory 2^26.21',
     'stage 3: registers [0] (m=29)  known=[1, 2]',
     '  collapse: degree 1 over 30 monomials, 0.328 equations per keystream '
     'bit, window of 223 bits',
-    'total keystream required: 18420256 bits = 2^24.13 (2.20 MB)',
+    'total keystream required: 21905499 bits = 2^24.38 (2.61 MB)',
     'first-stage cost by ordering:',
     '  order      m1  n1  m2     N                keystream',
-    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
-    '2^24.61',
-    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  25619445 bits = '
-    '2^24.61',
-    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
-    '2^24.13',
-    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  18420256 bits = '
-    '2^24.13',
-    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
-    '2^22.70',
-    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  6807077 bits = '
-    '2^22.70',
+    '  [0, 1, 2]  29   3  68  N = 121634816 = 2^26.86  30466827 bits = '
+    '2^24.86',
+    '  [0, 2, 1]  29   3  68  N = 121634816 = 2^26.86  30466827 bits = '
+    '2^24.86',
+    '  [1, 0, 2]  31   3  66  N = 130023424 = 2^26.95  21905499 bits = '
+    '2^24.38',
+    '  [1, 2, 0]  31   3  66  N = 130023424 = 2^26.95  21905499 bits = '
+    '2^24.38',
+    '  [2, 0, 1]  37   3  60  N = 155189248 = 2^27.21  8095025 bits = '
+    '2^22.95',
+    '  [2, 1, 0]  37   3  60  N = 155189248 = 2^27.21  8095025 bits = '
+    '2^22.95',
     'note: equation counts N = m1 * 2^(2n+n1+1) scale with the first '
     "target's length m1, so orderings differ in N as well as in keystream",
     'warning: an all-zero register state gives no usable statistic; '
@@ -241,7 +244,7 @@ def test_plan_describe_mentions_each_stage(toy):
     ((1, 2, 0), DESCRIBE_FULL_120)])
 def test_plan_describe_is_pinned(order, expected, request):
     if order is None:
-        request.getfixturevalue("no_collapse")
+        request.getfixturevalue("scored_stage_2")
     spec = (presets.toy_generator() if order is None
             else presets.generator_29_31_37())
     assert plan(spec, order).describe() == expected
@@ -1124,16 +1127,37 @@ def last_register_collapse(spec, monkeypatch):
     return stage
 
 
-@pytest.mark.parametrize("which", ["toy", "random"])
+def degree_3_spec():
+    """The toy's registers under RESILIENT_FILTER_9, register 2 feeding
+    six inputs: after two scored stages, its collapse needs degree 3."""
+    return GeneratorSpec(
+        (LfsrSpec(13, presets.TOY_POLY_13, (0, 12)),
+         LfsrSpec(11, presets.TOY_POLY_11, (5,)),
+         LfsrSpec(9, presets.TOY_POLY_9, (0, 1, 3, 4, 6, 8))),
+        presets.resilient_filter_9(),
+        ((0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+         (2, 5)))
+
+
+@pytest.mark.parametrize("which", ["toy", "random", "degree-3"])
 def test_collapse_equals_direct_search_on_the_last_register(toy, monkeypatch,
                                                             which):
     # for five keys, with the true known states and with a corrupt one,
     # the collapse keeps exactly the states the direct search keeps
     rng = np.random.default_rng(29)
-    spec = toy if which == "toy" else random_three_register_spec(
-        rng, (12, 10, 9))
-    stage = last_register_collapse(spec, monkeypatch)
-    assert stage.per_bit > 0 and stage.monomials == 10
+    if which == "degree-3":
+        spec = degree_3_spec()
+        ap = plan(spec)
+        stage = ap.stages[-1]
+        assert [type(st).__name__ for st in ap.stages] == [
+            "ScoredStage", "ScoredStage", "CollapseStage"]
+        assert (stage.registers, stage.degree, stage.monomials,
+                stage.per_bit, stage.window) == ((2,), 3, 130, 10, 66)
+    else:
+        spec = toy if which == "toy" else random_three_register_spec(
+            rng, (12, 10, 9))
+        stage = last_register_collapse(spec, monkeypatch)
+        assert stage.per_bit > 0 and stage.monomials == 10
     for _ in range(5):
         state = gf2.random_state(spec, rng)
         parts = spec.split_state(state)
@@ -1148,6 +1172,145 @@ def test_collapse_equals_direct_search_on_the_last_register(toy, monkeypatch,
         assert want == []
         assert attack.collapse_solve(spec, ks, {0: parts[0], 1: parts[1]},
                                      stage) == [{2: parts[2]}]
+
+
+def monomial_values(state, m, degree):
+    """Variable i of the collapse at an m-bit open state: the state bits,
+    then the products of every 2, 3, ... of them, each size in
+    itertools.combinations order."""
+    values = [all(state >> u & 1 for u in c)
+              for s in range(1, degree + 1) for c in combinations(range(m), s)]
+    return sum(v << i for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("which", ["toy", "degree-3"])
+def test_collapse_rows_hold_at_the_state_in_combinations_order(which):
+    # every row of the window, not only those the solver reads before
+    # full rank, holds at the true open state's monomials; at a state
+    # one bit off, some row fails
+    spec = presets.toy_generator() if which == "toy" else degree_3_spec()
+    stage = plan(spec).stages[-1]
+    assert stage.degree == (2 if which == "toy" else 3)
+    parts = spec.split_state(gf2.random_state(spec, np.random.default_rng(41)))
+    known = {r: parts[r] for r in stage.known}
+    open_state = sum(parts[r] << shift for r, shift in zip(
+        stage.registers, accumulate(
+            [0, *(spec.lfsrs[r].length for r in stage.registers)])))
+    bits = keystream(spec, spec.join_state(parts), stage.window).bits
+    known_in, _ = attack._split_inputs(spec, stage.known)
+    words = gf2.input_words(spec, known, stage.window)
+    patterns = np.zeros(stage.window, np.intp)
+    for k, j in enumerate(known_in):
+        patterns |= ((words >> j) & 1).astype(np.intp) << k
+    rows = list(attack._collapse_rows(spec, stage, patterns, bits,
+                                      stage.window))
+    nvars = stage.monomials - 1
+    assert len(rows) > nvars
+
+    def violated(x):
+        values = monomial_values(x, stage.m1 + stage.m2, stage.degree)
+        return [((row & values).bit_count() ^ row >> nvars) & 1
+                for row in rows]
+    assert not any(violated(open_state))
+    assert any(violated(open_state ^ 1))
+
+
+def survey_spec(rng):
+    """A random 3-register spec: distinct lengths of 9 to 16 bits with
+    random primitive feedbacks, 4 to 9 inputs split over the registers
+    (one at least each) on random taps and wiring, and a random balanced
+    f."""
+    lengths = [int(v) for v in rng.choice(np.arange(9, 17), 3,
+                                          replace=False)]
+    n = int(rng.integers(4, 10))
+    counts = [1, 1, 1]
+    for _ in range(n - 3):
+        counts[int(rng.integers(3))] += 1
+    lfsrs = []
+    for length, count in zip(lengths, counts):
+        while True:
+            poly = (1 << length | int(rng.integers(0, 1 << (length - 1))) << 1
+                    | 1)
+            if gf2.poly_is_primitive(poly):
+                break
+        taps = sorted(int(t) for t in rng.choice(length, count,
+                                                 replace=False))
+        lfsrs.append(LfsrSpec(length, poly, taps))
+    slots = [(r, k) for r, count in enumerate(counts) for k in range(count)]
+    wiring = tuple(slots[i] for i in rng.permutation(n))
+    return GeneratorSpec(tuple(lfsrs),
+                         boolfn.random_balanced_function(n, rng), wiring)
+
+
+@functools.cache
+def survey():
+    """60 random specs of survey_spec, seed 15."""
+    rng = np.random.default_rng(15)
+    return tuple(survey_spec(rng) for _ in range(60))
+
+
+def pins_each_register(spec, stage):
+    """Whether, for each register the collapse solves, some annihilator
+    that a keystream bit can select has a nonzero coefficient on a
+    product of that register's inputs alone; read from the equations
+    and the truth table, not from the planner's own test."""
+    known_in, open_in = attack._split_inputs(spec, stage.known)
+    equations = attack._restricted_annihilators(
+        spec.function, known_in, open_in, stage.degree)[0]
+    terms = attack._collapse_terms(len(open_in), stage.degree)
+    hit = set()
+    for a, eq in enumerate(equations):
+        for y in range(1 << len(open_in)):
+            x = sum((a >> k & 1) << j for k, j in enumerate(known_in))
+            x |= sum((y >> k & 1) << j for k, j in enumerate(open_in))
+            for row in eq[spec.function(x)]:
+                hit |= {terms[c] for c in np.flatnonzero(row)}
+    return all(
+        any(term and {open_in[k] for k in term} <= inputs for term in hit)
+        for inputs in ({j for j, _ in spec.inputs_of_register(r)}
+                       for r in stage.registers))
+
+
+def test_every_survey_plan_ends_in_a_collapse_that_pins_its_registers():
+    # 60 random specs in all 6 orders: every plan ends in a collapse
+    # whose equations reach each register it solves on its own
+    shapes = set()
+    for spec in survey():
+        for order in permutations(range(3)):
+            ap = plan(spec, order)
+            last = ap.stages[-1]
+            assert isinstance(last, attack.CollapseStage)
+            assert all(isinstance(st, attack.ScoredStage)
+                       for st in ap.stages[:-1])
+            assert pins_each_register(spec, last), (spec, order)
+            shapes.add((len(ap.stages), last.degree))
+    # a second scored stage, and a last register at degree 3, occur
+    assert {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= shapes
+
+
+@pytest.mark.parametrize("index, order, registers", [
+    (10, (2, 0, 1), (0, 1)), (42, (0, 1, 2), (1, 2)),
+    (47, (0, 1, 2), (1, 2))])
+def test_collapse_is_planned_only_where_it_pins_each_register(index, order,
+                                                              registers):
+    # at degree 1 these collapses reach one register only through
+    # products with the other's inputs, and their solve leaves 11-15
+    # free directions; degree 2 pins both, and the attack recovers a key
+    spec = survey()[index]
+    degree_1 = attack.CollapseStage(
+        **attack._stage_fields(spec, order, 1), degree=1, monomials=0,
+        per_bit=Fraction(1))
+    assert not pins_each_register(spec, degree_1)
+    ap = plan(spec, order)
+    last = ap.stages[-1]
+    assert len(ap.stages) == 2
+    assert (last.registers, last.degree) == (registers, 2)
+    state = gf2.random_state(spec, np.random.default_rng(index))
+    result = run_attack(spec, keystream(spec, state, 1 << 16), ap)
+    assert result.state == state
+    parts = spec.split_state(state)
+    assert result.reports[-1].candidates == ({r: parts[r]
+                                              for r in registers},)
 
 
 def test_collapse_rejects_every_wrong_register_0(toy):
@@ -1271,7 +1434,7 @@ def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
 
 
 def test_supplied_pool_is_verified_only_as_far_as_the_pick(toy, monkeypatch,
-                                                          no_collapse):
+                                                          scored_stage_2):
     # 40,684 multiples of the 9-bit register's feedback, all usable for
     # stage 2: the pick verifies only those it reaches, and harvests the
     # same groups as the whole pool
@@ -1321,7 +1484,7 @@ def test_supplied_multiples_are_checked_once_per_feedback(toy, monkeypatch):
     assert calls == []
 
 
-def test_run_attack_same_candidates_at_every_split(toy, no_collapse):
+def test_run_attack_same_candidates_at_every_split(toy, scored_stage_2):
     ks = toy_keystream(toy, 1 << 18)
     ap = plan(toy)
     mults = {0: list(stage1_multiples(toy, 2500)),
@@ -1340,7 +1503,8 @@ def test_run_attack_same_candidates_at_every_split(toy, no_collapse):
 @pytest.mark.parametrize("split, expected", [(2, {0: 2, 1: 0}),
                                              (3, {0: 3, 1: 1})])
 def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
-                                                      expected, no_collapse):
+                                                      expected,
+                                                      scored_stage_2):
     # split_bits budgets the 13-bit stage 1 a 2**(13 - split)-entry row;
     # the 11-bit stage 2 splits only the bits that do not fit in it
     calls = []
@@ -1360,7 +1524,7 @@ def test_run_attack_splits_only_what_the_budget_needs(toy, monkeypatch, split,
 
 
 def test_split_beyond_a_shorter_stage_recovers_the_same_state(toy,
-                                                              no_collapse):
+                                                              scored_stage_2):
     # split 12 leaves the 13-bit stage 1 a 2-entry row and splits the
     # 11-bit stage 2 by 10 bits: only the longest stage bounds the split.
     # Four and sixteen multiples on 2**14 bits give each stage about
@@ -1408,7 +1572,7 @@ def filtered_toy_stage2(toy):
 
 @pytest.mark.parametrize("split", [0, 2])
 def test_score_stage_small_chunks_equal_naive(toy, monkeypatch, split,
-                                              no_collapse):
+                                              scored_stage_2):
     # filtered toy stage 2: stored bases and classes, walked 7 at a time
     stage = plan(toy).stages[1]
     eqs = filtered_toy_stage2(toy)
@@ -1569,32 +1733,37 @@ def test_run_attack_rejects_bad_split_before_work(toy, monkeypatch, split):
         run_attack(toy, toy_keystream(toy, 1 << 16), split_bits=split)
 
 
-def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch,
-                                                               no_collapse):
-    # without the collapse, the paper instance's last register has 37
-    # bits, beyond the final direct search; nothing may be searched or
-    # harvested first
+def test_run_attack_rejects_unrunnable_final_stage_before_work(monkeypatch):
+    # with no monomial allowed, no collapse ends the paper instance's
+    # plan: its 37-bit last register needs 38 monomials at degree 1, and
+    # plan refuses before anything is searched or harvested
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking the final stage")
 
     monkeypatch.setattr(attack, "search_stage_multiples", no_work)
     monkeypatch.setattr(attack, "harvest_equations", no_work)
+    monkeypatch.setattr(attack, "COLLAPSE_MAX_MONOMIALS", 0)
     bits = np.random.default_rng(5).integers(0, 2, 4000, dtype=np.uint8)
-    with pytest.raises(ValidationError, match=r"stage 3 \(register 2\)"):
+    with pytest.raises(ValidationError, match=(
+            r"register 2 \(open inputs \[3, 4, 5\]\) needs degree 1 over "
+            r"38 monomials")):
         run_attack(presets.generator_29_31_37(), Keystream(bits))
 
 
 @pytest.mark.parametrize("nbits", [0, 1, 48])
 def test_run_attack_rejects_keystream_below_final_window(toy, monkeypatch,
-                                                         nbits, no_collapse):
-    # without the collapse, the final stage's 9-bit register needs a
-    # 9 + 40 = 49-bit window; nothing may be searched or harvested first
+                                                         nbits,
+                                                         scored_stage_2):
+    # register 2, collapsed alone after two scored stages, needs a
+    # 2 * 10 / 0.625 + 40 = 72-bit window; nothing may be searched or
+    # harvested first
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking the keystream length")
 
     monkeypatch.setattr(attack, "search_stage_multiples", no_work)
     monkeypatch.setattr(attack, "harvest_equations", no_work)
-    with pytest.raises(ValidationError, match="needs at least 49"):
+    with pytest.raises(ValidationError, match=r"collapse of registers \[2\] "
+                       r"\(stage 3\) needs at least 72"):
         run_attack(toy, toy_keystream(toy, nbits))
 
 
@@ -1617,7 +1786,7 @@ def test_run_attack_exhausts_on_unrelated_bits(toy):
     assert info.value.result.backtracks > 0
 
 
-def test_backtrack_searches_each_stage_once(toy, monkeypatch, no_collapse):
+def test_backtrack_searches_each_stage_once(toy, monkeypatch, scored_stage_2):
     # the true stage-1 candidate is forced to rank third, so stage 2 is
     # visited three times; its multiples and relations are made once
     true0 = toy.split_state(TRUE_KEY)[0]
@@ -1647,7 +1816,7 @@ def test_backtrack_searches_each_stage_once(toy, monkeypatch, no_collapse):
 
 
 def test_run_attack_drops_multiples_that_cancel_the_target(toy,
-                                                            no_collapse):
+                                                            scored_stage_2):
     # stage 1's multiples of P11*P9 cancel register 2 but also stage 2's
     # target, register 1, so every stage-2 candidate would tie
     ks = toy_keystream(toy)
@@ -1661,7 +1830,7 @@ def test_run_attack_drops_multiples_that_cancel_the_target(toy,
 
 
 def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch,
-                                     no_collapse):
+                                     scored_stage_2):
     ks = toy_keystream(toy)
     first = run_attack(toy, ks, cache_dir=str(tmp_path))
     moduli = [product_modulus([toy.lfsrs[1], toy.lfsrs[2]]),
@@ -1680,7 +1849,7 @@ def test_run_attack_cache_round_trip(toy, tmp_path, monkeypatch,
 
 
 def test_run_attack_cache_serves_a_shorter_keystream_in_full(
-        toy, tmp_path, caplog, no_collapse):
+        toy, tmp_path, caplog, scored_stage_2):
     # a cache written on 2**19 bits holds few multiples; at 2**15 bits
     # they offer too few relations, so the stage searches again
     run_attack(toy, toy_keystream(toy), cache_dir=str(tmp_path))
@@ -1744,7 +1913,8 @@ ZEROS = Keystream(np.zeros(100, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda toy: plan(unwired_spec()), "register 1 feeds no inputs"),
+    (lambda toy: plan(unwired_spec()),
+     r"register 1 \(open inputs \[\]\) is pinned by no annihilator"),
     (lambda toy: score_stage(unwired_spec(), 1, NO_RELATIONS),
      "register 1 feeds no inputs"),
     (lambda toy: score_stage(toy, 0, NO_RELATIONS, split_bits=-1),
@@ -1752,7 +1922,7 @@ ZEROS = Keystream(np.zeros(100, dtype=np.uint8))
     (lambda toy: score_stage(toy, 0, NO_RELATIONS, split_bits=14),
      r"split_bits must lie in \[0, 13\]"),
     (lambda toy: search_stage_multiples(toy, plan(toy).stages[-1], 1 << 12),
-     "the final stage uses direct search"),
+     "a collapse stage uses no multiples"),
     (lambda toy: final_direct_search(toy, ZEROS, {0: 1}),
      r"exactly one unknown register, got \[1, 2\]"),
     (lambda toy: final_direct_search(presets.generator_29_31_37(), ZEROS,

@@ -167,21 +167,21 @@ stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, n2=4)
   samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   (n1=2)
   worst-case spectrum-gap figures: S = 697933, N = 2791729
   keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many multiples \
--> 1522 bits = 2^10.57 (190 B); planned 1522 bits = 2^10.57 (190 B)
+-> 1810 bits = 2^10.82 (226 B); planned 1810 bits = 2^10.82 (226 B)
   search: time 2^18.70, memory 2^13.00 counters; tradeoff endpoint time \
 2^30.70, memory 2^17.70
 stage 2: registers [1, 2] (m=20)  known=[0]
   collapse: degree 2 over 211 monomials, 2.500 equations per keystream bit, \
 window of 209 bits
-total keystream required: 1522 bits = 2^10.57 (190 B)
+total keystream required: 1810 bits = 2^10.82 (226 B)
 first-stage cost by ordering:
   order      m1  n1  m2     N                keystream
-  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57
-  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1522 bits = 2^10.57
-  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01
-  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2064 bits = 2^11.01
-  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44
-  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  2776 bits = 2^11.44
+  [0, 1, 2]  13   2  20  N = 425984 = 2^18.70  1810 bits = 2^10.82
+  [0, 2, 1]  13   2  20  N = 425984 = 2^18.70  1810 bits = 2^10.82
+  [1, 0, 2]  11   2  22  N = 360448 = 2^18.46  2455 bits = 2^11.26
+  [1, 2, 0]  11   2  22  N = 360448 = 2^18.46  2455 bits = 2^11.26
+  [2, 0, 1]   9   2  24  N = 294912 = 2^18.17  3302 bits = 2^11.69
+  [2, 1, 0]   9   2  24  N = 294912 = 2^18.17  3302 bits = 2^11.69
 note: equation counts N = m1 * 2^(2n+n1+1) scale with the first target's \
 length m1, so orderings differ in N as well as in keystream
 warning: an all-zero register state gives no usable statistic; candidate 0 \
@@ -210,7 +210,7 @@ def test_attack_plan_only_with_a_linear_structure(tmp_path, toy, capsys):
 
 
 def test_attack_plan_only_on_one_register(tmp_path, capsys):
-    # one register is one direct-search stage: no ordering to compare
+    # one register is one collapse stage: no ordering to compare
     from combgen.boolfn import BooleanFunction
     from combgen.gf2 import GeneratorSpec, LfsrSpec
     path = tmp_path / "one.json"
@@ -219,7 +219,8 @@ def test_attack_plan_only_on_one_register(tmp_path, capsys):
         ((0, 0), (0, 1))))
     assert main(["attack", "--spec", str(path), "--plan-only"]) == 0
     text = capsys.readouterr().out
-    assert "direct search over 2^3 states on a window of 43 bits" in text
+    assert ("collapse: degree 1 over 4 monomials, 0.500 equations per "
+            "keystream bit, window of 56 bits") in text
     assert "first-stage cost by ordering" not in text
 
 
@@ -232,7 +233,7 @@ def test_attack_plan_only_prints_the_scaling_note_once(toy_spec_file,
 def test_one_input_spec_round_trips_through_gen_and_attack(tmp_path,
                                                            capsys):
     # f(x) = x on one tap: the keystream is the register's own output,
-    # which the direct search inverts
+    # which a degree-1 collapse inverts
     from combgen.boolfn import BooleanFunction
     from combgen.gf2 import GeneratorSpec, LfsrSpec
     path = tmp_path / "one.json"
@@ -278,7 +279,7 @@ def test_attack_runs_end_to_end(tmp_path, toy_spec_file, toy_ks_file,
 
 def test_attack_with_supplied_multiples_file(tmp_path, toy_spec_file,
                                             toy_ks_file, capsys,
-                                            monkeypatch, no_collapse):
+                                            monkeypatch, scored_stage_2):
     # without the collapse, stage 1's file also lands in stage 2's pool,
     # where its multiples cancel the target too; stage 2 searches its own
     monkeypatch.delenv("COMBGEN_CACHE_DIR", raising=False)
