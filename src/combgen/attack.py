@@ -35,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, groupby, permutations, product
+from itertools import accumulate, combinations, groupby, permutations
 
 import numpy as np
 
@@ -63,8 +63,9 @@ _COUNT_SLICE = 1 << 16
 # at most COLLAPSE_MAX_DEGREE.  Its window offers COLLAPSE_WINDOW_FACTOR
 # equations per monomial on average, and a solve whose rank still falls
 # short at the keystream's end enumerates at most 2**COLLAPSE_MAX_FREE
-# states.  Rows are expanded in slabs of time steps whose uint8 terms
-# take about _COLLAPSE_SLAB bytes.
+# states.  Rows are built in slabs of time steps whose uint8 rows, one
+# byte per monomial, take at most about _COLLAPSE_SLAB bytes when every
+# step selects the most annihilators.
 COLLAPSE_MAX_DEGREE = 2
 COLLAPSE_MAX_MONOMIALS = 1 << 12
 COLLAPSE_WINDOW_FACTOR = 2
@@ -326,11 +327,12 @@ def _spread(positions):
     return word
 
 
-def _collapse_terms(n_open, degree):
-    """The monomials of degree at most `degree` in n_open variables, each
-    as the tuple of its variables, by degree: the constant first."""
-    return [c for d in range(degree + 1)
-            for c in combinations(range(n_open), d)]
+def _truth_tables(anf):
+    """The truth tables of rows of ANF coefficients: entry x is the XOR
+    of the coefficients on the subsets u of x (a uint8 sum keeps its
+    parity as it wraps)."""
+    x = np.arange(anf.shape[1])
+    return anf @ ((x[:, None] & x) == x[:, None]).astype(np.uint8) & 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -341,27 +343,25 @@ def _restricted_annihilators(function, known_in, open_in, degree):
     Bit k of a pattern a is known input known_in[k], bit k of an open
     point y open input open_in[k].  equations[a][z] holds the
     annihilators of degree at most `degree` that keystream bit z leaves
-    at pattern a, as read-only rows of ANF coefficients over
-    _collapse_terms; count sums their number over the cases, every
-    (a, y) with z = f(a, y).  used is the frozenset of terms with a
-    nonzero coefficient in an equation that some case selects."""
+    at pattern a, as read-only truth tables over the open points; count
+    sums their number over the cases, every (a, y) with z = f(a, y).
+    used is the frozenset of terms, each a mask of open inputs, with a
+    nonzero ANF coefficient in an equation that some case selects."""
     tables = function.table[_spread(known_in)[:, None]
                             | _spread(open_in)[None, :]]
-    terms = _collapse_terms(len(open_in), degree)
-    columns = [sum(1 << i for i in term) for term in terms]
     # bit z leaves the annihilators of f (z = 1) or of 1 + f (z = 0)
-    equations = tuple(
-        tuple(annihilators(t ^ z ^ 1, degree)[:, columns] for z in (0, 1))
-        for t in tables)
+    anf = [[annihilators(t ^ z ^ 1, degree) for z in (0, 1)]
+           for t in tables]
+    equations = tuple(tuple(_truth_tables(a) for a in eq) for eq in anf)
     for eq in equations:
         for a in eq:
             a.setflags(write=False)
     count = sum(int(t.sum()) * len(eq[1])
                 + (t.size - int(t.sum())) * len(eq[0])
                 for t, eq in zip(tables, equations))
-    used = frozenset(terms[c] for t, eq in zip(tables, equations)
+    used = frozenset(int(u) for t, eq in zip(tables, anf)
                      for z in set(t.tolist())
-                     for c in np.flatnonzero(eq[z].any(0)))
+                     for u in np.flatnonzero(eq[z].any(0)))
     return equations, count, tables.size, used
 
 
@@ -382,15 +382,14 @@ def _collapse_stage(spec, order, idx):
     shared = _stage_fields(spec, order, idx)
     known_in, open_in = _split_inputs(spec, order[:idx])
     where = {j: k for k, j in enumerate(open_in)}
-    own = [{where[j] for j, _ in spec.inputs_of_register(r)}
+    own = [sum(1 << where[j] for j, _ in spec.inputs_of_register(r))
            for r in registers]
     top = len(open_in) if len(registers) == 1 else COLLAPSE_MAX_DEGREE
     reason = f"is pinned by no annihilator of degree up to {top}"
     for degree in range(1, top + 1):
         _, count, cases, used = _restricted_annihilators(
             spec.function, known_in, open_in, degree)
-        if all(any(term and mine.issuperset(term) for term in used)
-               for mine in own):
+        if all(any(u and not u & ~mine for u in used) for mine in own):
             monomials = sum(math.comb(shared["m1"] + shared["m2"], i)
                             for i in range(degree + 1))
             if monomials <= COLLAPSE_MAX_MONOMIALS:
@@ -416,7 +415,8 @@ def plan(spec, order=None):
     (_collapse_stage) solves them all and ends the plan; until then each
     register gets a ScoredStage.  The last register always gets a
     collapse of its own, or plan raises ValidationError before any
-    search or harvest.
+    search or harvest; so it does for a register whose every input f
+    ignores, which no keystream bit determines.
 
     The autocorrelation peak delta of the combining function feeds the
     worst-case sample counts: the guaranteed spectrum gap shrinks as
@@ -428,6 +428,16 @@ def plan(spec, order=None):
     if sorted(order) != list(range(len(spec.lfsrs))):
         raise ValidationError(f"order {order} is not a permutation of the "
                               f"registers")
+    table = spec.function.table
+    points = np.arange(table.size)
+    ignored = [r for r in range(len(order))
+               if (inputs := spec.inputs_of_register(r))
+               and all(np.array_equal(table, table[points ^ 1 << j])
+                       for j, _ in inputs)]
+    if ignored:
+        raise ValidationError(
+            f"f ignores every input of registers {ignored}, so no "
+            f"keystream bit depends on them")
     delta = autocorrelation(spec.function).delta
     n = spec.n
     blowup = (1 - delta / (1 << n)) ** -4 if delta < (1 << n) else math.inf
@@ -956,22 +966,38 @@ def final_direct_search(spec, ks, known):
 # the collapse: every open register from one GF(2) elimination
 
 
-def _collapse_forms(spec, stage, lo, hi):
-    """(hi - lo, open inputs, m) bits, m = m1 + m2: each open input's
-    value at the time steps [lo, hi) as a linear form over the open
-    state, which holds register stage.registers[k] at the summed length
-    of those before it.  Open inputs come in ascending input order."""
+def _collapse_words(spec, stage, lo, hi):
+    """(hi - lo, m) words, m = m1 + m2, for the time steps [lo, hi), in
+    the narrowest unsigned dtype of the open inputs: bit k of word u is
+    open input k's coefficient on state bit u, open inputs in ascending
+    input order.  The open state holds register stage.registers[i] at
+    the summed length of those before it."""
     lengths = [spec.lfsrs[r].length for r in stage.registers]
     offsets = dict(zip(stage.registers, accumulate([0, *lengths])))
     wired = sorted((j, r, p) for r in stage.registers
                    for j, p in spec.inputs_of_register(r))
-    forms = np.zeros((hi - lo, len(wired), sum(lengths)), dtype=np.uint8)
-    for i, (_, r, p) in enumerate(wired):
+    dtype = np.min_scalar_type((1 << len(wired)) - 1)
+    words = np.zeros((hi - lo, sum(lengths)), dtype=dtype)
+    for k, (_, r, p) in enumerate(wired):
         lf = spec.lfsrs[r]
         masks = residue_powers(lf.feedback, hi + p)[lo + p:]
-        forms[:, i, offsets[r]:offsets[r] + lf.length] = (
-            masks[:, None] >> np.arange(lf.length, dtype=masks.dtype)) & 1
-    return forms
+        coeffs = masks[:, None] >> np.arange(lf.length, dtype=masks.dtype)
+        words[:, offsets[r]:offsets[r] + lf.length] |= (
+            (coeffs & 1).astype(dtype) << k)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _collapse_sets(m, degree):
+    """For each size s = 1 .. degree, (bits, subsets) of the sets of s of
+    m state bits in itertools.combinations order: each set's bits, and
+    the variable of each of its 2**s subsets, the set itself last and the
+    empty set's variable the right-hand side."""
+    blocks = [list(combinations(range(m), s)) for s in range(1, degree + 1)]
+    index = {c: i for i, c in enumerate([*sum(blocks, []), ()])}
+    return tuple((np.array(block), np.array(
+        [[index[t] for k in range(len(c) + 1) for t in combinations(c, k)]
+         for c in block])) for block in blocks)
 
 
 def _collapse_rows(spec, stage, patterns, bits, window):
@@ -980,62 +1006,44 @@ def _collapse_rows(spec, stage, patterns, bits, window):
 
     At time t, pattern patterns[t] and bit bits[t] select the
     annihilators equations[pattern][bit] of _restricted_annihilators;
-    each row is one of them evaluated on the open inputs' linear forms.
-    Variable i < m is state bit i; above them come the products of s
-    state bits for s = 2 .. degree, a block per s in
+    each gives the row of h(s) = g(L(s)), g composed with the open
+    inputs' linear forms, of degree at most stage.degree in the open
+    state s.  Variable i < m is state bit i; above them come the
+    products of s state bits for s = 2 .. degree, a block per s in
     itertools.combinations order (for pairs, np.triu_indices order).
-    Each monomial of _collapse_terms expands to one vector: the constant
-    to the right-hand side, and a product of k inputs, as x * x = x, on
-    each set S of s <= k state bits to the sum over the maps of the k
-    factors onto S of the product of each factor's form at the bit it
-    maps to: an input to its form, a * b to a_u b_u on each bit u and to
-    a_u b_v + a_v b_u on each pair u < v.
+    The coefficient of h on the product over a set S of state bits is
+    the XOR over T ⊆ S of h(1_T), where h(1_T) = g(XOR over u in T of
+    the word w_u, _collapse_words); the empty set gives g(0), the
+    right-hand side.
     """
-    m = stage.m1 + stage.m2
     nvars = stage.monomials - 1
     known_in, open_in = _split_inputs(spec, stage.known)
     equations = _restricted_annihilators(spec.function, known_in, open_in,
                                          stage.degree)[0]
-    terms = _collapse_terms(len(open_in), stage.degree)
-    # block s spans variables starts[s - 1] .. starts[s] - 1; picks[s][p]
-    # is the bit at position p of each of its sets
-    starts = [0, *accumulate(math.comb(m, s)
-                             for s in range(1, stage.degree + 1))]
-    picks = {s: np.array(list(combinations(range(m), s))).T
-             for s in range(2, stage.degree + 1)}
-    step = max(1, _COLLAPSE_SLAB // (len(terms) * (nvars + 1)))
+    sets = _collapse_sets(stage.m1 + stage.m2, stage.degree)
+    most = max(len(g) for eq in equations for g in eq)
+    step = max(1, _COLLAPSE_SLAB // (most * (nvars + 1)))
     for lo in range(0, window, step):
         hi = min(window, lo + step)
-        forms = _collapse_forms(spec, stage, lo, hi)
-        expanded = np.zeros((hi - lo, len(terms), nvars + 1), dtype=np.uint8)
-        # each form's bits at every position of every set, gathered once
-        # per slab for all the terms
-        at = {1: [forms], **{s: [forms[:, :, bits_at] for bits_at in pick]
-                             for s, pick in picks.items()}}
-        for k, ins in enumerate(terms):
-            if not ins:
-                expanded[:, k, nvars] = 1
-            for s in range(1, len(ins) + 1):
-                expanded[:, k, starts[s - 1]:starts[s]] = functools.reduce(
-                    np.bitwise_xor, (functools.reduce(np.bitwise_and, (
-                        at[s][p][:, i] for p, i in zip(onto, ins)))
-                        for onto in product(range(s), repeat=len(ins))
-                        if len(set(onto)) == s))
-        # a float32 product on BLAS is exact here: every sum counts at
-        # most len(terms) ones
-        expanded = expanded.astype(np.float32)
+        words = _collapse_words(spec, stage, lo, hi)
+        # the open point at each set's state, the empty set's 0 last
+        points = np.zeros((hi - lo, nvars + 1), dtype=words.dtype)
+        for members, subsets in sets:
+            points[:, subsets[:, -1]] = np.bitwise_xor.reduce(
+                words[:, members], axis=2)
         keys = patterns[lo:hi] << 1 | bits[lo:hi]
-        for key in np.unique(keys).tolist():
-            coeffs = equations[key >> 1][key & 1]
-            if not coeffs.size:
-                continue
-            rows = np.matmul(coeffs.astype(np.float32),
-                             expanded[keys == key]).astype(np.uint8) & 1
-            packed = np.packbits(rows.reshape(-1, nvars + 1), axis=1,
-                                 bitorder="little")
-            raw, width = packed.tobytes(), packed.shape[1]
-            for at in range(0, len(raw), width):
-                yield int.from_bytes(raw[at:at + width], "little")
+        rows = np.concatenate([
+            equations[key >> 1][key & 1][:, points[keys == key]].reshape(
+                -1, nvars + 1) for key in np.unique(keys).tolist()])
+        # in place from the largest sets down, as a set's subsets are
+        # no larger than it
+        for _, subsets in reversed(sets):
+            rows[:, subsets[:, -1]] = np.bitwise_xor.reduce(rows[:, subsets],
+                                                            axis=2)
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[1]
+        for at in range(0, len(raw), width):
+            yield int.from_bytes(raw[at:at + width], "little")
 
 
 def _collapse(spec, ks, known, stage):

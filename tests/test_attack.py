@@ -1139,6 +1139,15 @@ def degree_3_spec():
          (2, 5)))
 
 
+def degree_4_spec():
+    """One 16-bit register on seven inputs whose f needs degree 4: a
+    collapse over 2517 monomials."""
+    return GeneratorSpec(
+        (LfsrSpec(16, 0x18fd3, (0, 2, 5, 7, 9, 12, 15)),),
+        BooleanFunction.from_hex("0x360475a8710416952547ec3657f6f5ee"),
+        tuple((0, k) for k in range(7)))
+
+
 @pytest.mark.parametrize("which", ["toy", "random", "degree-3"])
 def test_collapse_equals_direct_search_on_the_last_register(toy, monkeypatch,
                                                             which):
@@ -1183,15 +1192,29 @@ def monomial_values(state, m, degree):
     return sum(v << i for i, v in enumerate(values))
 
 
-@pytest.mark.parametrize("which", ["toy", "degree-3"])
-def test_collapse_rows_hold_at_the_state_in_combinations_order(which):
-    # every row of the window, not only those the solver reads before
-    # full rank, holds at the true open state's monomials; at a state
-    # one bit off, some row fails
-    spec = presets.toy_generator() if which == "toy" else degree_3_spec()
-    stage = plan(spec).stages[-1]
-    assert stage.degree == (2 if which == "toy" else 3)
-    parts = spec.split_state(gf2.random_state(spec, np.random.default_rng(41)))
+def test_degree_4_collapse_equals_direct_search():
+    # the one register's degree-4 collapse keeps exactly the states the
+    # direct search keeps, for three keys
+    spec = degree_4_spec()
+    stages = plan(spec).stages
+    assert len(stages) == 1
+    stage = stages[0]
+    assert (type(stage).__name__, stage.degree, stage.monomials,
+            stage.per_bit, stage.window) == ("CollapseStage", 4, 2517, 35,
+                                             184)
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        state = gf2.random_state(spec, rng)
+        ks = keystream(spec, state, 400)
+        assert final_direct_search(spec, ks, {}) == [state]
+        assert attack.collapse_solve(spec, ks, {}, stage) == [{0: state}]
+
+
+def collapse_case(spec, stage, seed):
+    """(open state, keystream bits of the window, pattern of the known
+    inputs at each of those bits) for a random key."""
+    parts = spec.split_state(gf2.random_state(spec,
+                                              np.random.default_rng(seed)))
     known = {r: parts[r] for r in stage.known}
     open_state = sum(parts[r] << shift for r, shift in zip(
         stage.registers, accumulate(
@@ -1202,6 +1225,19 @@ def test_collapse_rows_hold_at_the_state_in_combinations_order(which):
     patterns = np.zeros(stage.window, np.intp)
     for k, j in enumerate(known_in):
         patterns |= ((words >> j) & 1).astype(np.intp) << k
+    return open_state, bits, patterns
+
+
+@pytest.mark.parametrize("which", ["toy", "degree-3", "degree-4"])
+def test_collapse_rows_hold_at_the_state_in_combinations_order(which):
+    # every row of the window, not only those the solver reads before
+    # full rank, holds at the true open state's monomials; at a state
+    # one bit off, some row fails
+    spec = {"toy": presets.toy_generator, "degree-3": degree_3_spec,
+            "degree-4": degree_4_spec}[which]()
+    stage = plan(spec).stages[-1]
+    assert stage.degree == {"toy": 2, "degree-3": 3, "degree-4": 4}[which]
+    open_state, bits, patterns = collapse_case(spec, stage, 41)
     rows = list(attack._collapse_rows(spec, stage, patterns, bits,
                                       stage.window))
     nvars = stage.monomials - 1
@@ -1213,6 +1249,65 @@ def test_collapse_rows_hold_at_the_state_in_combinations_order(which):
                 for row in rows]
     assert not any(violated(open_state))
     assert any(violated(open_state ^ 1))
+
+
+@functools.cache
+def annihilator_tables(table, degree):
+    """The truth tables, as tuples, of boolfn.annihilators' basis for the
+    0/1 table, each evaluated from its ANF by a plain loop."""
+    basis = boolfn.annihilators(np.array(table, dtype=np.uint8), degree)
+    return [tuple(sum(int(row[u]) for u in range(len(table)) if u & ~y == 0)
+                  & 1 for y in range(len(table))) for row in basis]
+
+
+@pytest.mark.parametrize("which", ["one-register", "degree-3"])
+def test_collapse_rows_are_the_anf_of_each_composed_annihilator(
+        toy, monkeypatch, which):
+    # for every keystream bit of the window and every annihilator g it
+    # selects, h(s) = g(open inputs at s) over all 2**m open states, in
+    # plain Python: its ANF has nothing above the collapse's degree, and
+    # its part up to that degree, in the collapse's variable order, is
+    # one row; the rows are exactly these, as a multiset
+    if which == "one-register":
+        spec, stage = toy, last_register_collapse(toy, monkeypatch)
+    else:
+        spec = degree_3_spec()
+        stage = plan(spec).stages[-1]
+    (register,), m = stage.registers, stage.m1 + stage.m2
+    assert m <= 12
+    _, bits, patterns = collapse_case(spec, stage, 47)
+    known_in, open_in = attack._split_inputs(spec, stage.known)
+    variable = {sum(1 << u for u in c): i for i, c in enumerate(
+        c for d in range(1, stage.degree + 1)
+        for c in combinations(range(m), d))}
+    nvars = len(variable)
+    # each open state's open point (bit k: open input k) at each bit
+    points = []
+    for s in range(1 << m):
+        words = gf2.input_words(spec, {register: s}, stage.window)
+        points.append([sum((int(w) >> j & 1) << k
+                           for k, j in enumerate(open_in)) for w in words])
+    want = []
+    for t in range(stage.window):
+        a = int(patterns[t])
+        x = sum((a >> k & 1) << j for k, j in enumerate(known_in))
+        restricted = [spec.function(x | sum((y >> k & 1) << j for k, j
+                                            in enumerate(open_in)))
+                      for y in range(1 << len(open_in))]
+        z = int(bits[t])
+        for g in annihilator_tables(tuple(v ^ z ^ 1 for v in restricted),
+                                    stage.degree):
+            anf = [g[points[s][t]] for s in range(1 << m)]
+            for i in range(m):
+                for s in range(1 << m):
+                    if s >> i & 1:
+                        anf[s] ^= anf[s ^ 1 << i]
+            assert not any(c for s, c in enumerate(anf)
+                           if s.bit_count() > stage.degree)
+            want.append(sum(anf[s] << i for s, i in variable.items())
+                        | anf[0] << nvars)
+    got = attack._collapse_rows(spec, stage, patterns, bits, stage.window)
+    assert sorted(got) == sorted(want)
 
 
 def survey_spec(rng):
@@ -1249,24 +1344,34 @@ def survey():
     return tuple(survey_spec(rng) for _ in range(60))
 
 
+@functools.cache
+def annihilated_monomials(table, degree):
+    """The monomials, as masks, with a nonzero ANF coefficient in some
+    annihilator of degree at most `degree` of the 0/1 table."""
+    basis = boolfn.annihilators(np.array(table, dtype=np.uint8), degree)
+    return {int(u) for u in np.flatnonzero(basis.any(0))}
+
+
 def pins_each_register(spec, stage):
     """Whether, for each register the collapse solves, some annihilator
     that a keystream bit can select has a nonzero coefficient on a
-    product of that register's inputs alone; read from the equations
-    and the truth table, not from the planner's own test."""
+    product of that register's inputs alone; read from
+    boolfn.annihilators and the truth table, not from the planner's own
+    test."""
     known_in, open_in = attack._split_inputs(spec, stage.known)
-    equations = attack._restricted_annihilators(
-        spec.function, known_in, open_in, stage.degree)[0]
-    terms = attack._collapse_terms(len(open_in), stage.degree)
     hit = set()
-    for a, eq in enumerate(equations):
-        for y in range(1 << len(open_in)):
-            x = sum((a >> k & 1) << j for k, j in enumerate(known_in))
-            x |= sum((y >> k & 1) << j for k, j in enumerate(open_in))
-            for row in eq[spec.function(x)]:
-                hit |= {terms[c] for c in np.flatnonzero(row)}
+    for a in range(1 << len(known_in)):
+        x = sum((a >> k & 1) << j for k, j in enumerate(known_in))
+        restricted = [spec.function(x | sum((y >> k & 1) << j for k, j
+                                            in enumerate(open_in)))
+                      for y in range(1 << len(open_in))]
+        # bit z selects the annihilators of f (z = 1) or of 1 + f
+        for z in set(restricted):
+            hit |= annihilated_monomials(
+                tuple(v ^ z ^ 1 for v in restricted), stage.degree)
     return all(
-        any(term and {open_in[k] for k in term} <= inputs for term in hit)
+        any(u and {j for k, j in enumerate(open_in) if u >> k & 1} <= inputs
+            for u in hit)
         for inputs in ({j for j, _ in spec.inputs_of_register(r)}
                        for r in stage.registers))
 
@@ -1311,6 +1416,30 @@ def test_collapse_is_planned_only_where_it_pins_each_register(index, order,
     parts = spec.split_state(state)
     assert result.reports[-1].candidates == ({r: parts[r]
                                               for r in registers},)
+
+
+def ignored_input_spec(wiring):
+    """The toy's register lengths under f = 0x6ac56ac5, which ignores
+    x4, with the given wiring."""
+    return GeneratorSpec(
+        (LfsrSpec(13, presets.TOY_POLY_13, (0, 5)),
+         LfsrSpec(11, presets.TOY_POLY_11, (1, 7)),
+         LfsrSpec(9, presets.TOY_POLY_9, (3,))),
+        BooleanFunction.from_hex("0x6ac56ac5"), wiring)
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_plan_refuses_a_register_whose_every_input_f_ignores(order):
+    # register 2 feeds only x4, so no keystream bit depends on it: some
+    # orders used to report a wrong register-2 state, the others to
+    # leave 9 free directions; with x4 on register 1 beside x2, every
+    # order still plans
+    spec = ignored_input_spec(((0, 0), (0, 1), (1, 0), (1, 1), (2, 0)))
+    with pytest.raises(ValidationError,
+                       match=r"f ignores every input of registers \[2\]"):
+        plan(spec, order)
+    spec = ignored_input_spec(((0, 0), (0, 1), (1, 0), (2, 0), (1, 1)))
+    assert isinstance(plan(spec, order).stages[-1], attack.CollapseStage)
 
 
 def test_collapse_rejects_every_wrong_register_0(toy):
