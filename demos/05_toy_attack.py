@@ -41,7 +41,7 @@ for rep in result.reports:
     else:
         print(f"  stage {rep.stage + 1} -> registers "
               f"{list(stage.registers)}: collapse of degree {stage.degree}, "
-              f"rank {rep.rank} on {rep.window} bits, "
+              f"rank {rep.rank} on {stage.window} bits, "
               f"{len(rep.candidates)} solution(s)")
 
 # The recovered state must regenerate the observed keystream bit for bit

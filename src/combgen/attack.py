@@ -20,10 +20,11 @@ Once the first stage has given its register, every register left is
 solved at once where the linearization of Courtois and Meier fits (the
 collapse, `collapse_solve`): the known inputs restrict f at each
 keystream bit, and each low-degree annihilator of the restriction is one
-equation in the open state, so one GF(2) elimination over its monomials
-recovers them.  Where it does not fit, later registers are scored in
-turn, and the last one falls to a collapse of its own, with the direct
-search over its states (`final_direct_search`) as the oracle.
+equation in the open state, so one GF(2) elimination over its monomials,
+on the rows of the collapse's planned window, recovers them.  Where it
+does not fit, later registers are scored in turn, and the last one falls
+to a collapse of its own, with the direct search over its states
+(`final_direct_search`) as the oracle.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ _COUNT_SLICE = 1 << 16
 # in the open state bits, planned only while they number at most
 # COLLAPSE_MAX_MONOMIALS and, for two or more registers, at a degree of
 # at most COLLAPSE_MAX_DEGREE.  Its window offers COLLAPSE_WINDOW_FACTOR
-# equations per monomial on average, and a solve whose rank still falls
-# short at the keystream's end enumerates at most 2**COLLAPSE_MAX_FREE
-# states.  Rows are built in slabs of time steps whose uint8 rows, one
-# byte per monomial, take at most about _COLLAPSE_SLAB bytes when every
-# step selects the most annihilators.
+# equations per monomial on average, and its one solve, where the rank
+# falls short, enumerates at most 2**COLLAPSE_MAX_FREE states.  Rows are
+# built in slabs of time steps whose uint8 rows, one byte per monomial,
+# take at most about _COLLAPSE_SLAB bytes when every step selects the
+# most annihilators.
 COLLAPSE_MAX_DEGREE = 2
 COLLAPSE_MAX_MONOMIALS = 1 << 12
 COLLAPSE_WINDOW_FACTOR = 2
@@ -1047,47 +1048,41 @@ def _collapse_rows(spec, stage, patterns, bits, window):
 
 
 def _collapse(spec, ks, known, stage):
-    """collapse_solve's states, the rank reached (None when the rows are
-    inconsistent) and the window of the last solve, in bits."""
+    """collapse_solve's states and the rank reached (None when the rows
+    are inconsistent)."""
     bits = Keystream.of(ks).bits
     if set(known) != set(stage.known):
         raise ValidationError(f"the collapse needs registers "
                               f"{sorted(stage.known)} known, got "
                               f"{sorted(known)}")
-    if bits.size < stage.window:
-        raise ValidationError(f"keystream has {bits.size} bits; the "
-                              f"collapse needs at least {stage.window}")
-    m = stage.m1 + stage.m2
-    known_in, _ = _split_inputs(spec, stage.known)
     window = stage.window
-    while True:
-        words = input_words(spec, known, window)
-        patterns = np.zeros(window, dtype=np.intp)
-        for k, j in enumerate(known_in):
-            patterns |= ((words >> j) & 1).astype(np.intp) << k
-        solved = solve_linear(
-            _collapse_rows(spec, stage, patterns, bits, window),
-            stage.monomials - 1)
-        if solved is None:
-            return [], None, window
-        solution, null = solved
-        # free directions that move a state bit, as a reduced basis
-        free = []
-        for v in null:
-            v &= (1 << m) - 1
-            for b in free:
-                v = min(v, v ^ b)
-            if v:
-                free = sorted([*free, v], reverse=True)
-        if not free or window == bits.size:
-            break
-        window = min(2 * window, bits.size)
+    if bits.size < window:
+        raise ValidationError(f"keystream has {bits.size} bits; the "
+                              f"collapse needs at least {window}")
+    known_in, _ = _split_inputs(spec, stage.known)
+    words = input_words(spec, known, window)
+    patterns = np.zeros(window, dtype=np.intp)
+    for k, j in enumerate(known_in):
+        patterns |= ((words >> j) & 1).astype(np.intp) << k
+    solved = solve_linear(_collapse_rows(spec, stage, patterns, bits, window),
+                          stage.monomials - 1)
+    if solved is None:
+        return [], None
+    solution, null = solved
+    # free directions that move a state bit, as a reduced basis
+    free = []
+    for v in null:
+        v &= (1 << stage.m1 + stage.m2) - 1
+        for b in free:
+            v = min(v, v ^ b)
+        if v:
+            free = sorted([*free, v], reverse=True)
     if len(free) > COLLAPSE_MAX_FREE:
         raise ValidationError(
             f"the collapse of registers {list(stage.registers)} leaves "
-            f"{len(free)} free directions in its state bits on all "
-            f"{bits.size} keystream bits, more than the "
-            f"{COLLAPSE_MAX_FREE} it enumerates")
+            f"{len(free)} free directions in its state bits on its "
+            f"{window}-bit window, more than the {COLLAPSE_MAX_FREE} it "
+            f"enumerates")
     found = []
     for pick in range(1 << len(free)):
         x = solution
@@ -1103,21 +1098,20 @@ def _collapse(spec, ks, known, stage):
         if np.array_equal(got, bits[:window]):
             found.append(states)
     found.sort(key=lambda st: [st[r] for r in sorted(st)])
-    return found, stage.monomials - 1 - len(null), window
+    return found, stage.monomials - 1 - len(null)
 
 
 def collapse_solve(spec, ks, known, stage):
     """Solve every register of a CollapseStage from `known` (register ->
     state, exactly stage.known) by one GF(2) elimination.
 
-    The rows of stage.window keystream bits (_collapse_rows) go to
-    gf2.solve_linear; the states are the solution's first m bits.  While
-    free variables still move a state bit, the window doubles up to the
-    keystream's length; then every assignment of those free directions
-    (at most 2**COLLAPSE_MAX_FREE, else ValidationError) is kept if it
-    regenerates every bit of the window.  Returns the kept states as
-    dicts (register -> state), ascending; an inconsistent system, as a
-    wrong known state gives, returns [].
+    The rows of the first stage.window keystream bits (_collapse_rows)
+    go to gf2.solve_linear once; the states are the solution's first m
+    bits.  Every assignment of the free directions that still move a
+    state bit (at most 2**COLLAPSE_MAX_FREE, else ValidationError) is
+    kept if it regenerates every bit of the window.  Returns the kept
+    states as dicts (register -> state), ascending; an inconsistent
+    system, as a wrong known state gives, returns [].
     """
     return _collapse(spec, ks, known, stage)[0]
 
@@ -1137,10 +1131,8 @@ class StageReport:
     relations_raw: int = 0
     relations_used: int = 0
     warnings: tuple = ()
-    # a collapse's rank reached (None if its rows are inconsistent) and
-    # the window of its last solve, in bits
+    # a collapse's rank reached (None if its rows are inconsistent)
     rank: int | None = None
-    window: int = 0
 
 
 @dataclass
@@ -1300,10 +1292,10 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 seconds=time.perf_counter() - t0, warnings=warnings))
             branches = [{stage.target: c.candidate} for c in ranked]
         else:
-            branches, rank, window = _collapse(spec, ks, known, stage)
+            branches, rank = _collapse(spec, ks, known, stage)
             result.reports.append(StageReport(
                 stage=idx, target=stage.target, known=dict(known),
-                candidates=tuple(branches), rank=rank, window=window,
+                candidates=tuple(branches), rank=rank,
                 seconds=time.perf_counter() - t0))
         for i, branch in enumerate(branches):
             # a runner-up of a scored stage is a backtrack; another

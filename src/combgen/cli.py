@@ -139,7 +139,7 @@ def cmd_attack(args):
             print(f"stage {rep.stage + 1} (registers "
                   f"{list(stage.registers)}): collapse of degree "
                   f"{stage.degree} over {stage.monomials} monomials, {rank} "
-                  f"on a {rep.window}-bit window, {len(rep.candidates)} "
+                  f"on a {stage.window}-bit window, {len(rep.candidates)} "
                   f"solution(s), {rep.seconds:.2f}s")
     print("keystream regenerated exactly: yes")
     return 0

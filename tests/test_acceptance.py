@@ -423,7 +423,7 @@ print(json.dumps(dict(
     stage1_s=scored.seconds, relations=scored.relations_used,
     z=[c.zscore for c in scored.candidates[:2]],
     collapse_s=collapse.seconds, rank=collapse.rank,
-    window=collapse.window)))
+    window=ap.stages[-1].window)))
 """
 
 

@@ -1485,31 +1485,114 @@ def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
     assert regenerated == [TRUE_KEY]
 
 
-def test_collapse_doubles_then_enumerates_free_directions(toy, monkeypatch):
-    # a solver that always leaves state bit 0 free: the window doubles up
-    # to the keystream's end, both assignments are tried and only the
-    # true one regenerates the window; with no free direction allowed,
-    # the collapse refuses
+def test_collapse_enumerates_free_directions_on_its_window(toy,
+                                                          monkeypatch):
+    # a solver that always leaves state bit 0 free: one solve over the
+    # rows of the window however long the keystream, both assignments
+    # are tried and only the true one regenerates the window; with no
+    # free direction allowed, the collapse refuses
     stage = plan(toy).stages[1]
     parts = toy.split_state(TRUE_KEY)
     ks = toy_keystream(toy, 4 * stage.window)
-    windows = []
+    windows, built, solves, tried = [], [], [], []
+    rows_of = attack._collapse_rows
     solve = attack.solve_linear
+    words = attack.input_words
+
+    def counted_rows(spec, stage, patterns, bits, window):
+        windows.append(window)
+        rows = list(rows_of(spec, stage, patterns, bits, window))
+        built.append(len(rows))
+        return iter(rows)
 
     def leaving_bit_0_free(rows, nvars):
         rows = list(rows)
-        windows.append(len(rows))
+        solves.append(len(rows))
         solution, null = solve(rows, nvars)
         return solution, [*null, 1]
 
+    def seen_words(spec, states, count):
+        if set(states) == {1, 2}:
+            tried.append(dict(states))
+        return words(spec, states, count)
+
+    monkeypatch.setattr(attack, "_collapse_rows", counted_rows)
     monkeypatch.setattr(attack, "solve_linear", leaving_bit_0_free)
-    found, rank, window = attack._collapse(toy, ks, {0: parts[0]}, stage)
-    assert found == [{1: parts[1], 2: parts[2]}]
-    assert window == 4 * stage.window and len(windows) == 3
-    assert windows[0] < windows[1] < windows[2]
+    monkeypatch.setattr(attack, "input_words", seen_words)
+    assert attack.collapse_solve(toy, ks, {0: parts[0]}, stage) == [
+        {1: parts[1], 2: parts[2]}]
+    assert windows == [stage.window] and solves == built
+    assert sorted(st[1] for st in tried) == sorted([parts[1],
+                                                    parts[1] ^ 1])
+    assert all(st[2] == parts[2] for st in tried)
     monkeypatch.setattr(attack, "COLLAPSE_MAX_FREE", 0)
-    with pytest.raises(ValidationError, match="1 free directions"):
+    with pytest.raises(ValidationError, match="1 free directions in its "
+                       "state bits on its 209-bit window"):
         attack.collapse_solve(toy, ks, {0: parts[0]}, stage)
+
+
+def test_collapse_reads_only_its_planned_window(monkeypatch):
+    # survey spec 7 in order (0, 1, 2) collapses registers 1 and 2 at
+    # degree 1 over 28 monomials, rank 26 of 27 on its 190-bit window:
+    # on 2^18 bits, one solve and nothing read past that window
+    spec = survey()[7]
+    ap = plan(spec, (0, 1, 2))
+    stage = ap.stages[-1]
+    assert (stage.registers, stage.degree, stage.monomials,
+            stage.window) == ((1, 2), 1, 28, 190)
+    state = gf2.random_state(spec, np.random.default_rng(7))
+    parts = spec.split_state(state)
+    ks = keystream(spec, state, 1 << 18)
+    asked, solves = [], []
+    rows_of = attack._collapse_rows
+    solve = attack.solve_linear
+    words = attack.input_words
+
+    def counted_rows(spec, stage, patterns, bits, window):
+        asked.append(window)
+        return rows_of(spec, stage, patterns, bits, window)
+
+    def counted_solve(rows, nvars):
+        solves.append(nvars)
+        return solve(rows, nvars)
+
+    def counted_words(spec, states, count):
+        asked.append(count)
+        return words(spec, states, count)
+
+    with monkeypatch.context() as m:
+        m.setattr(attack, "_collapse_rows", counted_rows)
+        m.setattr(attack, "solve_linear", counted_solve)
+        m.setattr(attack, "input_words", counted_words)
+        assert attack.collapse_solve(spec, ks, {0: parts[0]}, stage) == [
+            {1: parts[1], 2: parts[2]}]
+    assert solves == [27] and max(asked) <= 190
+    result = run_attack(spec, ks, ap)
+    assert result.state == state and result.reports[-1].rank == 26
+
+
+def test_every_survey_collapse_returns_exactly_the_truth():
+    # all 360 survey plans, one key each on 2^14 bits: the true known
+    # registers give exactly the true open registers, and random wrong
+    # nonzero known states give nothing
+    rng = np.random.default_rng(23)
+    for spec in survey():
+        for order in permutations(range(3)):
+            stage = plan(spec, order).stages[-1]
+            state = gf2.random_state(spec, rng)
+            parts = spec.split_state(state)
+            ks = keystream(spec, state, 1 << 14)
+            known = {r: parts[r] for r in stage.known}
+            truth = [{r: parts[r] for r in stage.registers}]
+            assert attack.collapse_solve(spec, ks, known, stage) == truth, (
+                spec, order)
+            for r in known:
+                wrong = parts[r]
+                while wrong == parts[r]:
+                    wrong = int(rng.integers(1, 1 << spec.lfsrs[r].length))
+                known[r] = wrong
+            assert attack.collapse_solve(spec, ks, known, stage) == [], (
+                spec, order)
 
 
 @pytest.mark.parametrize("nbits", [0, 208])
@@ -1550,7 +1633,8 @@ def test_run_attack_recovers_exact_state(toy):
     assert [r.stage for r in result.reports[-2:]] == [0, 1]
     assert collapse.multiples == () and collapse.known == {0: parts[0]}
     assert collapse.candidates == ({1: parts[1], 2: parts[2]},)
-    assert (collapse.rank, collapse.window) == (210, 209)
+    stage = plan(toy).stages[-1]
+    assert (collapse.rank, stage.window) == (210, 209)
 
 
 def test_run_attack_with_supplied_multiples_and_tradeoff(toy):
