@@ -491,25 +491,32 @@ class EquationSet:
 
 def _relation_chunks(eqs):
     """Yield (multiple, bases, classes) per chunk of at most DEFAULT_CHUNK
-    keystream positions; the one reader of both group formats.  A run's
-    bases come as a slice; a filtered group's come as a sorted index
-    array, cut where its bases cross a multiple of DEFAULT_CHUNK past the
-    first, so _window_sums reads any chunk from a window of at most
-    DEFAULT_CHUNK positions whatever the share of relations kept.  Each
-    call restarts the stream."""
+    keystream positions of every group (_group_chunks).  Each call
+    restarts the stream."""
     for g in eqs.groups:
-        if g.bases is None:
-            for lo in range(0, g.count, DEFAULT_CHUNK):
-                run = slice(lo, min(lo + DEFAULT_CHUNK, g.count))
-                yield g.multiple, run, _quad_sum(eqs.bits, g.multiple, run)
-            continue
-        # cut points in the bases' own dtype, so the search copies nothing
-        edges = np.searchsorted(g.bases, np.arange(
-            g.bases[0], g.bases[-1] + 1, DEFAULT_CHUNK, dtype=g.bases.dtype))
-        edges = [*edges.tolist(), g.count]
-        for lo, hi in zip(edges, edges[1:]):
-            if lo < hi:
-                yield g.multiple, g.bases[lo:hi], g.classes[lo:hi]
+        for bases, classes in _group_chunks(eqs.bits, g):
+            yield g.multiple, bases, classes
+
+
+def _group_chunks(bits, g):
+    """Yield (bases, classes) per chunk of one group; the one reader of
+    both group formats.  A run's bases come as a slice; a filtered
+    group's come as a sorted index array, cut where its bases cross a
+    multiple of DEFAULT_CHUNK past the first, so _window_sums reads any
+    chunk from a window of at most DEFAULT_CHUNK positions whatever the
+    share of relations kept."""
+    if g.bases is None:
+        for lo in range(0, g.count, DEFAULT_CHUNK):
+            run = slice(lo, min(lo + DEFAULT_CHUNK, g.count))
+            yield run, _quad_sum(bits, g.multiple, run)
+        return
+    # cut points in the bases' own dtype, so the search copies nothing
+    edges = np.searchsorted(g.bases, np.arange(
+        g.bases[0], g.bases[-1] + 1, DEFAULT_CHUNK, dtype=g.bases.dtype))
+    edges = [*edges.tolist(), g.count]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo < hi:
+            yield g.bases[lo:hi], g.classes[lo:hi]
 
 
 def _lowest_degree(mults, ks_len, wanted=None, usable=None):
@@ -616,14 +623,74 @@ def _target(spec, target):
     return spec.lfsrs[target], taps
 
 
+def _folds(eqs, lf):
+    """The period pi = 2**m1 - 1 of register lf, and per group whether
+    iter_column_chunks folds it: a harvested run of at least pi bases."""
+    period = (1 << lf.length) - 1
+    return period, [g.bases is None and g.count >= period
+                    for g in eqs.groups]
+
+
+def _folded_counts(bits, mult, count, period, lo, hi):
+    """(n0, n1) for the residues lo .. hi - 1 of a run of `count` bases:
+    the class-0 and class-1 relations among the bases tau, tau + period,
+    ... below count.  Whole periods are summed in blocks of at most
+    DEFAULT_CHUNK bases, the last, partial one on its own."""
+    width = hi - lo
+    # periods k whose bases k * period + lo .. k * period + hi - 1 all run
+    full = (count - hi) // period + 1
+    rows = max(1, DEFAULT_CHUNK // period) if width == period else 1
+    ones = np.zeros(width, np.int32)
+    for k in range(0, full, rows):
+        n = min(rows, full - k)
+        block = _quad_sum(bits, mult, slice(k * period + lo,
+                                            (k + n - 1) * period + hi))
+        ones += block.reshape(n, width).sum(0, dtype=np.int32)
+    seen = np.full(width, full, np.int32)
+    # the first `tail` residues have one more base, in period `full`
+    tail = count - full * period - lo
+    if tail > 0:
+        ones[:tail] += _quad_sum(bits, mult, slice(full * period + lo, count))
+        seen[:tail] += 1
+    return seen - ones, ones
+
+
 def iter_column_chunks(spec, target, eqs):
-    """Yield (columns, classes) per relation chunk of register `target`
-    without holding every column at once; columns come in the residue
-    table's register-width dtype."""
+    """Yield the column chunks of register `target` without holding
+    every column at once; columns come in the residue table's
+    register-width dtype, which covers only the positions they read.
+
+    A group yields (columns, classes) per relation chunk, unless it is a
+    harvested run of at least one period pi = 2**m1 - 1 of the register.
+    Such a run is folded: X**pi mod P = 1, so the relation at base t has
+    the masks of base t mod pi.  It yields (columns, classes, weights)
+    per chunk of at most DEFAULT_CHUNK // 2 residues, each residue
+    twice, class 0 then class 1, weighted by its relation counts n0 and
+    n1 (_folded_counts), so no chunk outgrows DEFAULT_CHUNK entries.  The
+    count arrays come out as the relations'."""
     lf, taps = _target(spec, target)
-    table = residue_powers(lf.feedback, eqs.bits.size + max(taps))
-    for mult, bases, classes in _relation_chunks(eqs):
-        yield _window_sums(table, mult, bases, taps), classes
+    period, folds = _folds(eqs, lf)
+    # one past the last base each group reads, plus its span
+    reach = max(((period if fold else g.count if g.bases is None
+                  else int(g.bases[-1]) + 1) + g.multiple.t3
+                 for g, fold in zip(eqs.groups, folds)), default=0)
+    table = residue_powers(lf.feedback, reach + max(taps))
+    if any(folds) and table[period] != 1:
+        raise InvariantError(f"X**{period} mod 0x{lf.feedback:x} is not 1; "
+                             f"the fold needs the register's period")
+    for g, fold in zip(eqs.groups, folds):
+        if not fold:
+            for bases, classes in _group_chunks(eqs.bits, g):
+                yield _window_sums(table, g.multiple, bases, taps), classes
+            continue
+        width = max(1, DEFAULT_CHUNK // 2)
+        for lo in range(0, period, width):
+            hi = min(lo + width, period)
+            cols = _window_sums(table, g.multiple, slice(lo, hi), taps)
+            yield ([np.tile(c, 2) for c in cols],
+                   np.repeat(np.uint8([0, 1]), hi - lo),
+                   np.concatenate(_folded_counts(eqs.bits, g.multiple,
+                                                 g.count, period, lo, hi)))
 
 
 def _table_dtype(total, n1):
@@ -655,12 +722,18 @@ def _mask_keys(cols, classes, n1, m1, split_bits, out=None):
     return out
 
 
-def _accumulate_chunk(tables, cols, classes, n1, split_bits=0, prefix=0):
-    """Add one chunk's mask counts, signed for prefix, into the count
-    array, row = class, by one unsorted scatter of its keys."""
+def _accumulate_chunk(tables, cols, classes, n1, split_bits=0, prefix=0,
+                      weights=None):
+    """Add one chunk's mask counts, signed for prefix and times each
+    entry's weight (1 if None), into the count array, row = class, by
+    unsorted scatters of its keys: one, or one per mask if weighted."""
     m1 = tables.shape[1].bit_length() - 1 + split_bits
-    _scatter_keys(tables, _mask_keys(cols, classes, n1, m1, split_bits),
-                  split_bits, prefix)
+    keys = _mask_keys(cols, classes, n1, m1, split_bits)
+    if weights is None:
+        _scatter_keys(tables, keys, split_bits, prefix)
+        return
+    for run in keys.reshape((1 << n1) - 1, classes.size):
+        _scatter_keys(tables, run, split_bits, prefix, weights)
 
 
 def _fill_tables(chunks, n1, bits, class_counts, split_bits=0, prefix=0):
@@ -669,34 +742,48 @@ def _fill_tables(chunks, n1, bits, class_counts, split_bits=0, prefix=0):
     its class count (the all-zero mask of each relation)."""
     tables = np.zeros((2, 1 << bits), _table_dtype(sum(class_counts), n1))
     tables[:, 0] = class_counts
-    for cols, classes in chunks:
-        _accumulate_chunk(tables, cols, classes, n1, split_bits, prefix)
+    for cols, classes, *weights in chunks:
+        _accumulate_chunk(tables, cols, classes, n1, split_bits, prefix,
+                          *weights)
     return tables
 
 
 def _sorted_keys(chunks, m1, n1, total, split_bits):
-    """Every chunk's _mask_keys in one array of total * (2**n1 - 1)
-    entries, filled in place and then sorted in place."""
-    keys = np.empty(total * ((1 << n1) - 1), _key_dtype(m1))
+    """(keys, weights): every chunk's _mask_keys in one array of total *
+    (2**n1 - 1) entries, filled in place and then sorted, and their
+    int32 weights in the same order, or None when every chunk is an
+    unweighted (columns, classes) pair."""
+    step = (1 << n1) - 1
+    keys = np.empty(total * step, _key_dtype(m1))
+    weights = None
     hi = 0
-    for cols, classes in chunks:
-        lo, hi = hi, hi + classes.size * ((1 << n1) - 1)
+    for cols, classes, *weighted in chunks:
+        lo, hi = hi, hi + classes.size * step
         _mask_keys(cols, classes, n1, m1, split_bits, keys[lo:hi])
+        if weighted:
+            if weights is None:
+                weights = np.ones(keys.size, np.int32)
+            weights[lo:hi].reshape(step, classes.size)[:] = weighted[0]
     if hi != keys.size:
         raise InvariantError(f"chunks held {hi} of {keys.size} keys")
-    keys.sort()
-    return keys
+    if weights is None:
+        keys.sort()
+        return keys, None
+    order = keys.argsort(kind="stable")
+    return keys[order], weights[order]
 
 
-def _scatter_keys(tables, keys, split_bits, prefix):
-    """Add each key's sign, the parity of (key AND prefix), at entry
-    key >> split_bits of tables, one cache-sized slice at a time;
-    returns tables."""
+def _scatter_keys(tables, keys, split_bits, prefix, weights=None):
+    """Add each key's sign, the parity of (key AND prefix), times its
+    weight (1 if None) at entry key >> split_bits of tables, one
+    cache-sized slice at a time; returns tables."""
     flat = tables.reshape(-1)
     for lo in range(0, keys.size, _COUNT_SLICE):
         k = keys[lo:lo + _COUNT_SLICE]
         sign = 1 - 2 * (np.bitwise_count(k & prefix) & 1).astype(
             tables.dtype) if prefix else tables.dtype.type(1)
+        if weights is not None:
+            sign = weights[lo:lo + _COUNT_SLICE] * sign
         # a Python int 1 would take np.add.at's casting path, 30x slower
         np.add.at(flat, k >> split_bits if split_bits else k, sign)
     return tables
@@ -872,22 +959,32 @@ def score_candidates_naive(spec, target, eqs, top_k=DEFAULT_BEAM):
     return sorted(scores, key=lambda s: (-z(s), s.candidate))[:top_k]
 
 
-def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
+def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits,
+                     entries=None):
     """Yield (offset, n0, n1) per prefix of the split candidate space.
 
-    chunks_factory() restarts the (columns, classes) chunk stream; each
-    pass fills one (2, 2**(m1 - split_bits)) count array.  A split stage
-    whose keys fit in as many bytes streams once and sorts them, so each
-    pass walks the array in order; a larger one restreams every pass.
+    chunks_factory() restarts the chunk stream; each pass fills one (2,
+    2**(m1 - split_bits)) count array.  entries is the summed classes.size
+    of a stream with weighted chunks (iter_column_chunks), None for one
+    unweighted chunk entry per relation.  A split stage whose keys, with
+    an int32 weight each in a weighted stream, fit in as many bytes as the
+    array streams once and sorts them, so each pass walks the array in
+    order; a larger one restreams every pass.
     """
     if not 0 <= split_bits <= m1:
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
     total, suffix_bits = sum(class_counts), m1 - split_bits
-    key_bytes = total * ((1 << n1) - 1) * _key_dtype(m1).itemsize
+    key_size = _key_dtype(m1).itemsize
+    if entries is None:
+        entries = total
+    else:
+        key_size += np.dtype(np.int32).itemsize
+    key_bytes = entries * ((1 << n1) - 1) * key_size
     table_bytes = np.dtype(_table_dtype(total, n1)).itemsize << suffix_bits + 1
     keys = None
     if split_bits and key_bytes <= table_bytes:
-        keys = _sorted_keys(chunks_factory(), m1, n1, total, split_bits)
+        keys, weights = _sorted_keys(chunks_factory(), m1, n1, entries,
+                                     split_bits)
     for prefix in range(1 << split_bits):
         # built inside the yield: no local keeps this pass's count array
         # alive while the next pass fills its own
@@ -895,7 +992,8 @@ def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits):
             _fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
                          split_bits, prefix) if keys is None else
             _scatter_keys(_fill_tables((), n1, suffix_bits, class_counts),
-                          keys, split_bits, prefix)), n1, class_counts))
+                          keys, split_bits, prefix, weights)),
+            n1, class_counts))
 
 
 def check_top_k(top_k):
@@ -909,15 +1007,22 @@ def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
     by (n0-n1)/sqrt(n0+n1) descending, ties broken by candidate value;
     candidate 0 matches every relation and ranks below any with one.
 
-    Column chunks feed 2**split_bits prefix passes, each over one
-    (2, 2**(m1 - split_bits)) count array; a split stage whose
-    relations * (2**n1 - 1) keys fit in as many bytes streams once.
+    Column chunks (iter_column_chunks) feed 2**split_bits prefix passes,
+    each over one (2, 2**(m1 - split_bits)) count array.  A harvested run
+    of at least one period pi = 2**m1 - 1 of the register is folded into
+    2 * pi weighted entries, one per residue mod pi and class; every
+    other relation is one entry.  A split stage whose entries' keys,
+    2**n1 - 1 each, fit in as many bytes streams once.
     """
     check_top_k(top_k)
     lf, taps = _target(spec, target)
+    period, folds = _folds(eqs, lf)
+    entries = (sum(2 * period if fold else g.count
+                   for g, fold in zip(eqs.groups, folds))
+               if any(folds) else None)
     blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, target, eqs),
                               lf.length, len(taps), eqs.class_counts,
-                              split_bits)
+                              split_bits, entries)
     return _rank_blocks(blocks, top_k)
 
 

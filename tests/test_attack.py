@@ -525,13 +525,15 @@ def test_accumulate_single_input_unrolled():
     rng = np.random.default_rng(6)
     ks = Keystream(rng.integers(0, 2, size=400).astype(np.uint8))
     eqs = harvest_equations(ks, [Weight4Multiple(2, 5, 11)])
-    (cols, classes), = iter_column_chunks(spec, 0, eqs)
+    # the run of 389 relations holds 55 periods of the 3-bit register, so
+    # it comes folded: each residue mod 7 weighted by its class counts
+    (cols, classes, weights), = iter_column_chunks(spec, 0, eqs)
     w0, w1 = table_pair(spec, 0, eqs)
     c0, c1 = eqs.class_counts
     for b, (w, total) in enumerate(((w0, c0), (w1, c1))):
         direct = np.zeros(8, dtype=np.int64)
         sel = classes == b
-        np.add.at(direct, cols[0][sel], 1)
+        np.add.at(direct, cols[0][sel], weights[sel])
         direct[0] += total
         assert np.array_equal(w, direct)
 
@@ -803,8 +805,9 @@ def test_split_stage_streams_once_while_its_keys_fit(toy, monkeypatch, split,
         return real_stream(*args)
 
     def recorded_keys(*args):
-        key_arrays.append(real_keys(*args))
-        return key_arrays[-1]
+        keys = real_keys(*args)
+        key_arrays.append(keys[0])
+        return keys
 
     monkeypatch.setattr(attack, "iter_column_chunks", counted_stream)
     monkeypatch.setattr(attack, "_sorted_keys", recorded_keys)
@@ -823,7 +826,9 @@ def test_sorted_keys_hold_class_low_then_high_mask_bits(m1, dtype):
     cols = [rng.integers(0, 1 << m1, 3000).astype(
         np.min_scalar_type((1 << m1) - 1)) for _ in range(2)]
     classes = rng.integers(0, 2, 3000).astype(np.uint8)
-    keys = attack._sorted_keys(iter([(cols, classes)]), m1, 2, 3000, 2)
+    keys, weights = attack._sorted_keys(iter([(cols, classes)]), m1, 2,
+                                        3000, 2)
+    assert weights is None
     v = np.concatenate([cols[0], cols[1], cols[0] ^ cols[1]]).astype(int)
     want = (np.tile(classes, 3).astype(int) << m1
             | (v & (1 << m1 - 2) - 1) << 2 | v >> m1 - 2)
@@ -1855,11 +1860,159 @@ def test_score_stage_at_byte_edge_widths_equals_naive(length, poly, splits,
         max_equations=700), known)
     width = np.min_scalar_type((1 << length) - 1)
     assert all(c.dtype == width
-               for cols, _ in iter_column_chunks(spec, 0, eqs) for c in cols)
+               for cols, *_ in iter_column_chunks(spec, 0, eqs) for c in cols)
     top_k = 1 << 8 if length == 8 else 10
     want = score_candidates_naive(spec, 0, eqs, top_k=top_k)
     for split in splits:
         assert score_stage(spec, 0, eqs, top_k, split) == want, split
+
+
+def byte_edge_folded_stage():
+    """Three harvested runs against the 8-bit target of byte_edge_spec,
+    whose masks repeat every 255 bases: 4056 and 4035 relations, about
+    16 periods each, then a run cut to 100, shorter than one period."""
+    rng = np.random.default_rng(30)
+    ks = Keystream(rng.integers(0, 2, size=4096).astype(np.uint8))
+    mults = [Weight4Multiple(3, 17, 40), Weight4Multiple(7, 9, 61),
+             Weight4Multiple(11, 30, 70)]
+    eqs = harvest_equations(ks, mults, max_equations=4056 + 4035 + 100)
+    assert [g.count for g in eqs.groups] == [4056, 4035, 100]
+    return eqs
+
+
+@pytest.mark.parametrize("split", [0, 1, 8])
+def test_score_stage_on_folded_runs_equals_naive(split):
+    # the two long runs come folded, one weighted entry per residue and
+    # class; the short one per relation
+    spec = byte_edge_spec(8, 0x11D)
+    eqs = byte_edge_folded_stage()
+    items = iter_column_chunks(spec, 0, eqs)
+    assert [len(item) for item in items] == [3, 3, 2]
+    n0, n1c = candidate_counts_naive(spec, 0, eqs)
+    got = score_stage(spec, 0, eqs, top_k=1 << 8, split_bits=split)
+    assert sorted(c.candidate for c in got) == list(range(1 << 8))
+    for c in got:
+        assert (c.n0, c.n1) == (n0[c.candidate], n1c[c.candidate])
+
+
+def stored_twin(eqs):
+    """eqs with every group restated as stored bases 0 .. count - 1 and
+    their classes, which iter_column_chunks reads per relation."""
+    return attack.EquationSet(eqs.bits, tuple(
+        attack.EquationGroup(mult, bases.size, bases.astype(np.int32),
+                             classes)
+        for mult, bases, classes in group_arrays(eqs)))
+
+
+def test_folded_stage_tables_equal_the_stored_bases_twin():
+    spec = byte_edge_spec(8, 0x11D)
+    eqs = byte_edge_folded_stage()
+    twin = stored_twin(eqs)
+    assert all(len(item) == 2 for item in iter_column_chunks(spec, 0, twin))
+    for split, prefix in ((0, 0), (1, 1), (3, 5)):
+        got, want = (attack._fill_tables(
+            iter_column_chunks(spec, 0, e), 2, 8 - split, e.class_counts,
+            split, prefix) for e in (eqs, twin))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (split, prefix)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 600, 200])
+@pytest.mark.parametrize("count", [254, 255, 256, 3 * 255 + 5])
+def test_folded_run_tables_equal_the_stored_bases_twin(monkeypatch, chunk,
+                                                       count):
+    # pi - 1 = 254 relations stay per relation; pi, pi + 1 and 3 pi + 5
+    # fold, with 0, 1 and 5 residues holding one base more than the
+    # rest.  DEFAULT_CHUNK 600 sums the 3 whole periods of 3 pi + 5 in
+    # blocks of 2 and 1; 200 cuts the residues into chunks of 100
+    monkeypatch.setattr(attack, "DEFAULT_CHUNK", chunk)
+    spec = byte_edge_spec(8, 0x11D)
+    rng = np.random.default_rng(31)
+    ks = Keystream(rng.integers(0, 2, size=1200).astype(np.uint8))
+    eqs = harvest_equations(ks, [Weight4Multiple(3, 17, 40)],
+                            max_equations=count)
+    assert eqs.total == count
+    items = list(iter_column_chunks(spec, 0, eqs))
+    assert {len(item) for item in items} == {2 if count < 255 else 3}
+    twin = stored_twin(eqs)
+    for split, prefix in ((0, 0), (3, 5)):
+        got, want = (attack._fill_tables(
+            iter_column_chunks(spec, 0, e), 2, 8 - split, e.class_counts,
+            split, prefix) for e in (eqs, twin))
+        assert np.array_equal(got, want), (split, prefix)
+
+
+def test_weighted_chunks_score_as_their_entries_repeated(monkeypatch):
+    # 60 weighted entries make 360 bytes of uint16 keys and int32
+    # weights, within split 2's 16 KiB count array: kept sorted with
+    # their weights, they fill every pass as the entries repeated
+    # weight times, one unweighted entry each
+    rng = np.random.default_rng(32)
+    cols = [rng.integers(0, 1 << 13, 60).astype(np.uint16) for _ in range(2)]
+    classes = rng.integers(0, 2, 60).astype(np.uint8)
+    weights = rng.integers(0, 6, 60).astype(np.int32)
+    counts = tuple(int(weights[classes == b].sum()) for b in (0, 1))
+    kept = []
+    real_keys = attack._sorted_keys
+
+    def recorded_keys(*args):
+        kept.append(real_keys(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(attack, "_sorted_keys", recorded_keys)
+    got = list(attack._tradeoff_blocks(
+        lambda: iter([(cols, classes, weights)]), 13, 2, counts, 2, 60))
+    (keys, key_weights), = kept
+    assert np.all(keys[:-1] <= keys[1:]) and key_weights.size == keys.size
+    want = list(attack._tradeoff_blocks(
+        lambda: iter([([np.repeat(c, weights) for c in cols],
+                       np.repeat(classes, weights))]), 13, 2, counts, 2))
+    assert len(got) == len(want) == 4
+    for (o, a0, a1), (p, b0, b1) in zip(got, want):
+        assert o == p and np.array_equal(a0, b0) and np.array_equal(a1, b1)
+
+
+def test_folded_columns_read_the_residue_table_to_one_period(toy,
+                                                             monkeypatch):
+    # toy stage 1 on 2**19 bits: both runs outlast the 13-bit register's
+    # period 8191, so its columns read the residue table up to one period
+    # past the longest span and the largest tap, not to the keystream's
+    # 2**19 bits
+    stage = plan(toy).stages[0]
+    eqs = harvest_equations(toy_keystream(toy), stage1_multiples(toy),
+                            max_equations=stage.raw_target)
+    assert eqs.total == stage.raw_target
+    assert all(g.count >= 8191 for g in eqs.groups)
+    asked = []
+    real = attack.residue_powers
+
+    def recorded(poly, count):
+        asked.append((poly, count))
+        return real(poly, count)
+
+    monkeypatch.setattr(attack, "residue_powers", recorded)
+    ranked = score_stage(toy, 0, eqs)
+    assert ranked[0].candidate == toy.split_state(TRUE_KEY)[0]
+    _, taps = attack._target(toy, 0)
+    reach = 8191 + max(g.multiple.t3 for g in eqs.groups) + max(taps)
+    assert asked and {poly for poly, _ in asked} == {presets.TOY_POLY_13}
+    assert max(count for _, count in asked) == reach
+
+
+def test_fold_refuses_a_table_without_the_period(monkeypatch):
+    # X**255 mod P = 1 is what makes residue t and t + 255 share masks
+    spec = byte_edge_spec(8, 0x11D)
+    eqs = byte_edge_folded_stage()
+    real = attack.residue_powers
+
+    def broken(poly, count):
+        table = real(poly, count).copy()
+        table[255] ^= 2
+        return table
+
+    monkeypatch.setattr(attack, "residue_powers", broken)
+    with pytest.raises(InvariantError, match=r"X\*\*255 mod 0x11d is not 1"):
+        next(iter_column_chunks(spec, 0, eqs))
 
 
 def filtered_toy_stage(toy, nbits):
