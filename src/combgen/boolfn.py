@@ -437,6 +437,126 @@ def annihilators(table, degree):
     return basis
 
 
+# --- bitsliced evaluation ---------------------------------------------------
+#
+# f is evaluated on 64 inputs at a time by a circuit over uint64 words: the
+# Shannon tree f = x ? f_hi : f_lo, splitting on the top input first, with
+# equal subtables built once and constant subtables folded into the gate
+# above them.  A node whose halves agree is the half itself, so an input f
+# ignores costs nothing.  While compiling, a subtable is a reference to a
+# node, possibly complemented (2 * node + 1), so the complement of a
+# subtable already built costs nothing, and a NOT is emitted only where a
+# gate needs one operand plain (at most once per node).  A split on x
+# with two nonconstant halves is low ^ (x & d) for the subtable d =
+# high ^ low, itself shared like any other, so it costs two operations
+# where d is built already and three where it is not.  Steps are
+# (op, a, b, c) over node numbers: inputs are nodes 0..n-1, step k makes
+# node n + k, _XOR_AND makes c ^ (a & b) and _XOR_OR c ^ (a | b).
+_NOT, _AND, _OR, _XOR, _XOR_AND, _XOR_OR = range(6)
+
+
+@functools.lru_cache(maxsize=64)
+def _mux_circuit(f):
+    """(steps, root) of f's reduced multiplexer circuit; root is a node
+    number, or -1 / -2 when f is constant 0 / 1.  Cached per function."""
+    zero, one = -1, -2
+    steps, built, nots = [], {}, {}
+
+    def emit(op, a, b=0, c=0):
+        steps.append((op, a, b, c))
+        return 2 * (f.n + len(steps) - 1)
+
+    def plain(ref):
+        if ref & 1 and ref not in nots:
+            nots[ref] = emit(_NOT, ref >> 1)
+        return nots.get(ref, ref) >> 1
+
+    def node(table, var):
+        if not table.any():
+            return zero
+        if table.all():
+            return one
+        key = table.tobytes()
+        if key not in built:
+            flip = (table ^ 1).tobytes()
+            built[key] = (built[flip] ^ 1 if flip in built
+                          else split(table, var))
+        return built[key]
+
+    def split(table, var):
+        half = table.size // 2
+        low = node(table[:half], var - 1)
+        high = node(table[half:], var - 1)
+        x = 2 * var
+        if low == high:
+            return low
+        if (low, high) == (zero, one):
+            return x
+        if (low, high) == (one, zero):
+            return x | 1
+        # ~x & low = ~(x | ~low) and ~x | high = ~(x & ~high)
+        if low == zero:
+            return emit(_AND, var, plain(high))
+        if high == zero:
+            return emit(_OR, var, plain(low ^ 1)) | 1
+        if high == one:
+            return emit(_OR, var, plain(low))
+        if low == one:
+            return emit(_AND, var, plain(high ^ 1)) | 1
+        if high == low ^ 1:
+            return emit(_XOR, var, low >> 1) | low & 1
+        # x ? high : low = low ^ (x & d) = ~(high ^ (x | ~d)), d the
+        # subtable high ^ low, one XOR unless some node already holds it
+        diff = table[:half] ^ table[half:]
+        key = diff.tobytes()
+        if key not in built and (diff ^ 1).tobytes() not in built:
+            built[key] = emit(_XOR, high >> 1, low >> 1) | (high ^ low) & 1
+        d = node(diff, var - 1)
+        if d & 1:
+            return emit(_XOR_OR, var, d >> 1, high >> 1) | (high & 1) ^ 1
+        return emit(_XOR_AND, var, d >> 1, low >> 1) | low & 1
+
+    root = node(f.table, f.n - 1)
+    if root >= 0:
+        root = plain(root)
+    return tuple(steps), root
+
+
+def evaluate_packed(f, inputs):
+    """f applied bit by bit to n packed inputs: bit b of word i of the
+    result is f(x) for x whose bit j is bit b of word i of inputs[j].
+
+    The inputs are equal-length uint64 arrays, read, never written; the
+    result may be one of them.  Runs f's reduced multiplexer circuit (see
+    the comment above), compiled once per function and cached: 40 word
+    operations for the paper's 9-input function, 42 for the toy's
+    6-input one, but 460-1470 for a random function of 10-12 inputs.
+    """
+    if len(inputs) != f.n:
+        raise ValidationError(f"{len(inputs)} inputs for a function of "
+                              f"{f.n}")
+    steps, root = _mux_circuit(f)
+    if root < 0:
+        fill = np.uint64(0) if root == -1 else ~np.uint64(0)
+        return np.full(len(inputs[0]), fill, dtype=np.uint64)
+    nodes = list(inputs)
+    for op, a, b, c in steps:
+        if op == _NOT:
+            got = np.invert(nodes[a])
+        elif op == _AND:
+            got = np.bitwise_and(nodes[a], nodes[b])
+        elif op == _OR:
+            got = np.bitwise_or(nodes[a], nodes[b])
+        elif op == _XOR:
+            got = np.bitwise_xor(nodes[a], nodes[b])
+        else:
+            got = (np.bitwise_and if op == _XOR_AND
+                   else np.bitwise_or)(nodes[a], nodes[b])
+            np.bitwise_xor(got, nodes[c], out=got)
+        nodes.append(got)
+    return nodes[root]
+
+
 def resiliency_order(f):
     """Largest t such that the Walsh spectrum vanishes on weights 0..t.
 

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from combgen import boolfn, presets
+from combgen import boolfn, gf2, presets
 from combgen.boolfn import (BooleanFunction, autocorrelation,
-                            check_p_spectrum_bounds, fwht, nonlinearity,
+                            check_p_spectrum_bounds, evaluate_packed, fwht,
+                            nonlinearity,
                             p_spectrum, p_spectrum_bruteforce,
                             random_balanced_function, resiliency_order,
                             walsh_spectrum)
@@ -548,3 +549,68 @@ def test_annihilators_of_the_toy_filter():
     assert boolfn.annihilators(table, 2).shape == (0, 64)
     assert boolfn.annihilators(1 ^ table, 2).shape == (0, 64)
     assert len(boolfn.annihilators(table, 3)) > 0
+
+
+def packed_truth_table(f):
+    """f evaluated packed on every input: the inputs' words count x up
+    through 0..2^n - 1 (repeating to fill a word), and the result
+    unpacked, one entry per x."""
+    size = max(64, 1 << f.n)
+    x = np.arange(size) % (1 << f.n)
+    inputs = [np.packbits((x >> j & 1).astype(np.uint8),
+                          bitorder="little").view(np.uint64)
+              for j in range(f.n)]
+    got = evaluate_packed(f, inputs)
+    assert got.dtype == np.uint64 and got.size == size // 64
+    return np.unpackbits(got.view(np.uint8), bitorder="little"), x
+
+
+def test_packed_evaluation_equals_every_3_input_table():
+    # includes f = 0 and f = 1 (constant roots), the single-input
+    # functions and their complements
+    for t in range(256):
+        f = BooleanFunction(3, [t >> x & 1 for x in range(8)])
+        got, x = packed_truth_table(f)
+        assert np.array_equal(got, f.table[x]), t
+
+
+@pytest.mark.parametrize("make", [presets.toy_filter,
+                                  presets.resilient_filter_9])
+def test_packed_evaluation_equals_the_presets(make):
+    f = make()
+    got, x = packed_truth_table(f)
+    assert np.array_equal(got, f.table[x])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_packed_evaluation_equals_random_tables(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        f = BooleanFunction(n, rng.integers(0, 2, size=1 << n,
+                                            dtype=np.uint8))
+        got, x = packed_truth_table(f)
+        assert np.array_equal(got, f.table[x])
+
+
+def test_packed_evaluation_skips_what_f_ignores():
+    # f(x) = x0 AND x2 ignores x1: its circuit is one AND of the inputs
+    f = BooleanFunction(3, [x & 1 & (x >> 2) for x in range(8)])
+    steps, root = boolfn._mux_circuit(f)
+    assert steps == ((boolfn._AND, 2, 0, 0),) and root == 3
+
+
+def test_keystream_builds_the_circuit_once_per_function(toy):
+    boolfn._mux_circuit.cache_clear()
+    try:
+        first = gf2.keystream(toy, 0x15543210F, 200)
+        assert gf2.keystream(toy, 0x15543210F, 200) == first
+        info = boolfn._mux_circuit.cache_info()
+        assert info.misses == 1 and info.hits >= 1
+    finally:
+        boolfn._mux_circuit.cache_clear()
+
+
+def test_packed_evaluation_refuses_a_wrong_input_count():
+    words = np.zeros(1, dtype=np.uint64)
+    with pytest.raises(ValidationError, match="2 inputs"):
+        evaluate_packed(presets.toy_filter(), [words, words])

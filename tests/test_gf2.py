@@ -397,6 +397,16 @@ def test_projection_filter_reproduces_tapped_sequence():
     ks = keystream(spec, init, 30)
     seq = lfsr_sequence(spec.lfsrs[0], init, 33)
     assert list(ks) == [seq[t + 3] for t in range(30)]
+    # the widest word shift: a 62-bit register read at tap 61 by an f
+    # that ignores its other input, tap 0
+    lf = LfsrSpec(62, random_primitive(np.random.default_rng(62), 62),
+                  taps=(0, 61))
+    spec = GeneratorSpec(lfsrs=(lf,),
+                         function=BooleanFunction(2, [0, 0, 1, 1]),
+                         wiring=((0, 0), (0, 1)))
+    init = 0x2B7E151628AED2A6
+    seq = lfsr_sequence(lf, init, 300 + 61)
+    assert np.array_equal(keystream(spec, init, 300).bits, seq[61:])
 
 
 def test_constant_zero_filter(toy):
@@ -406,11 +416,19 @@ def test_constant_zero_filter(toy):
     assert not any(keystream(spec, 12345, 100))
 
 
-def test_keystream_matches_reference_simulator(toy, rng):
+def test_keystream_matches_reference_simulator(toy, rng, monkeypatch):
     for _ in range(5):
         state = random_state(toy, rng)
         assert keystream(toy, state, 300) == keystream_reference(
             toy, state, 300)
+    # counts around a word and a slab, for slabs of odd, word and
+    # word-plus-one sizes as well as the default
+    for slab in (7, 64, 65, gf2._SLAB):
+        monkeypatch.setattr(gf2, "_SLAB", slab)
+        for count in sorted({0, 1, 63, 64, 65, slab - 1, slab + 1}):
+            state = random_state(toy, rng)
+            assert keystream(toy, state, count) == keystream_reference(
+                toy, state, count), (slab, count)
 
 
 def test_keystream_frozen_vector(toy):
@@ -446,8 +464,37 @@ def test_keystream_caches_no_table_beyond_a_slab(toy):
         for lf in toy.lfsrs:
             size = gf2._residue_cache[lf.feedback].size
             assert size <= gf2._SLAB + lf.length + max(lf.taps)
+            # the phases serve one slab plus the largest tap, packed
+            # eight bits a byte over w's bits to that plus the length
+            served, phases = gf2._phase_cache[lf.feedback]
+            assert served <= gf2._SLAB + max(lf.taps)
+            bits = gf2._SLAB + lf.length + max(lf.taps)
+            assert phases.shape[1] <= (bits + 7) // 8
     finally:
         clear_residue_cache()
+
+
+def test_keystream_memory_is_the_output_plus_slabs():
+    # 2^22 bits of the paper's instance: beyond the 2^22-byte result,
+    # the residue tables, phases and one slab's words and circuit nodes
+    # (about 30 slabs' worth of bytes from cold caches); a circuit run
+    # over the whole keystream would hold its 33 nodes of 2^19 bytes,
+    # and the truth-table lookup of input words peaked at 340 slabs
+    import tracemalloc
+
+    spec = presets.generator_29_31_37()
+    state = random_state(spec, np.random.default_rng(22))
+    count = 1 << 22
+    clear_residue_cache()
+    tracemalloc.start()
+    try:
+        ks = keystream(spec, state, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_residue_cache()
+    assert len(ks) == count
+    assert peak <= count + 48 * gf2._SLAB, peak
 
 
 def random_primitive(rng, l):
