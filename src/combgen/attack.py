@@ -546,6 +546,8 @@ def harvest_equations(ks, mults, max_equations=None):
     bits = Keystream.of(ks).bits
     if bits.size >= 1 << 31:
         raise ValidationError("keystream beyond 2^31 bits is unsupported")
+    if max_equations is not None and max_equations < 1:
+        raise ValidationError("max_equations must be at least 1")
     groups = tuple(EquationGroup(m, count) for m, count
                    in _lowest_degree(mults, bits.size, max_equations))
     if not groups:
@@ -749,28 +751,18 @@ def _fill_tables(chunks, n1, bits, class_counts, split_bits=0, prefix=0):
 
 
 def _sorted_keys(chunks, m1, n1, total, split_bits):
-    """(keys, weights): every chunk's _mask_keys in one array of total *
-    (2**n1 - 1) entries, filled in place and then sorted, and their
-    int32 weights in the same order, or None when every chunk is an
-    unweighted (columns, classes) pair."""
+    """Every unweighted (columns, classes) chunk's _mask_keys in one
+    array of total * (2**n1 - 1) entries, filled in place and sorted."""
     step = (1 << n1) - 1
     keys = np.empty(total * step, _key_dtype(m1))
-    weights = None
     hi = 0
-    for cols, classes, *weighted in chunks:
+    for cols, classes in chunks:
         lo, hi = hi, hi + classes.size * step
         _mask_keys(cols, classes, n1, m1, split_bits, keys[lo:hi])
-        if weighted:
-            if weights is None:
-                weights = np.ones(keys.size, np.int32)
-            weights[lo:hi].reshape(step, classes.size)[:] = weighted[0]
     if hi != keys.size:
         raise InvariantError(f"chunks held {hi} of {keys.size} keys")
-    if weights is None:
-        keys.sort()
-        return keys, None
-    order = keys.argsort(kind="stable")
-    return keys[order], weights[order]
+    keys.sort()
+    return keys
 
 
 def _scatter_keys(tables, keys, split_bits, prefix, weights=None):
@@ -960,31 +952,23 @@ def score_candidates_naive(spec, target, eqs, top_k=DEFAULT_BEAM):
 
 
 def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits,
-                     entries=None):
+                     weighted=False):
     """Yield (offset, n0, n1) per prefix of the split candidate space.
 
     chunks_factory() restarts the chunk stream; each pass fills one (2,
-    2**(m1 - split_bits)) count array.  entries is the summed classes.size
-    of a stream with weighted chunks (iter_column_chunks), None for one
-    unweighted chunk entry per relation.  A split stage whose keys, with
-    an int32 weight each in a weighted stream, fit in as many bytes as the
-    array streams once and sorts them, so each pass walks the array in
-    order; a larger one restreams every pass.
+    2**(m1 - split_bits)) count array.  A split stage whose keys fit in
+    as many bytes as the array streams once and sorts them, so each pass
+    walks the array in order; a larger one, or a `weighted` one (with
+    folded chunks, iter_column_chunks), restreams every pass.
     """
     if not 0 <= split_bits <= m1:
         raise ValidationError(f"split_bits must lie in [0, {m1}]")
     total, suffix_bits = sum(class_counts), m1 - split_bits
-    key_size = _key_dtype(m1).itemsize
-    if entries is None:
-        entries = total
-    else:
-        key_size += np.dtype(np.int32).itemsize
-    key_bytes = entries * ((1 << n1) - 1) * key_size
+    key_bytes = total * ((1 << n1) - 1) * _key_dtype(m1).itemsize
     table_bytes = np.dtype(_table_dtype(total, n1)).itemsize << suffix_bits + 1
     keys = None
-    if split_bits and key_bytes <= table_bytes:
-        keys, weights = _sorted_keys(chunks_factory(), m1, n1, entries,
-                                     split_bits)
+    if split_bits and not weighted and key_bytes <= table_bytes:
+        keys = _sorted_keys(chunks_factory(), m1, n1, total, split_bits)
     for prefix in range(1 << split_bits):
         # built inside the yield: no local keeps this pass's count array
         # alive while the next pass fills its own
@@ -992,7 +976,7 @@ def _tradeoff_blocks(chunks_factory, m1, n1, class_counts, split_bits,
             _fill_tables(chunks_factory(), n1, suffix_bits, class_counts,
                          split_bits, prefix) if keys is None else
             _scatter_keys(_fill_tables((), n1, suffix_bits, class_counts),
-                          keys, split_bits, prefix, weights)),
+                          keys, split_bits, prefix)),
             n1, class_counts))
 
 
@@ -1010,19 +994,15 @@ def score_stage(spec, target, eqs, top_k=DEFAULT_BEAM, split_bits=0):
     Column chunks (iter_column_chunks) feed 2**split_bits prefix passes,
     each over one (2, 2**(m1 - split_bits)) count array.  A harvested run
     of at least one period pi = 2**m1 - 1 of the register is folded into
-    2 * pi weighted entries, one per residue mod pi and class; every
-    other relation is one entry.  A split stage whose entries' keys,
-    2**n1 - 1 each, fit in as many bytes streams once.
+    weighted entries, one per residue mod pi and class, and such a stage
+    restreams every pass; else a split stage whose keys, 2**n1 - 1 per
+    relation, fit in as many bytes as the array streams once.
     """
     check_top_k(top_k)
     lf, taps = _target(spec, target)
-    period, folds = _folds(eqs, lf)
-    entries = (sum(2 * period if fold else g.count
-                   for g, fold in zip(eqs.groups, folds))
-               if any(folds) else None)
     blocks = _tradeoff_blocks(lambda: iter_column_chunks(spec, target, eqs),
                               lf.length, len(taps), eqs.class_counts,
-                              split_bits, entries)
+                              split_bits, any(_folds(eqs, lf)[1]))
     return _rank_blocks(blocks, top_k)
 
 
@@ -1199,8 +1179,10 @@ def _collapse(spec, ks, known, stage):
             length = spec.lfsrs[r].length
             states[r] = x & ((1 << length) - 1)
             x >>= length
-        got = spec.function.table[words | input_words(spec, states, window)]
-        if np.array_equal(got, bits[:window]):
+        # a collapse ends the plan: known and solved make the whole state
+        whole = {**known, **states}
+        state = spec.join_state([whole[r] for r in sorted(whole)])
+        if keystream(spec, state, window) == Keystream(bits[:window]):
             found.append(states)
     found.sort(key=lambda st: [st[r] for r in sorted(st)])
     return found, stage.monomials - 1 - len(null)
@@ -1214,9 +1196,10 @@ def collapse_solve(spec, ks, known, stage):
     go to gf2.solve_linear once; the states are the solution's first m
     bits.  Every assignment of the free directions that still move a
     state bit (at most 2**COLLAPSE_MAX_FREE, else ValidationError) is
-    kept if it regenerates every bit of the window.  Returns the kept
-    states as dicts (register -> state), ascending; an inconsistent
-    system, as a wrong known state gives, returns [].
+    kept if, with `known`, gf2.keystream regenerates every bit of the
+    window from it.  Returns the kept states as dicts (register ->
+    state), ascending; an inconsistent system, as a wrong known state
+    gives, returns [].
     """
     return _collapse(spec, ks, known, stage)[0]
 
@@ -1344,12 +1327,14 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
     2**split_bits prefix passes; a stage of m1 bits splits only the
     max(0, m1 - M + split_bits) bits that do not fit, so a stage whose
     table fits scores in one pass.  A top_k below 1, a split_bits
-    outside [0, M] or a keystream shorter than the last collapse's
-    window is rejected before any work.
+    outside [0, M], a plan for another spec or a keystream shorter than
+    the last collapse's window is rejected before any work.
     """
     check_top_k(top_k)
     if attack_plan is None:
         attack_plan = plan(spec)
+    if attack_plan.spec != spec:
+        raise ValidationError("the attack plan is for another generator")
     scored = {idx: st for idx, st in enumerate(attack_plan.stages)
               if isinstance(st, ScoredStage)}
     longest = max((st.m1 for st in scored.values()), default=0)

@@ -238,10 +238,10 @@ def solve_linear(rows, nvars):
 # it sits beside the residue tables, under the same lock.
 #
 # One kernel, _packed_slabs, XORs those phases into a register's packed
-# output slab by slab.  sequence_bits unpacks each slab; keystream keeps
-# them packed, reads each tap as a word shift of its register's stream
-# and runs f bitsliced on the words (boolfn.evaluate_packed), so its
-# working memory is a few dozen slab-sized words beside the result.
+# output slab by slab; sequence_bits unpacks each slab.  One reader,
+# _input_slabs, reads each tap as a word shift of its register's stream:
+# keystream runs f bitsliced on those words (boolfn.evaluate_packed), in
+# a few dozen slab-sized words beside the result; input_words unpacks.
 
 # The widest modulus that residue tables, the weight-4 collision scan and
 # registers accept: the int64 oracle steps a residue through l + 1 bits.
@@ -381,6 +381,8 @@ def _packed_slabs(poly, length, init, count, first=0, extra=0):
     from a * X**_SLAB mod poly.  No residue table outgrows a slab plus
     `length`, `first` and `extra`.
     """
+    if not 0 <= init < 1 << length:
+        raise ValidationError(f"initial state out of range for length {length}")
     low = (1 << length) - 1
     a = _reverse(poly_mul(init, _reverse(poly, length + 1) & low) & low,
                  length)
@@ -405,8 +407,6 @@ def sequence_bits(poly, length, init, count):
     in the module docstring.  Each slab of _SLAB bits is built packed
     (_packed_slabs, the kernel keystream shares) and unpacked once.
     """
-    if not 0 <= init < 1 << length:
-        raise ValidationError(f"initial state out of range for length {length}")
     if poly_degree(poly) != length:
         raise ValidationError("feedback degree does not match length")
     if count < 0:
@@ -573,36 +573,48 @@ def lfsr_sequence(spec, init, count):
     return out
 
 
+def _input_slabs(spec, states, count):
+    """Per slab of n = min(_SLAB, count - lo) bits, (lo, n, inputs):
+    inputs maps each input j that a register in `states` (register ->
+    initial state) feeds to its ceil(n / 64) uint64 words, bit t LSB
+    first at time lo + t.  Each tap is a word shift (p < 64) of its
+    register's stream from its lowest tap on (_packed_slabs)."""
+    wired, slabs = {}, []
+    for r, state in states.items():
+        lf, first = spec.lfsrs[r], min(spec.lfsrs[r].taps, default=0)
+        wired.update((j, (len(slabs), p - first))
+                     for j, p in spec.inputs_of_register(r))
+        slabs.append(_packed_slabs(lf.feedback, lf.length, state, count,
+                                   first, max(lf.taps, default=0) - first))
+    for got in zip(*slabs):
+        lo, n, _ = got[0]
+        w, nw = [words for _, _, words in got], (n + 63) // 64
+        yield lo, n, {j: w[i][:nw] >> p | w[i][1:nw + 1] << 64 - p if p
+                      else w[i][:nw] for j, (i, p) in wired.items()}
+
+
 def input_words(spec, states, count):
     """Wired inputs of the registers in `states` (register -> initial
-    state), one word per time step, bit j being input j of f; other
-    registers' inputs read zero.  The attack indexes f's truth table and
-    its annihilators with these words; keystream evaluates f bitsliced
-    instead and never builds them."""
+    state), one word per time step, bit j being input j of f, 0 for other
+    registers' inputs: keystream's reader _input_slabs, unpacked once per
+    slab.  The attack indexes f's annihilators (its oracle, f) with them."""
     if count < 0:
         raise ValidationError("count must be nonnegative")
     words = np.zeros(count, dtype=np.min_scalar_type((1 << spec.n) - 1))
-    # multiplying by 2**j, not shifting: numpy's uint8 shifts do not vectorise
-    scaled = np.empty_like(words)
-    for r, state in states.items():
-        lf = spec.lfsrs[r]
-        bits = sequence_bits(lf.feedback, lf.length, state,
-                             count + max(lf.taps, default=0))
-        for j, p in spec.inputs_of_register(r):
-            np.multiply(bits[p:p + count], words.dtype.type(1 << j),
-                        out=scaled)
-            words |= scaled
+    for lo, n, inputs in _input_slabs(spec, states, count):
+        for j, w in inputs.items():
+            bits = np.unpackbits(w.view(np.uint8), count=n, bitorder="little")
+            # times 2**j, not shifted: numpy's uint8 shifts do not vectorise
+            words[lo:lo + n] |= bits * words.dtype.type(1 << j)
     return words
 
 
 def keystream(spec, state, count):
     """Generator output z_t = f(wired tap bits), fast bulk path, bitsliced.
 
-    Slab by slab, each tapped register's output is built packed from
-    its lowest tap on (_packed_slabs), each of its taps is a word shift
-    of that stream by p < 64 bits, and f runs on the uint64 words as its
-    reduced multiplexer circuit (boolfn.evaluate_packed), 64 bits per
-    word operation; the slab is unpacked once into the result.  Working
+    f runs on each slab's packed inputs (_input_slabs) as its reduced
+    multiplexer circuit (boolfn.evaluate_packed), 64 bits per word
+    operation, and the slab is unpacked once into the result.  Working
     memory beyond the result is a few dozen slab-sized words, whatever
     `count` is.  The circuit suits the few-input functions of real
     generators: the toy's 6 inputs and the paper's 9 take 42 and 40 word
@@ -613,23 +625,10 @@ def keystream(spec, state, count):
     """
     if count < 0:
         raise ValidationError("count must be nonnegative")
-    parts = spec.split_state(state)
-    regs = sorted({r for r, _ in spec.wiring})
-    first = {r: min(spec.lfsrs[r].taps) for r in regs}
-    taps = [(r, spec.lfsrs[r].taps[k] - first[r]) for r, k in spec.wiring]
-    slabs = [_packed_slabs(spec.lfsrs[r].feedback, spec.lfsrs[r].length,
-                           parts[r], count, first[r],
-                           max(spec.lfsrs[r].taps) - first[r])
-             for r in regs]
+    states = dict(enumerate(spec.split_state(state)))
     out = np.empty(count, dtype=np.uint8)
-    for got in zip(*slabs):
-        lo, n, _ = got[0]
-        nw = (n + 63) // 64
-        words = {r: w for r, (_, _, w) in zip(regs, got)}
-        inputs = [words[r][:nw] if p == 0 else
-                  (words[r][:nw] >> p) | (words[r][1:nw + 1] << (64 - p))
-                  for r, p in taps]
-        z = evaluate_packed(spec.function, inputs)
+    for lo, n, inputs in _input_slabs(spec, states, count):
+        z = evaluate_packed(spec.function, [inputs[j] for j in range(spec.n)])
         out[lo:lo + n] = np.unpackbits(z.view(np.uint8), count=n,
                                        bitorder="little")
     return Keystream(out)

@@ -805,9 +805,8 @@ def test_split_stage_streams_once_while_its_keys_fit(toy, monkeypatch, split,
         return real_stream(*args)
 
     def recorded_keys(*args):
-        keys = real_keys(*args)
-        key_arrays.append(keys[0])
-        return keys
+        key_arrays.append(real_keys(*args))
+        return key_arrays[-1]
 
     monkeypatch.setattr(attack, "iter_column_chunks", counted_stream)
     monkeypatch.setattr(attack, "_sorted_keys", recorded_keys)
@@ -826,9 +825,7 @@ def test_sorted_keys_hold_class_low_then_high_mask_bits(m1, dtype):
     cols = [rng.integers(0, 1 << m1, 3000).astype(
         np.min_scalar_type((1 << m1) - 1)) for _ in range(2)]
     classes = rng.integers(0, 2, 3000).astype(np.uint8)
-    keys, weights = attack._sorted_keys(iter([(cols, classes)]), m1, 2,
-                                        3000, 2)
-    assert weights is None
+    keys = attack._sorted_keys(iter([(cols, classes)]), m1, 2, 3000, 2)
     v = np.concatenate([cols[0], cols[1], cols[0] ^ cols[1]]).astype(int)
     want = (np.tile(classes, 3).astype(int) << m1
             | (v & (1 << m1 - 2) - 1) << 2 | v >> m1 - 2)
@@ -1464,8 +1461,10 @@ def test_collapse_rejects_every_wrong_register_0(toy):
 
 def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
     # stage 1 ranks the truth third: the collapse under each of the two
-    # wrong register-0 states yields no solution, so nothing reaches
-    # the regeneration check but the true state
+    # wrong register-0 states yields no solution.  The first one's rows
+    # are inconsistent; the second one's reach full rank, and its one
+    # solution is regenerated on the window and refused there.  So only
+    # the true state reaches the final gate
     true0 = toy.split_state(TRUE_KEY)[0]
     real_score = attack.score_stage
     regenerated = []
@@ -1477,17 +1476,22 @@ def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
         return rest[:2] + [c for c in ranked if c.candidate == true0]
 
     def counted_keystream(spec, state, count):
-        regenerated.append(state)
+        regenerated.append((state, count))
         return real_keystream(spec, state, count)
 
     monkeypatch.setattr(attack, "score_stage", demoted_score)
     monkeypatch.setattr(attack, "keystream", counted_keystream)
-    result = run_attack(toy, toy_keystream(toy))
+    ks = toy_keystream(toy)
+    result = run_attack(toy, ks)
     assert result.state == TRUE_KEY and result.backtracks == 2
     collapses = [r for r in result.reports if r.stage == 1]
     assert [r.known[0] for r in collapses][-1] == true0
     assert [len(r.candidates) for r in collapses] == [0, 0, 1]
-    assert regenerated == [TRUE_KEY]
+    assert [r.rank for r in collapses] == [None, 210, 210]
+    window = plan(toy).stages[1].window
+    (refused, count), *rest = regenerated
+    assert count == window and toy.split_state(refused)[0] != true0
+    assert rest == [(TRUE_KEY, window), (TRUE_KEY, len(ks))]
 
 
 def test_collapse_enumerates_free_directions_on_its_window(toy,
@@ -1502,7 +1506,7 @@ def test_collapse_enumerates_free_directions_on_its_window(toy,
     windows, built, solves, tried = [], [], [], []
     rows_of = attack._collapse_rows
     solve = attack.solve_linear
-    words = attack.input_words
+    regenerate = attack.keystream
 
     def counted_rows(spec, stage, patterns, bits, window):
         windows.append(window)
@@ -1516,20 +1520,20 @@ def test_collapse_enumerates_free_directions_on_its_window(toy,
         solution, null = solve(rows, nvars)
         return solution, [*null, 1]
 
-    def seen_words(spec, states, count):
-        if set(states) == {1, 2}:
-            tried.append(dict(states))
-        return words(spec, states, count)
+    def seen_states(spec, state, count):
+        assert count == stage.window
+        tried.append(spec.split_state(state))
+        return regenerate(spec, state, count)
 
     monkeypatch.setattr(attack, "_collapse_rows", counted_rows)
     monkeypatch.setattr(attack, "solve_linear", leaving_bit_0_free)
-    monkeypatch.setattr(attack, "input_words", seen_words)
+    monkeypatch.setattr(attack, "keystream", seen_states)
     assert attack.collapse_solve(toy, ks, {0: parts[0]}, stage) == [
         {1: parts[1], 2: parts[2]}]
     assert windows == [stage.window] and solves == built
     assert sorted(st[1] for st in tried) == sorted([parts[1],
                                                     parts[1] ^ 1])
-    assert all(st[2] == parts[2] for st in tried)
+    assert all(st[0] == parts[0] and st[2] == parts[2] for st in tried)
     monkeypatch.setattr(attack, "COLLAPSE_MAX_FREE", 0)
     with pytest.raises(ValidationError, match="1 free directions in its "
                        "state bits on its 209-bit window"):
@@ -1551,7 +1555,7 @@ def test_collapse_reads_only_its_planned_window(monkeypatch):
     asked, solves = [], []
     rows_of = attack._collapse_rows
     solve = attack.solve_linear
-    words = attack.input_words
+    regenerate = attack.keystream
 
     def counted_rows(spec, stage, patterns, bits, window):
         asked.append(window)
@@ -1561,14 +1565,14 @@ def test_collapse_reads_only_its_planned_window(monkeypatch):
         solves.append(nvars)
         return solve(rows, nvars)
 
-    def counted_words(spec, states, count):
+    def counted_keystream(spec, state, count):
         asked.append(count)
-        return words(spec, states, count)
+        return regenerate(spec, state, count)
 
     with monkeypatch.context() as m:
         m.setattr(attack, "_collapse_rows", counted_rows)
         m.setattr(attack, "solve_linear", counted_solve)
-        m.setattr(attack, "input_words", counted_words)
+        m.setattr(attack, "keystream", counted_keystream)
         assert attack.collapse_solve(spec, ks, {0: parts[0]}, stage) == [
             {1: parts[1], 2: parts[2]}]
     assert solves == [27] and max(asked) <= 190
@@ -1943,10 +1947,10 @@ def test_folded_run_tables_equal_the_stored_bases_twin(monkeypatch, chunk,
 
 
 def test_weighted_chunks_score_as_their_entries_repeated(monkeypatch):
-    # 60 weighted entries make 360 bytes of uint16 keys and int32
-    # weights, within split 2's 16 KiB count array: kept sorted with
-    # their weights, they fill every pass as the entries repeated
-    # weight times, one unweighted entry each
+    # 60 weighted entries, whose keys would fit split 2's 16 KiB count
+    # array, restream every pass without a sorted key array and fill
+    # every pass as the entries repeated weight times, one unweighted
+    # entry each
     rng = np.random.default_rng(32)
     cols = [rng.integers(0, 1 << 13, 60).astype(np.uint16) for _ in range(2)]
     classes = rng.integers(0, 2, 60).astype(np.uint8)
@@ -1961,9 +1965,8 @@ def test_weighted_chunks_score_as_their_entries_repeated(monkeypatch):
 
     monkeypatch.setattr(attack, "_sorted_keys", recorded_keys)
     got = list(attack._tradeoff_blocks(
-        lambda: iter([(cols, classes, weights)]), 13, 2, counts, 2, 60))
-    (keys, key_weights), = kept
-    assert np.all(keys[:-1] <= keys[1:]) and key_weights.size == keys.size
+        lambda: iter([(cols, classes, weights)]), 13, 2, counts, 2, True))
+    assert kept == []
     want = list(attack._tradeoff_blocks(
         lambda: iter([([np.repeat(c, weights) for c in cols],
                        np.repeat(classes, weights))]), 13, 2, counts, 2))
@@ -2301,9 +2304,16 @@ ZEROS = Keystream(np.zeros(100, dtype=np.uint8))
      "naive scoring limited to m1 <= 22"),
     (lambda toy: zero_sum_fraction(toy, TRUE_KEY, NO_RELATIONS),
      "empty relation set"),
+    (lambda toy: run_attack(presets.generator_29_31_37(), toy_keystream(toy),
+                            plan(toy)),
+     "the attack plan is for another generator"),
+    (lambda toy: harvest_equations(ZEROS, stage1_multiples(toy),
+                                   max_equations=0),
+     "max_equations must be at least 1"),
 ], ids=["plan-unwired", "score-unwired", "split-negative", "split-past-m1",
         "final-stage-multiples", "direct-two-unknown", "direct-37-bits",
-        "direct-short-keystream", "naive-29-bits", "zero-sum-empty"])
+        "direct-short-keystream", "naive-29-bits", "zero-sum-empty",
+        "attack-foreign-plan", "harvest-no-equations"])
 def test_input_checks_refuse_before_work(toy, call, match):
     with pytest.raises(ValidationError, match=match):
         call(toy)

@@ -474,6 +474,30 @@ def test_keystream_caches_no_table_beyond_a_slab(toy):
         clear_residue_cache()
 
 
+def test_input_words_and_keystream_build_each_phase_once(toy, monkeypatch):
+    # from cold caches, a run's input words and then its final keystream
+    # over two slabs: both read each register's stream from its lowest
+    # tap through one slab plus its largest tap, so each register's
+    # phases are built, and written to the cache, once
+    writes = []
+
+    class RecordedCache(dict):
+        def __setitem__(self, poly, entry):
+            writes.append(poly)
+            super().__setitem__(poly, entry)
+
+    state = 0x15543210F
+    count = 2 * gf2._SLAB
+    clear_residue_cache()
+    monkeypatch.setattr(gf2, "_phase_cache", RecordedCache())
+    try:
+        gf2.input_words(toy, dict(enumerate(toy.split_state(state))), count)
+        keystream(toy, state, count)
+    finally:
+        clear_residue_cache()
+    assert sorted(writes) == sorted(lf.feedback for lf in toy.lfsrs)
+
+
 def test_keystream_memory_is_the_output_plus_slabs():
     # 2^22 bits of the paper's instance: beyond the 2^22-byte result,
     # the residue tables, phases and one slab's words and circuit nodes
