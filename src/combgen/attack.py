@@ -64,9 +64,9 @@ _COUNT_SLICE = 1 << 16
 # at most COLLAPSE_MAX_DEGREE.  Its window offers COLLAPSE_WINDOW_FACTOR
 # equations per monomial on average, and its one solve, where the rank
 # falls short, enumerates at most 2**COLLAPSE_MAX_FREE states.  Rows are
-# built in slabs of time steps whose uint8 rows, one byte per monomial,
-# take at most about _COLLAPSE_SLAB bytes when every step selects the
-# most annihilators.
+# built lazily in slabs of time steps whose uint8 rows, one byte per
+# monomial, take at most _COLLAPSE_SLAB bytes (a step selecting more
+# rows than that is a slab of its own).
 COLLAPSE_MAX_DEGREE = 2
 COLLAPSE_MAX_MONOMIALS = 1 << 12
 COLLAPSE_WINDOW_FACTOR = 2
@@ -1101,26 +1101,40 @@ def _collapse_rows(spec, stage, patterns, bits, window):
     the XOR over T ⊆ S of h(1_T), where h(1_T) = g(XOR over u in T of
     the word w_u, _collapse_words); the empty set gives g(0), the
     right-hand side.
+
+    Slabs are sized by the rows their steps select, known before any is
+    built.  solve_linear stops at full rank, which no elimination
+    reaches before nvars rows, so the first slab ends once it holds
+    nvars rows plus FINAL_WINDOW_EXTRA (the window's own margin past its
+    planned equations); later ones fill _COLLAPSE_SLAB bytes, as does
+    the first when that is less.
     """
     nvars = stage.monomials - 1
     known_in, open_in = _split_inputs(spec, stage.known)
     equations = _restricted_annihilators(spec.function, known_in, open_in,
                                          stage.degree)[0]
     sets = _collapse_sets(stage.m1 + stage.m2, stage.degree)
-    most = max(len(g) for eq in equations for g in eq)
-    step = max(1, _COLLAPSE_SLAB // (most * (nvars + 1)))
-    for lo in range(0, window, step):
-        hi = min(window, lo + step)
+    keys = patterns[:window] << 1 | bits[:window]
+    ends = np.cumsum(np.array([len(g) for eq in equations for g in eq])[keys])
+    budget = max(1, _COLLAPSE_SLAB // (nvars + 1))
+    lo, want = 0, nvars + FINAL_WINDOW_EXTRA
+    while lo < window:
+        done = int(ends[lo - 1]) if lo else 0
+        # through the step that brings `want` rows, within the budget
+        hi = min(int(np.searchsorted(ends, done + want)) + 1,
+                 int(np.searchsorted(ends, done + budget, side="right")),
+                 lo + budget, window)
+        hi, want = max(hi, lo + 1), budget
         words = _collapse_words(spec, stage, lo, hi)
         # the open point at each set's state, the empty set's 0 last
         points = np.zeros((hi - lo, nvars + 1), dtype=words.dtype)
         for members, subsets in sets:
             points[:, subsets[:, -1]] = np.bitwise_xor.reduce(
                 words[:, members], axis=2)
-        keys = patterns[lo:hi] << 1 | bits[lo:hi]
+        slab = keys[lo:hi]
         rows = np.concatenate([
-            equations[key >> 1][key & 1][:, points[keys == key]].reshape(
-                -1, nvars + 1) for key in np.unique(keys).tolist()])
+            equations[key >> 1][key & 1][:, points[slab == key]].reshape(
+                -1, nvars + 1) for key in np.unique(slab).tolist()])
         # in place from the largest sets down, as a set's subsets are
         # no larger than it
         for _, subsets in reversed(sets):
@@ -1130,6 +1144,7 @@ def _collapse_rows(spec, stage, patterns, bits, window):
         raw, width = packed.tobytes(), packed.shape[1]
         for at in range(0, len(raw), width):
             yield int.from_bytes(raw[at:at + width], "little")
+        lo = hi
 
 
 def _collapse(spec, ks, known, stage):
@@ -1397,7 +1412,13 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
                 return found
         return None
 
-    state = solve(0, {})
+    try:
+        state = solve(0, {})
+    finally:
+        # solve calls itself through its closure, a reference cycle that
+        # would keep the keystream and the harvests alive until the next
+        # garbage collection
+        del solve
     result.seconds = time.perf_counter() - started
     if state is None:
         raise AttackExhaustedError(

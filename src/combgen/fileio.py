@@ -90,10 +90,10 @@ def load_generator_spec(path):
 
 
 def save_keystream(path, ks):
-    bits = Keystream.of(ks).bits
+    ks = Keystream.of(ks)
     header = KEYSTREAM_MAGIC + bytes([KEYSTREAM_VERSION])
-    header += struct.pack("<Q", bits.size)
-    payload = np.packbits(bits, bitorder="little").tobytes()
+    header += struct.pack("<Q", len(ks))
+    payload = ks.words.view(np.uint8)[:(len(ks) + 7) // 8].tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -112,9 +112,11 @@ def load_keystream(path):
     if len(payload) != (nbits + 7) // 8:
         raise ValidationError(f"{path}: payload is {len(payload)} bytes, "
                               f"expected {(nbits + 7) // 8}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                         count=nbits, bitorder="little")
-    return Keystream(bits)
+    # padding bits past the last are not trusted: Keystream.packed clears
+    # them, so equal bits compare equal however the file was padded
+    words = np.zeros((nbits + 63) // 64 * 8, dtype=np.uint8)
+    words[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+    return Keystream.packed(words.view(np.uint64), nbits)
 
 
 def save_multiples_cache(path, report):

@@ -174,21 +174,23 @@ def solve_linear(rows, nvars):
     if nvars < 0:
         raise ValidationError(f"nvars must be nonnegative, got {nvars}")
     # inside, variable i sits at bit i + 1 and the right-hand side at bit
-    # 0, so a row's bit length names its leading variable's pivot slot
-    # and a row of bit length 1 says 0 = 1
+    # 0, so a row's bit length names its leading variable's pivot, kept
+    # at pivots[bit length]: pivots[0] stays 0, and a row of bit length 1
+    # says 0 = 1
     mask = (1 << nvars) - 1
-    pivots = [0] * (nvars + 1)
+    pivots = [0] * (nvars + 2)
     rank = 0
     for row in rows:
         row = (row & mask) << 1 | (row >> nvars & 1)
+        pivot = pivots[row.bit_length()]
+        while pivot:
+            row ^= pivot
+            pivot = pivots[row.bit_length()]
         lead = row.bit_length()
-        while lead > 1 and pivots[lead - 1]:
-            row ^= pivots[lead - 1]
-            lead = row.bit_length()
         if lead == 1:
             return None
         if lead:
-            pivots[lead - 1] = row
+            pivots[lead] = row
             rank += 1
             if rank == nvars:
                 break
@@ -196,7 +198,7 @@ def solve_linear(rows, nvars):
     # variables all sit below its leading one
     solution, null = 0, []
     for i in range(1, nvars + 1):
-        row = pivots[i]
+        row = pivots[i + 1]
         if row:
             solution |= ((row ^ (row & solution).bit_count()) & 1) << i
             null = [v | ((row & v).bit_count() & 1) << i for v in null]
@@ -210,12 +212,11 @@ def solve_linear(rows, nvars):
 # X**t mod P for consecutive t, stored at the register's width: the
 # narrowest unsigned dtype that holds l bits (uint8 up to 8 bits, uint16
 # up to 16, uint32 up to 32, uint64 above), so a 29- or 31-bit register
-# takes 4 bytes per entry.  These tables back the packed register
-# output, which asks for at most one slab plus the register length plus
-# its largest tap, and the attack's linear-form columns, so they are
-# cached per polynomial and grown on demand, to exactly the length asked
-# for.  Growth runs under a lock; the arrays themselves are immutable
-# once published.
+# takes 4 bytes per entry.  These tables back the attack's linear-form
+# columns and the weight-4 multiple search, so they are cached per
+# polynomial and grown on demand, to exactly the length asked for.
+# Generating or checking a keystream reads none of them.  Growth runs
+# under a lock; the arrays themselves are immutable once published.
 #
 # Growth is by block doubling: with s entries known, r[s + i] is
 # r[i] * (X**s mod P) for the next min(s, count - s) entries.  Multiplying
@@ -232,16 +233,26 @@ def solve_linear(rows, nvars):
 # sequence is a sum of shifts of w (Golomb's shift-and-add property):
 # s_t = XOR of a_i * w_{t+i} over i < l, where bit t of s is read as
 # bit l - 1 of X**t * A mod P for the polynomial A = sum a_i X**i.
-# Starting a slab n bits later multiplies A by X**n mod P.  The phase
-# cache holds eight packed copies of w per polynomial, phase k being
-# w[k:] packed LSB first, so shift 8q + k reads phase k from byte q;
-# it sits beside the residue tables, under the same lock.
+# Starting a slab n bits later multiplies A by X**n mod P.
+#
+# w itself grows by the same property, with no residue table: taking A
+# = X**s mod P, w[s + t] is the XOR of w[t + i] over the set bits i of
+# X**s mod P.  A chunk of new bits [k, h) with s <= k < h <= 2s reads w
+# below h - s + l - 1, so with k known it runs to h = k + s - l + 1;
+# when w reaches 2s, squaring gives X**2s mod P.  The doubling points s
+# are powers of two from 2l on, so X**_SLAB mod P, the slab step, is one
+# of them.  _Response caches, per polynomial, w as an int, eight packed
+# copies of it (phase k holding w[k:] packed LSB first, so shift 8q + k
+# reads phase k from byte q), the reciprocal of P and X**t mod P at the
+# doubling points; w and its phases are extended in place, bits already
+# known are never computed again.  The phase cache sits beside the
+# residue tables, under the same lock.
 #
 # One kernel, _packed_slabs, XORs those phases into a register's packed
 # output slab by slab; sequence_bits unpacks each slab.  One reader,
 # _input_slabs, reads each tap as a word shift of its register's stream:
-# keystream runs f bitsliced on those words (boolfn.evaluate_packed), in
-# a few dozen slab-sized words beside the result; input_words unpacks.
+# keystream runs f bitsliced on those words (boolfn.evaluate_packed) and
+# keeps the result packed (Keystream); input_words unpacks.
 
 # The widest modulus that residue tables, the weight-4 collision scan and
 # registers accept: the int64 oracle steps a residue through l + 1 bits.
@@ -346,22 +357,83 @@ def _reverse(v, width):
     return int(format(v, f"0{width}b")[::-1], 2)
 
 
-def _phases(poly, length, n):
-    """X**t mod poly for t < n + length, and the eight packed phases
-    of the impulse response w that serve slabs of up to n bits: row k,
-    byte q holds w[8q + k:8q + k + 8], zero past the end."""
-    r = residue_powers(poly, n + length)
+class _Response:
+    """A polynomial's impulse response w, packed, and the constants of
+    its packed output; see the notes above.  `bits` holds w[:known] as
+    an int, bit t being w_t; `phases` row k, byte q holds w[8q + k:8q +
+    k + 8), zero past `known`, in a buffer grown in place; `powers` maps
+    t to X**t mod P for each doubling point t and each slab step."""
+
+    def __init__(self, poly, length):
+        self.poly, self.length = poly, length
+        self.reciprocal = _reverse(poly, length + 1) & ((1 << length) - 1)
+        # seed w[:s] and X**s mod P by stepping X**t mod P, s the first
+        # power of two at or above 2l, where a chunk gains at least l bits
+        s = 1 << (2 * length - 1).bit_length()
+        r, w = 1, 0
+        for t in range(s):
+            w |= (r >> (length - 1) & 1) << t
+            r <<= 1
+            if r >> length:
+                r ^= poly
+        self.bits, self.known, self.point = w, s, s
+        self.powers = {s: r}
+        self.phases = np.zeros((8, 0), dtype=np.uint8)
+        self._write_phases(0)
+
+    def power(self, t):
+        """X**t mod P, cached."""
+        if t not in self.powers:
+            self.powers[t] = x_power_mod(t, self.poly)
+        return self.powers[t]
+
+    def extend(self, need):
+        """Grow w to at least `need` bits, from the bits already known."""
+        old, l = self.known, self.length
+        w, known, s = self.bits, self.known, self.point
+        while known < need:
+            if known == 2 * s:
+                c = self.powers[s]
+                s *= 2
+                self.powers[s] = poly_mulmod(c, c, self.poly)
+            c, hi = self.powers[s], min(need, 2 * s, known + s - l + 1)
+            # w[s + t] for t in [known - s, hi - s): the bits it reads
+            seg = w >> (known - s) & ((1 << (hi - known + l)) - 1)
+            new = 0
+            for i in range(c.bit_length()):
+                if c >> i & 1:
+                    new ^= seg >> i
+            w |= (new & ((1 << (hi - known)) - 1)) << known
+            known = hi
+        self.bits, self.known, self.point = w, known, s
+        self._write_phases(old)
+
+    def _write_phases(self, old):
+        """Write the phase bytes that hold bits from `old` on; a buffer too
+        small for them and a byte past them moves to one twice as large."""
+        lo, hi = max(0, (old >> 3) - 1), (self.known + 7) >> 3
+        if self.phases.shape[1] < hi + 2:
+            grown = np.zeros((8, max(hi + 2, 2 * self.phases.shape[1])),
+                             dtype=np.uint8)
+            grown[:, :self.phases.shape[1]] = self.phases
+            self.phases = grown
+        row = np.frombuffer((self.bits >> 8 * lo).to_bytes(hi - lo + 1,
+                                                           "little"),
+                            dtype=np.uint8)
+        self.phases[0, lo:hi] = row[:-1]
+        for k in range(1, 8):
+            self.phases[k, lo:hi] = row[:-1] >> k | row[1:] << 8 - k
+
+
+def _response(poly, length, n):
+    """poly's _Response, its phases serving slabs of up to n bits."""
     with _residue_lock:
-        served, phases = _phase_cache.get(poly, (0, None))
-        if served < n:
-            w = (r >> (length - 1)).astype(np.uint8)
-            phases = np.zeros((8, (w.size + 7) // 8), dtype=np.uint8)
-            for k in range(8):
-                row = np.packbits(w[k:], bitorder="little")
-                phases[k, :row.size] = row
-            phases.setflags(write=False)
-            _phase_cache[poly] = (n, phases)
-    return r, phases
+        got = _phase_cache.get(poly)
+        if got is None:
+            got = _phase_cache[poly] = _Response(poly, length)
+        if got.known < n + length:
+            got.extend(n + length)
+    return got
 
 
 def _packed_slabs(poly, length, init, count, first=0, extra=0):
@@ -378,18 +450,20 @@ def _packed_slabs(poly, length, init, count, first=0, extra=0):
     init(z) * P*(z) mod z**length, and shift i of w is
     z**(length-1-i) / P*(z).  So a slab XORs the packed phases of w from
     bit first + i on, at the set bits i of a, and the next one starts
-    from a * X**_SLAB mod poly.  No residue table outgrows a slab plus
-    `length`, `first` and `extra`.
+    from a * X**_SLAB mod poly.  The reciprocal, the slab step and the
+    phases are cached per polynomial (_Response), so the products with
+    the state are the call's only polynomial arithmetic; no residue
+    table is read.
     """
     if not 0 <= init < 1 << length:
         raise ValidationError(f"initial state out of range for length {length}")
     low = (1 << length) - 1
-    a = _reverse(poly_mul(init, _reverse(poly, length + 1) & low) & low,
-                 length)
-    r, phases = _phases(poly, length, min(count, _SLAB) + first + extra)
+    got = _response(poly, length, min(count, _SLAB) + first + extra)
+    a = _reverse(poly_mul(init, got.reciprocal) & low, length)
+    phases = got.phases
     for lo in range(0, count, _SLAB):
         if lo:
-            a = poly_mulmod(a, int(r[_SLAB]), poly)
+            a = poly_mulmod(a, got.power(_SLAB), poly)
         n = min(_SLAB, count - lo)
         nbytes = (n + extra + 7) // 8
         acc = np.zeros(((n + extra) // 64 + 2) * 8, dtype=np.uint8)
@@ -521,28 +595,69 @@ class GeneratorSpec:
                 for j, (rr, k) in enumerate(self.wiring) if rr == r]
 
 
-@dataclass(frozen=True, eq=False)
 class Keystream:
-    """A run of generator output bits as a uint8 0/1 array."""
+    """A run of generator output bits, held as a uint8 0/1 array `bits`,
+    as uint64 `words` packed LSB first with zeros past the last bit, or
+    both: each form is made from the other on first read and kept, so
+    neither may change once handed in.  Two keystreams are equal when
+    their lengths and words are."""
 
-    bits: np.ndarray
+    __slots__ = ("_bits", "_words", "_count")
 
-    def __post_init__(self):
-        raw = np.asarray(self.bits)
+    def __init__(self, bits):
+        raw = np.asarray(bits)
         bits = np.ascontiguousarray(raw, dtype=np.uint8)
         # the cast wraps 256 to 0 and 0.5 to 0: compare with the input
         if (bits.ndim != 1 or (bits.size and bits.max() > 1)
                 or (raw.dtype != np.uint8 and not np.array_equal(raw, bits))):
             raise ValidationError("keystream bits must be one-dimensional 0/1")
-        object.__setattr__(self, "bits", bits)
+        self._bits, self._words, self._count = _frozen(bits), None, bits.size
+
+    @classmethod
+    def packed(cls, words, count):
+        """The first `count` bits of the uint64 `words`, LSB first; later
+        words are dropped and later bits of the last word cleared."""
+        if count < 0:
+            raise ValidationError("count must be nonnegative")
+        words = np.asarray(words, dtype=np.uint64)[:(count + 63) // 64]
+        if words.ndim != 1 or words.size * 64 < count:
+            raise ValidationError(f"{count} bits need {(count + 63) // 64} "
+                                  f"words, got {words.size}")
+        tail = np.uint64(count % 64)
+        if tail and words[-1] >> tail:
+            words = words.copy()
+            words[-1] &= (np.uint64(1) << tail) - np.uint64(1)
+        ks = cls.__new__(cls)
+        ks._bits, ks._words, ks._count = None, _frozen(words), count
+        return ks
 
     @classmethod
     def of(cls, ks):
         """`ks`, or the Keystream of a raw bit array, checked 1-D, 0/1."""
         return ks if isinstance(ks, cls) else cls(ks)
 
+    @property
+    def bits(self):
+        """The bits as a read-only uint8 0/1 array."""
+        if self._bits is None:
+            self._bits = _frozen(np.unpackbits(
+                self._words.view(np.uint8), count=self._count,
+                bitorder="little"))
+        return self._bits
+
+    @property
+    def words(self):
+        """The bits as read-only uint64 words, LSB first, zero past the
+        last bit."""
+        if self._words is None:
+            packed = np.zeros((self._count + 63) // 64 * 8, dtype=np.uint8)
+            packed[:(self._count + 7) // 8] = np.packbits(self._bits,
+                                                         bitorder="little")
+            self._words = _frozen(packed.view(np.uint64))
+        return self._words
+
     def __len__(self):
-        return self.bits.size
+        return self._count
 
     def __getitem__(self, i):
         got = self.bits[i]
@@ -550,8 +665,16 @@ class Keystream:
 
     def __eq__(self, other):
         if isinstance(other, Keystream):
-            return np.array_equal(self.bits, other.bits)
+            return (self._count == other._count
+                    and np.array_equal(self.words, other.words))
         return NotImplemented
+
+
+def _frozen(a):
+    """A read-only view of the array a."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def lfsr_sequence(spec, init, count):
@@ -614,24 +737,33 @@ def keystream(spec, state, count):
 
     f runs on each slab's packed inputs (_input_slabs) as its reduced
     multiplexer circuit (boolfn.evaluate_packed), 64 bits per word
-    operation, and the slab is unpacked once into the result.  Working
-    memory beyond the result is a few dozen slab-sized words, whatever
-    `count` is.  The circuit suits the few-input functions of real
-    generators: the toy's 6 inputs and the paper's 9 take 42 and 40 word
-    operations per 64 bits.  A random f of 10-12 inputs takes 460-1470;
-    with a circuit of 600-1900 operations such functions took 2-8 ms per
-    2^18 bits on a 2-vCPU VM, where a truth-table lookup of ready input
-    words took 0.3 ms.
+    operation, and the result stays packed (Keystream.packed): its
+    words are compared as they are, and unpacked only when its bits are
+    read.  Working memory beyond the count / 8 bytes of the result is a
+    few dozen slab-sized words, whatever `count` is.  The circuit suits
+    the few-input functions of real generators: the toy's 6 inputs and
+    the paper's 9 take 42 and 40 word operations per 64 bits.  A random
+    f of 10-12 inputs takes 460-1470; with a circuit of 600-1900
+    operations such functions took 2-8 ms per 2^18 bits on a 2-vCPU VM,
+    where a truth-table lookup of ready input words took 0.3 ms.
     """
     if count < 0:
         raise ValidationError("count must be nonnegative")
     states = dict(enumerate(spec.split_state(state)))
-    out = np.empty(count, dtype=np.uint8)
+    # one spare word: a slab that starts inside a word spills into it
+    out = np.zeros((count + 63) // 64 + 1, dtype=np.uint64)
     for lo, n, inputs in _input_slabs(spec, states, count):
-        z = evaluate_packed(spec.function, [inputs[j] for j in range(spec.n)])
-        out[lo:lo + n] = np.unpackbits(z.view(np.uint8), count=n,
-                                       bitorder="little")
-    return Keystream(out)
+        nw = (n + 63) // 64
+        z = evaluate_packed(spec.function,
+                            [inputs[j] for j in range(spec.n)])[:nw].copy()
+        z[-1] &= ~np.uint64(0) >> np.uint64(-n % 64)
+        q, p = divmod(lo, 64)
+        if p:
+            out[q:q + nw] |= z << np.uint64(p)
+            out[q + 1:q + nw + 1] |= z >> np.uint64(64 - p)
+        else:
+            out[q:q + nw] = z
+    return Keystream.packed(out, count)
 
 
 def keystream_reference(spec, state, count):

@@ -391,6 +391,8 @@ def test_harvest_allocates_nothing_per_relation(toy):
     # would take 20 MiB; a run is recorded by its count alone
     import tracemalloc
     ks = toy_keystream(toy, (1 << 20) + 64)
+    # the keystream comes packed; its bits are unpacked once, untraced
+    ks.bits
     mults = [Weight4Multiple(3 + i, 17 + 2 * i, 40 + 3 * i) for i in range(4)]
     tracemalloc.start()
     try:
@@ -1312,6 +1314,93 @@ def test_collapse_rows_are_the_anf_of_each_composed_annihilator(
     assert sorted(got) == sorted(want)
 
 
+def rows_per_step(spec, stage, patterns, bits):
+    """The number of rows each step of the window selects."""
+    known_in, open_in = attack._split_inputs(spec, stage.known)
+    equations = attack._restricted_annihilators(
+        spec.function, known_in, open_in, stage.degree)[0]
+    return [len(equations[int(a)][int(z)]) for a, z in zip(patterns, bits)]
+
+
+def spy_slabs(monkeypatch):
+    """A list that collects (lo, hi) of each slab _collapse_rows builds."""
+    slabs = []
+    words_of = attack._collapse_words
+
+    def recorded(spec, stage, lo, hi):
+        slabs.append((lo, hi))
+        return words_of(spec, stage, lo, hi)
+
+    monkeypatch.setattr(attack, "_collapse_words", recorded)
+    return slabs
+
+
+def test_collapse_builds_about_nvars_rows_before_full_rank(toy, monkeypatch):
+    # the toy's true-state collapse reaches full rank on its nvars = 210
+    # variables inside its first slab; rows are built lazily, so only
+    # that slab, nvars + FINAL_WINDOW_EXTRA rows and the rest of its
+    # last step, is built, where one slab of the whole window held all
+    # 525
+    stage = plan(toy).stages[1]
+    nvars = stage.monomials - 1
+    parts = toy.split_state(TRUE_KEY)
+    ks = toy_keystream(toy, 1 << 12)
+    words = gf2.input_words(toy, {0: parts[0]}, stage.window)
+    known_in, _ = attack._split_inputs(toy, stage.known)
+    patterns = sum(((words >> j) & 1).astype(np.intp) << k
+                   for k, j in enumerate(known_in))
+    per_step = rows_per_step(toy, stage, patterns, ks.bits)
+    assert sum(per_step) == 525
+    slabs, read = spy_slabs(monkeypatch), []
+    rows_of = attack._collapse_rows
+
+    def counted_rows(*args):
+        for row in rows_of(*args):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(attack, "_collapse_rows", counted_rows)
+    assert attack._collapse(toy, ks, {0: parts[0]}, stage) == (
+        [{1: parts[1], 2: parts[2]}], nvars)
+    (lo, hi), = slabs
+    built = sum(per_step[:hi])
+    assert lo == 0 and nvars <= len(read) <= built
+    assert (built - max(per_step) < nvars + attack.FINAL_WINDOW_EXTRA
+            <= built)
+
+
+@pytest.mark.parametrize("rows", [None, 50, 1])
+def test_collapse_slabs_hold_at_most_their_byte_budget(monkeypatch, rows):
+    # the degree-3 fixture's rows, under the default budget and budgets
+    # of 50 rows and of one: the slabs tile the window, each holds at
+    # most _COLLAPSE_SLAB bytes of rows unless it is a single step, the
+    # first is cut at nvars + FINAL_WINDOW_EXTRA rows when the budget
+    # allows, and the rows are the same multiset however they are cut
+    spec = degree_3_spec()
+    stage = plan(spec).stages[-1]
+    nvars = stage.monomials - 1
+    _, bits, patterns = collapse_case(spec, stage, 43)
+    whole = sorted(attack._collapse_rows(spec, stage, patterns, bits,
+                                         stage.window))
+    if rows is not None:
+        monkeypatch.setattr(attack, "_COLLAPSE_SLAB", rows * (nvars + 1))
+    budget = attack._COLLAPSE_SLAB
+    slabs = spy_slabs(monkeypatch)
+    got = list(attack._collapse_rows(spec, stage, patterns, bits,
+                                     stage.window))
+    assert sorted(got) == whole
+    per_step = rows_per_step(spec, stage, patterns, bits)
+    assert [lo for lo, _ in slabs] == [0, *(hi for _, hi in slabs[:-1])]
+    assert slabs[-1][1] == stage.window and len(slabs) > 1
+    for lo, hi in slabs:
+        assert (sum(per_step[lo:hi]) * (nvars + 1) <= budget
+                or hi == lo + 1)
+    first = sum(per_step[:slabs[0][1]])
+    if (nvars + attack.FINAL_WINDOW_EXTRA) * (nvars + 1) <= budget:
+        assert (first - max(per_step) < nvars + attack.FINAL_WINDOW_EXTRA
+                <= first)
+
+
 def survey_spec(rng):
     """A random 3-register spec: distinct lengths of 9 to 16 bits with
     random primitive feedbacks, 4 to 9 inputs split over the registers
@@ -1461,10 +1550,9 @@ def test_collapse_rejects_every_wrong_register_0(toy):
 
 def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
     # stage 1 ranks the truth third: the collapse under each of the two
-    # wrong register-0 states yields no solution.  The first one's rows
-    # are inconsistent; the second one's reach full rank, and its one
-    # solution is regenerated on the window and refused there.  So only
-    # the true state reaches the final gate
+    # wrong register-0 states yields no solution, as the rows of each are
+    # inconsistent before they reach full rank.  So only the true state
+    # is regenerated, on the window and then at the final gate
     true0 = toy.split_state(TRUE_KEY)[0]
     real_score = attack.score_stage
     regenerated = []
@@ -1487,11 +1575,9 @@ def test_wrong_stage1_branches_never_reach_a_report(toy, monkeypatch):
     collapses = [r for r in result.reports if r.stage == 1]
     assert [r.known[0] for r in collapses][-1] == true0
     assert [len(r.candidates) for r in collapses] == [0, 0, 1]
-    assert [r.rank for r in collapses] == [None, 210, 210]
+    assert [r.rank for r in collapses] == [None, None, 210]
     window = plan(toy).stages[1].window
-    (refused, count), *rest = regenerated
-    assert count == window and toy.split_state(refused)[0] != true0
-    assert rest == [(TRUE_KEY, window), (TRUE_KEY, len(ks))]
+    assert regenerated == [(TRUE_KEY, window), (TRUE_KEY, len(ks))]
 
 
 def test_collapse_enumerates_free_directions_on_its_window(toy,

@@ -132,6 +132,23 @@ def test_keystream_roundtrip(tmp_path, rng):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("nbits", [1, 63, 77, 100])
+def test_keystream_padding_bits_do_not_count(tmp_path, rng, nbits):
+    # a file whose last byte has its padding bits set loads as the same
+    # keystream: equal to the bits, and to the file with clean padding
+    bits = Keystream(rng.integers(0, 2, size=nbits).astype(np.uint8))
+    clean, dirty = tmp_path / "clean.ks", tmp_path / "dirty.ks"
+    fileio.save_keystream(clean, bits)
+    raw = bytearray(clean.read_bytes())
+    if nbits % 8:
+        raw[-1] |= 0xFF << nbits % 8 & 0xFF
+    dirty.write_bytes(bytes(raw))
+    back = fileio.load_keystream(dirty)
+    assert back == bits and bits == back
+    assert back == fileio.load_keystream(clean)
+    assert np.array_equal(back.bits, bits.bits)
+
+
 def test_keystream_empty_payload(tmp_path):
     path = tmp_path / "empty.ks"
     fileio.save_keystream(path, Keystream(np.zeros(0, dtype=np.uint8)))

@@ -456,20 +456,19 @@ def test_slabbed_paths_equal_oracles(make_spec, monkeypatch):
 
 
 def test_keystream_caches_no_table_beyond_a_slab(toy):
+    # no residue table at all: w and its phases serve one slab plus the
+    # largest tap, packed eight bits a byte over w's bits to that plus
+    # the length
     count = gf2._SLAB * 3 // 2
     clear_residue_cache()
     try:
         keystream(toy, 0x15543210F, count)
-        assert gf2._residue_cache
+        assert not gf2._residue_cache
         for lf in toy.lfsrs:
-            size = gf2._residue_cache[lf.feedback].size
-            assert size <= gf2._SLAB + lf.length + max(lf.taps)
-            # the phases serve one slab plus the largest tap, packed
-            # eight bits a byte over w's bits to that plus the length
-            served, phases = gf2._phase_cache[lf.feedback]
-            assert served <= gf2._SLAB + max(lf.taps)
+            got = gf2._phase_cache[lf.feedback]
             bits = gf2._SLAB + lf.length + max(lf.taps)
-            assert phases.shape[1] <= (bits + 7) // 8
+            assert got.known <= bits
+            assert got.phases.shape[1] <= (bits + 7) // 8 + 2
     finally:
         clear_residue_cache()
 
@@ -496,6 +495,104 @@ def test_input_words_and_keystream_build_each_phase_once(toy, monkeypatch):
     finally:
         clear_residue_cache()
     assert sorted(writes) == sorted(lf.feedback for lf in toy.lfsrs)
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, gf2._SLAB - 1,
+                                   gf2._SLAB + 1])
+def test_keystreams_compare_as_packed_words(toy, count):
+    # keystream's result is packed; the plain-loop reference, a stream
+    # built from bits and one from words with junk past the last bit
+    # all compare by length and words, and a last bit or a length apart
+    # is a difference
+    state = 0x15543210F
+    longer = keystream_reference(toy, state, count + 1)
+    ref = longer[:count]
+    ks = keystream(toy, state, count)
+    assert ks == ref and ref == ks
+    assert ks == Keystream(np.array(ref.bits))
+    assert np.array_equal(ks.bits, ref.bits)
+    assert ks.words.size == (count + 63) // 64
+    assert ks != longer and longer != ks
+    assert keystream(toy, state, count + 1) == longer
+    if count:
+        flipped = np.array(ref.bits)
+        flipped[-1] ^= 1
+        assert ks != Keystream(flipped) and Keystream(flipped) != ks
+        junk = np.append(ks.words, np.uint64(7))
+        if count % 64:
+            junk[-2] |= ~np.uint64(0) << np.uint64(count % 64)
+        assert Keystream.packed(junk, count) == ks
+
+
+@pytest.mark.parametrize("which", ["toy-0", "toy-1", "toy-2", "paper-0",
+                                   "paper-1", "paper-2", "62-bit"])
+def test_doubled_impulse_response_equals_the_residue_oracle(which):
+    # w grown by doubling, in two steps that each end inside a doubling,
+    # is bit l - 1 of the stepped X^t mod P; its phases are w's shifts
+    # packed, zero past the known bits; every cached power is X^t mod P
+    if which == "62-bit":
+        lf = LfsrSpec(62, random_primitive(np.random.default_rng(62), 62),
+                      (0,))
+    else:
+        name, i = which.split("-")
+        make = {"toy": presets.toy_generator,
+                "paper": presets.generator_29_31_37}[name]
+        lf = make().lfsrs[int(i)]
+    got = gf2._Response(lf.feedback, lf.length)
+    for count in (300, 3001):
+        got.extend(count)
+        assert got.known == max(count, got.point)
+        want = (residue_powers_reference(lf.feedback, got.known)
+                >> (lf.length - 1)) & 1
+        assert got.bits == int("".join(map(str, want[::-1])), 2)
+        for k in range(8):
+            row = np.packbits(want[k:].astype(np.uint8), bitorder="little")
+            assert np.array_equal(got.phases[k, :row.size], row)
+            assert not got.phases[k, row.size:].any()
+    assert got.point == 2048
+    for t, v in got.powers.items():
+        assert v == x_power_mod(t, lf.feedback), t
+
+
+def test_window_check_then_gate_extend_each_phase_in_place(toy,
+                                                           monkeypatch):
+    # from cold caches, the toy collapse's 209-bit window check and then
+    # a two-slab gate: each register's w is seeded once and its phases
+    # are then written from where the last write ended, so no bit is
+    # computed twice; the entry is the same object throughout, and no
+    # residue table is grown
+    from combgen import attack
+
+    window = attack.plan(toy).stages[1].window
+    writes = []
+    write = gf2._Response._write_phases
+
+    def recorded(self, old):
+        writes.append((self.poly, old, self.known))
+        return write(self, old)
+
+    monkeypatch.setattr(gf2._Response, "_write_phases", recorded)
+    clear_residue_cache()
+    try:
+        keystream(toy, 0x15543210F, window)
+        entries = dict(gf2._phase_cache)
+        keystream(toy, 0x15543210F, 2 * gf2._SLAB)
+        assert all(gf2._phase_cache[p] is e for p, e in entries.items())
+        assert not gf2._residue_cache
+        for lf in toy.lfsrs:
+            got = gf2._phase_cache[lf.feedback]
+            ends = [(old, known) for poly, old, known in writes
+                    if poly == lf.feedback]
+            assert ends[0][0] == 0 and len(ends) == 3
+            assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
+            assert ends[-1][1] == got.known
+            want = (residue_powers_reference(lf.feedback, got.known)
+                    >> (lf.length - 1)) & 1
+            assert np.array_equal(
+                got.phases[0, :(got.known + 7) // 8],
+                np.packbits(want.astype(np.uint8), bitorder="little"))
+    finally:
+        clear_residue_cache()
 
 
 def test_keystream_memory_is_the_output_plus_slabs():
