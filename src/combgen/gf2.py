@@ -244,8 +244,9 @@ def solve_linear(rows, nvars):
 # of them.  _Response caches, per polynomial, w as an int, eight packed
 # copies of it (phase k holding w[k:] packed LSB first, so shift 8q + k
 # reads phase k from byte q), the reciprocal of P and X**t mod P at the
-# doubling points; w and its phases are extended in place, bits already
-# known are never computed again.  The phase cache sits beside the
+# doubling points.  w is extended in place, so no bit of it is computed
+# twice; each time it grows its phases are rebuilt whole from it and
+# published read-only, as a new array.  The phase cache sits beside the
 # residue tables, under the same lock.
 #
 # One kernel, _packed_slabs, XORs those phases into a register's packed
@@ -360,9 +361,10 @@ def _reverse(v, width):
 class _Response:
     """A polynomial's impulse response w, packed, and the constants of
     its packed output; see the notes above.  `bits` holds w[:known] as
-    an int, bit t being w_t; `phases` row k, byte q holds w[8q + k:8q +
-    k + 8), zero past `known`, in a buffer grown in place; `powers` maps
-    t to X**t mod P for each doubling point t and each slab step."""
+    an int, bit t being w_t; `phases`, read-only and replaced whenever w
+    grows, has row k, byte q holding w[8q + k:8q + k + 8), zero past
+    `known`; `powers` maps t to X**t mod P for each doubling point t and
+    each slab step."""
 
     def __init__(self, poly, length):
         self.poly, self.length = poly, length
@@ -378,8 +380,7 @@ class _Response:
                 r ^= poly
         self.bits, self.known, self.point = w, s, s
         self.powers = {s: r}
-        self.phases = np.zeros((8, 0), dtype=np.uint8)
-        self._write_phases(0)
+        self._publish()
 
     def power(self, t):
         """X**t mod P, cached."""
@@ -389,7 +390,7 @@ class _Response:
 
     def extend(self, need):
         """Grow w to at least `need` bits, from the bits already known."""
-        old, l = self.known, self.length
+        l = self.length
         w, known, s = self.bits, self.known, self.point
         while known < need:
             if known == 2 * s:
@@ -406,23 +407,19 @@ class _Response:
             w |= (new & ((1 << (hi - known)) - 1)) << known
             known = hi
         self.bits, self.known, self.point = w, known, s
-        self._write_phases(old)
+        self._publish()
 
-    def _write_phases(self, old):
-        """Write the phase bytes that hold bits from `old` on; a buffer too
-        small for them and a byte past them moves to one twice as large."""
-        lo, hi = max(0, (old >> 3) - 1), (self.known + 7) >> 3
-        if self.phases.shape[1] < hi + 2:
-            grown = np.zeros((8, max(hi + 2, 2 * self.phases.shape[1])),
-                             dtype=np.uint8)
-            grown[:, :self.phases.shape[1]] = self.phases
-            self.phases = grown
-        row = np.frombuffer((self.bits >> 8 * lo).to_bytes(hi - lo + 1,
-                                                           "little"),
+    def _publish(self):
+        """Rebuild the phases from w[:known] and publish them read-only."""
+        size = (self.known + 7) >> 3
+        row = np.frombuffer(self.bits.to_bytes(size + 1, "little"),
                             dtype=np.uint8)
-        self.phases[0, lo:hi] = row[:-1]
+        phases = np.empty((8, size), dtype=np.uint8)
+        phases[0] = row[:-1]
         for k in range(1, 8):
-            self.phases[k, lo:hi] = row[:-1] >> k | row[1:] << 8 - k
+            phases[k] = row[:-1] >> k | row[1:] << 8 - k
+        phases.setflags(write=False)
+        self.phases = phases
 
 
 def _response(poly, length, n):

@@ -468,7 +468,7 @@ def test_keystream_caches_no_table_beyond_a_slab(toy):
             got = gf2._phase_cache[lf.feedback]
             bits = gf2._SLAB + lf.length + max(lf.taps)
             assert got.known <= bits
-            assert got.phases.shape[1] <= (bits + 7) // 8 + 2
+            assert got.phases.shape[1] <= (bits + 7) // 8
     finally:
         clear_residue_cache()
 
@@ -554,42 +554,46 @@ def test_doubled_impulse_response_equals_the_residue_oracle(which):
         assert v == x_power_mod(t, lf.feedback), t
 
 
-def test_window_check_then_gate_extend_each_phase_in_place(toy,
-                                                           monkeypatch):
+def test_window_check_then_gate_compute_no_bit_of_w_twice(toy,
+                                                         monkeypatch):
     # from cold caches, the toy collapse's 209-bit window check and then
-    # a two-slab gate: each register's w is seeded once and its phases
-    # are then written from where the last write ended, so no bit is
-    # computed twice; the entry is the same object throughout, and no
-    # residue table is grown
+    # a two-slab gate: each register's w is seeded once and every later
+    # growth starts where the last one ended, so no bit of w is computed
+    # twice; the phases published last are read-only and pack all of w,
+    # and no residue table is grown
     from combgen import attack
 
     window = attack.plan(toy).stages[1].window
-    writes = []
-    write = gf2._Response._write_phases
+    seeds, grown = [], []
+    init, extend = gf2._Response.__init__, gf2._Response.extend
 
-    def recorded(self, old):
-        writes.append((self.poly, old, self.known))
-        return write(self, old)
+    def seeded(self, poly, length):
+        seeds.append(poly)
+        init(self, poly, length)
 
-    monkeypatch.setattr(gf2._Response, "_write_phases", recorded)
+    def extended(self, need):
+        start = self.known
+        extend(self, need)
+        grown.append((self.poly, start, self.known))
+
+    monkeypatch.setattr(gf2._Response, "__init__", seeded)
+    monkeypatch.setattr(gf2._Response, "extend", extended)
     clear_residue_cache()
     try:
         keystream(toy, 0x15543210F, window)
-        entries = dict(gf2._phase_cache)
         keystream(toy, 0x15543210F, 2 * gf2._SLAB)
-        assert all(gf2._phase_cache[p] is e for p, e in entries.items())
         assert not gf2._residue_cache
+        assert sorted(seeds) == sorted(lf.feedback for lf in toy.lfsrs)
         for lf in toy.lfsrs:
             got = gf2._phase_cache[lf.feedback]
-            ends = [(old, known) for poly, old, known in writes
-                    if poly == lf.feedback]
-            assert ends[0][0] == 0 and len(ends) == 3
-            assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
-            assert ends[-1][1] == got.known
+            spans = [(a, b) for poly, a, b in grown if poly == lf.feedback]
+            assert len(spans) == 2 and spans[0][0] < spans[0][1]
+            assert spans[0][1] == spans[1][0] < spans[1][1] == got.known
             want = (residue_powers_reference(lf.feedback, got.known)
                     >> (lf.length - 1)) & 1
+            assert not got.phases.flags.writeable
             assert np.array_equal(
-                got.phases[0, :(got.known + 7) // 8],
+                got.phases[0],
                 np.packbits(want.astype(np.uint8), bitorder="little"))
     finally:
         clear_residue_cache()
