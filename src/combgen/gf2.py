@@ -207,47 +207,43 @@ def solve_linear(rows, nvars):
     return solution >> 1, [v >> 1 for v in null]
 
 
-# --- residue tables -------------------------------------------------------
+# --- residue tables and impulse responses --------------------------------
 #
-# X**t mod P for consecutive t, stored at the register's width: the
-# narrowest unsigned dtype that holds l bits (uint8 up to 8 bits, uint16
-# up to 16, uint32 up to 32, uint64 above), so a 29- or 31-bit register
-# takes 4 bytes per entry.  These tables back the attack's linear-form
-# columns and the weight-4 multiple search, so they are cached per
-# polynomial and grown on demand, to exactly the length asked for.
-# Generating or checking a keystream reads none of them.  Growth runs
-# under a lock; the arrays themselves are immutable once published.
-#
-# Growth is by block doubling: with s entries known, r[s + i] is
-# r[i] * (X**s mod P) for the next min(s, count - s) entries.  Multiplying
-# by a fixed residue mod P is GF(2)-linear on l-bit values, so it is one
-# 256-entry lookup per byte of r[i], XORed together; the byte tables are
-# built from the l basis images X**(s + j) mod P.  Blocks are processed
-# in slices of _RESIDUE_SLICE entries to keep the temporaries small.
-# residue_powers_reference is the plain stepping loop the tables are
-# tested against.
-#
-# Register output comes from one base sequence per polynomial, its
+# Two sequences grow from X**t mod P for consecutive t.  Residue tables
+# hold X**t mod P itself, at the register's width: the narrowest unsigned
+# dtype that holds l bits (uint8 up to 8 bits, uint16 up to 16, uint32 up
+# to 32, uint64 above), so a 29- or 31-bit register takes 4 bytes per
+# entry.  They back the attack's linear-form columns and the weight-4
+# multiple search, so they are cached per polynomial and grown on demand,
+# to exactly the length asked for; generating or checking a keystream
+# reads none of them.  Register output comes from the other sequence, the
 # impulse response w: the output from state 2**(l-1), so w_t is bit l - 1
-# of X**t mod P and its first l bits are 0, ..., 0, 1.  Every output
-# sequence is a sum of shifts of w (Golomb's shift-and-add property):
-# s_t = XOR of a_i * w_{t+i} over i < l, where bit t of s is read as
-# bit l - 1 of X**t * A mod P for the polynomial A = sum a_i X**i.
-# Starting a slab n bits later multiplies A by X**n mod P.
+# of X**t mod P and its first l bits are 0, ..., 0, 1.
 #
-# w itself grows by the same property, with no residue table: taking A
-# = X**s mod P, w[s + t] is the XOR of w[t + i] over the set bits i of
-# X**s mod P.  A chunk of new bits [k, h) with s <= k < h <= 2s reads w
-# below h - s + l - 1, so with k known it runs to h = k + s - l + 1;
-# when w reaches 2s, squaring gives X**2s mod P.  The doubling points s
-# are powers of two from 2l on, so X**_SLAB mod P, the slab step, is one
-# of them.  _Response caches, per polynomial, w as an int, eight packed
-# copies of it (phase k holding w[k:] packed LSB first, so shift 8q + k
-# reads phase k from byte q), the reciprocal of P and X**t mod P at the
-# doubling points.  w is extended in place, so no bit of it is computed
-# twice; each time it grows its phases are rebuilt whole from it and
-# published read-only, as a new array.  The phase cache sits beside the
-# residue tables, under the same lock.
+# Both grow by one rule, Golomb's shift-and-add identity: for any s,
+# X**(s + t) mod P is the XOR of X**(t + i) mod P over the set bits i of
+# X**s mod P, and so w[s + t] is the XOR of w[t + i] over the same bits.
+# Both are seeded by stepping t through [0, 2l) (_stepped).  With entries
+# [0, k) known, k >= 2l, s is the largest power of two below k, so s >= l,
+# and the chunk [k, h) with h = k + s - l + 1 reads only known entries:
+# it is the XOR of the slices [k - s + i, h - s + i) (_chunks).  A residue
+# table reads X**s mod P from its own entry s and XORs its slices in
+# place; a modulus without a constant term can make X**s mod P zero, and
+# its chunk zero with it.  w reads X**s mod P from its _Response's
+# `powers`, each power of two squared from the one below, among them
+# X**_SLAB mod P, the slab step.  residue_powers_reference and
+# lfsr_sequence are the plain stepping loops the two are tested against.
+#
+# Every register output sequence is a sum of shifts of w: s_t = XOR of
+# a_i * w_{t+i} over i < l, where bit t of s is read as bit l - 1 of
+# X**t * A mod P for the polynomial A = sum a_i X**i.  Starting a slab n
+# bits later multiplies A by X**n mod P.  _Response caches, per
+# polynomial, w as an int, eight packed copies of it (phase k holding
+# w[k:] packed LSB first, so shift 8q + k reads phase k from byte q), the
+# reciprocal of P and `powers`.  w is extended in place, so no bit of it
+# is computed twice; each time it grows its phases are rebuilt whole from
+# it and published read-only, as a new array.  Both caches grow under one
+# lock, and their arrays are immutable once published.
 #
 # One kernel, _packed_slabs, XORs those phases into a register's packed
 # output slab by slab; sequence_bits unpacks each slab.  One reader,
@@ -262,7 +258,6 @@ RESIDUE_MAX_DEGREE = 62
 _residue_cache = {}
 _phase_cache = {}
 _residue_lock = threading.Lock()
-_RESIDUE_SLICE = 1 << 15
 _SLAB = 1 << 16
 
 
@@ -274,27 +269,28 @@ def _check_residue_degree(poly):
     return l
 
 
-def _multiply_block(r, s, n, poly, l):
-    """Fill r[s:s + n] with r[:n] * X**s mod poly, for n <= s."""
-    # basis.flat[j] = X**(s + j) mod poly, the image of bit j; tables[k][b]
-    # is the XOR of the images of the set bits of b placed at byte k.
-    nbytes = (l + 7) // 8
-    basis = np.zeros((nbytes, 8), dtype=r.dtype)
-    v = x_power_mod(s, poly)
-    for j in range(l):
-        basis.flat[j] = v
-        v <<= 1
-        if v >> l:
-            v ^= poly
-    tables = np.zeros((nbytes, 256), dtype=r.dtype)
-    for j in range(8):
-        tables[:, 1 << j:2 << j] = tables[:, :1 << j] ^ basis[:, j:j + 1]
-    for lo in range(0, n, _RESIDUE_SLICE):
-        src = r[lo:min(n, lo + _RESIDUE_SLICE)]
-        dst = r[s + lo:s + lo + src.size]
-        np.take(tables[0], src & 0xFF, out=dst)
-        for k in range(1, len(tables)):
-            dst ^= tables[k][(src >> 8 * k) & 0xFF]
+def _stepped(poly, l, count):
+    """X**t mod poly for t in [0, count), stepping t: the seed both
+    sequences grow from."""
+    out, r = [], 1
+    for _ in range(count):
+        out.append(r)
+        r <<= 1
+        if r >> l:
+            r ^= poly
+    return out
+
+
+def _chunks(known, count, l):
+    """(lo, hi, s) for each chunk that grows a sequence from `known` >= 2l
+    entries to `count`: s is the largest power of two below lo, and
+    entries [lo, hi) are the XOR of [lo - s + i, hi - s + i) over the set
+    bits i of X**s mod P."""
+    while known < count:
+        s = 1 << ((known - 1).bit_length() - 1)
+        hi = min(count, known + s - l + 1)
+        yield known, hi, s
+        known = hi
 
 
 def residue_powers(poly, count):
@@ -311,16 +307,19 @@ def residue_powers(poly, count):
         cached = _residue_cache.get(poly)
         if cached is None or cached.size < count:
             fresh = np.empty(count, dtype=dtype)
-            if cached is None:
-                fresh[0] = 1
-                known = 1
+            known = 0 if cached is None else cached.size
+            if known < 2 * l:
+                known = min(count, 2 * l)
+                fresh[:known] = _stepped(poly, l, known)
             else:
-                known = cached.size
                 fresh[:known] = cached
-            while known < count:
-                n = min(known, count - known)
-                _multiply_block(fresh, known, n, poly, l)
-                known += n
+            for lo, hi, s in _chunks(known, count, l):
+                c = int(fresh[s])
+                taps = [lo - s + i for i in range(l) if c >> i & 1]
+                dst = fresh[lo:hi]
+                dst[:] = fresh[taps[0]:taps[0] + hi - lo] if taps else 0
+                for a in taps[1:]:
+                    dst ^= fresh[a:a + hi - lo]
             fresh.setflags(write=False)
             _residue_cache[poly] = fresh
             cached = fresh
@@ -363,50 +362,42 @@ class _Response:
     its packed output; see the notes above.  `bits` holds w[:known] as
     an int, bit t being w_t; `phases`, read-only and replaced whenever w
     grows, has row k, byte q holding w[8q + k:8q + k + 8), zero past
-    `known`; `powers` maps t to X**t mod P for each doubling point t and
-    each slab step."""
+    `known`; `powers` caches X**t mod P by t (see power)."""
 
     def __init__(self, poly, length):
         self.poly, self.length = poly, length
         self.reciprocal = _reverse(poly, length + 1) & ((1 << length) - 1)
-        # seed w[:s] and X**s mod P by stepping X**t mod P, s the first
-        # power of two at or above 2l, where a chunk gains at least l bits
-        s = 1 << (2 * length - 1).bit_length()
-        r, w = 1, 0
-        for t in range(s):
-            w |= (r >> (length - 1) & 1) << t
-            r <<= 1
-            if r >> length:
-                r ^= poly
-        self.bits, self.known, self.point = w, s, s
-        self.powers = {s: r}
+        r = _stepped(poly, length, 2 * length)
+        self.bits = sum((v >> (length - 1) & 1) << t for t, v in enumerate(r))
+        self.known = 2 * length
+        self.powers = {1 << k: r[1 << k]
+                       for k in range((2 * length - 1).bit_length())}
         self._publish()
 
     def power(self, t):
-        """X**t mod P, cached."""
+        """X**t mod P, cached: a power of two squared from the one below,
+        another t the product of its lowest bit's power and the rest's."""
         if t not in self.powers:
-            self.powers[t] = x_power_mod(t, self.poly)
+            low = t & -t
+            a, b = (t >> 1, t >> 1) if t == low else (low, t - low)
+            self.powers[t] = poly_mulmod(self.power(a), self.power(b),
+                                         self.poly)
         return self.powers[t]
 
     def extend(self, need):
         """Grow w to at least `need` bits, from the bits already known."""
-        l = self.length
-        w, known, s = self.bits, self.known, self.point
-        while known < need:
-            if known == 2 * s:
-                c = self.powers[s]
-                s *= 2
-                self.powers[s] = poly_mulmod(c, c, self.poly)
-            c, hi = self.powers[s], min(need, 2 * s, known + s - l + 1)
-            # w[s + t] for t in [known - s, hi - s): the bits it reads
-            seg = w >> (known - s) & ((1 << (hi - known + l)) - 1)
+        l, w, known = self.length, self.bits, self.known
+        for lo, hi, s in _chunks(known, need, l):
+            c = self.power(s)
+            # the bits [lo - s, hi - s + l - 1) that the chunk reads
+            seg = w >> (lo - s) & ((1 << (hi - lo + l - 1)) - 1)
             new = 0
             for i in range(c.bit_length()):
                 if c >> i & 1:
                     new ^= seg >> i
-            w |= (new & ((1 << (hi - known)) - 1)) << known
+            w |= (new & ((1 << (hi - lo)) - 1)) << lo
             known = hi
-        self.bits, self.known, self.point = w, known, s
+        self.bits, self.known = w, known
         self._publish()
 
     def _publish(self):

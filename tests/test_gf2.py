@@ -252,15 +252,20 @@ def test_residue_powers_match_square_and_multiply(rng):
         table[0] = 99  # cached array is write-protected
 
 
-# Degrees on both sides of each byte-table boundary; one sparse and one
-# dense modulus per degree (residue tables do not need primitivity).
-RESIDUE_DEGREES = [1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 37, 62]
+# Degrees on both sides of each dtype width (8, 16, 32 bits); one sparse
+# and one dense modulus per degree (residue tables do not need
+# primitivity), and two with no constant term: X**t mod X**5 is 0 from
+# t = 5 on, so each of its doubling chunks is all zeros, and the
+# residues of X**7 + X never return to 1.
+RESIDUE_DEGREES = [1, 2, 5, 7, 8, 9, 15, 16, 17, 24, 31, 37, 62]
 RESIDUE_COUNTS = [1, 2, 3, 255, 256, 257, 1000, (1 << 16) + 3]
+NO_CONSTANT_TERM = {5: 1 << 5, 7: 1 << 7 | 1 << 1}
 
 
 def residue_moduli(l):
     sparse = (1 << l) | (0x5A3C96E1D2B4F087 & ((1 << l) - 1)) | 1
-    return sorted({sparse, (2 << l) - 1})
+    extra = {NO_CONSTANT_TERM[l]} if l in NO_CONSTANT_TERM else set()
+    return sorted({sparse, (2 << l) - 1} | extra)
 
 
 @pytest.mark.parametrize("l", RESIDUE_DEGREES)
@@ -294,7 +299,33 @@ def test_residue_powers_grow_from_cached_prefix(l, rng):
     clear_residue_cache()
     for count, before in zip([300, 301, 602, 2000, 700], grown):
         assert np.array_equal(residue_powers(poly, count), before)
+    # a cached table shorter than the 2l stepped entries doubling starts
+    # from is stepped again before it grows
     clear_residue_cache()
+    for count in [1, 2, 3, 1000]:
+        assert np.array_equal(residue_powers(poly, count), want[:count]), count
+    clear_residue_cache()
+
+
+@pytest.mark.parametrize("l", [17, 62])
+def test_residue_powers_grow_without_polynomial_arithmetic(l, monkeypatch):
+    # a table doubles from its own entries: X**s mod P is entry s, so
+    # neither a cold table nor a cached prefix calls x_power_mod or
+    # poly_mulmod
+    poly = residue_moduli(l)[0]
+    want = residue_powers_reference(poly, 5000)
+
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic in table growth")
+
+    monkeypatch.setattr(gf2, "x_power_mod", forbidden)
+    monkeypatch.setattr(gf2, "poly_mulmod", forbidden)
+    clear_residue_cache()
+    try:
+        for count in [1000, 5000]:
+            assert np.array_equal(residue_powers(poly, count), want[:count])
+    finally:
+        clear_residue_cache()
 
 
 def test_residue_powers_reject_bad_degree():
@@ -529,7 +560,8 @@ def test_keystreams_compare_as_packed_words(toy, count):
 def test_doubled_impulse_response_equals_the_residue_oracle(which):
     # w grown by doubling, in two steps that each end inside a doubling,
     # is bit l - 1 of the stepped X^t mod P; its phases are w's shifts
-    # packed, zero past the known bits; every cached power is X^t mod P
+    # packed, zero past the known bits; the doubling squared its way to
+    # X^1024 mod P, and every cached power is X^t mod P
     if which == "62-bit":
         lf = LfsrSpec(62, random_primitive(np.random.default_rng(62), 62),
                       (0,))
@@ -541,7 +573,7 @@ def test_doubled_impulse_response_equals_the_residue_oracle(which):
     got = gf2._Response(lf.feedback, lf.length)
     for count in (300, 3001):
         got.extend(count)
-        assert got.known == max(count, got.point)
+        assert got.known == max(count, 2 * lf.length)
         want = (residue_powers_reference(lf.feedback, got.known)
                 >> (lf.length - 1)) & 1
         assert got.bits == int("".join(map(str, want[::-1])), 2)
@@ -549,7 +581,7 @@ def test_doubled_impulse_response_equals_the_residue_oracle(which):
             row = np.packbits(want[k:].astype(np.uint8), bitorder="little")
             assert np.array_equal(got.phases[k, :row.size], row)
             assert not got.phases[k, row.size:].any()
-    assert got.point == 2048
+    assert 1024 in got.powers
     for t, v in got.powers.items():
         assert v == x_power_mod(t, lf.feedback), t
 
