@@ -1248,30 +1248,45 @@ class AttackResult:
     seconds: float = 0.0
 
 
+def _spares_target(spec, stage):
+    """A multiple that the target's feedback also divides cancels the
+    target too, so every candidate of the stage would tie; keep the
+    others."""
+    target = [spec.lfsrs[stage.target]]
+    return lambda m: not verify_multiple(m, target)
+
+
 def search_stage_multiples(spec, stage, ks_len):
     """Search enough weight-4 multiples for one scored stage.
 
-    Doubles the degree bound until the multiples found offer the stage's
-    raw relation target in ks_len bits, and returns (modulus, the
-    lowest-degree prefix of them that meets it); run_attack caches that.
+    Climbs a ladder of degree bounds: the first expects as many multiples
+    as the stage's raw relation target needs at ks_len relations each,
+    and each next one is 2**(1/3) times higher, which doubles the expected
+    count, resuming the scan below it.  Stops once the usable multiples
+    found offer that target in ks_len bits, or at the period of X modulo
+    the product or the keystream's end, and returns (modulus, the
+    lowest-degree usable prefix that meets it); run_attack caches that.
     """
     if not isinstance(stage, ScoredStage):
         raise ValidationError("a collapse stage uses no multiples")
     modulus = product_modulus([spec.lfsrs[r].feedback for r in stage.group2])
     raw_target = stage.raw_target
+    # a searched multiple cancels the group2 registers by construction
+    usable = _spares_target(spec, stage)
     # the collision scan needs distinct residues, so never look past
     # the order of X modulo the product
     period = math.lcm(*((1 << spec.lfsrs[r].length) - 1
                         for r in stage.group2))
     cap = min(ks_len - 1, period)
-    bound = max(math.ceil(density_bound(stage.m2, 12)), 8)
+    rung = max(density_bound(stage.m2, math.ceil(raw_target / ks_len)), 8)
+    report = None
     while True:
-        bound = min(bound, cap)
-        picked = _lowest_degree(find_weight4(modulus, bound).found, ks_len,
-                                raw_target)
+        bound = min(math.ceil(rung), cap)
+        report = find_weight4(modulus, bound, after=report)
+        picked = _lowest_degree(report.found, ks_len, raw_target, usable)
         if sum(n for _, n in picked) >= raw_target or bound >= cap:
             break
-        bound *= 2
+        rung *= 2 ** (1 / 3)
     if not picked:
         raise ValidationError(
             f"no usable weight-4 multiple of modulus 0x{modulus:x} below the "
@@ -1290,10 +1305,10 @@ def _stage_multiples(spec, idx, stage, ks_len, supplied, cache_dir):
     modulus = product_modulus(group)
     name = f"stage {idx + 1} (register {stage.target})"
     raw_target = stage.raw_target
+    spares = _spares_target(spec, stage)
 
     def usable(m):
-        return (verify_multiple(m, group)
-                and not verify_multiple(m, [spec.lfsrs[stage.target]]))
+        return verify_multiple(m, group) and spares(m)
 
     picked = _lowest_degree(supplied, ks_len, raw_target, usable)
     if picked:

@@ -4,9 +4,14 @@ A weight-4 multiple 1 + X**t1 + X**t2 + X**t3 of the product of some
 registers' feedback polynomials yields keystream relations that cancel
 those registers entirely; the attack conditions on them.  The search
 here is the birthday-style collision scan: read X**a mod M for
-a = 1..D from gf2's cached residue table, then for every pair (a, b)
-look up whether 1 ^ r_a ^ r_b is some r_c in a direct-address table.
-Time O(D**2) lookups, memory O(D) plus the table.
+a = 1..D from gf2's cached residue table (uint32 up to 32 bits, int64
+above), then for every pair (a, b) look up whether 1 ^ r_a ^ r_b is
+some r_c in a direct-address table that holds the residues themselves,
+one gather per pair; only a hit looks up its exponent.  Time O(D**2)
+lookups, memory O(D) plus the table.  Pairs are visited by their larger
+exponent, so a scan resumes from a report at a lower bound and reads
+only the new pairs; attack.search_stage_multiples climbs a ladder of
+bounds that way and stops once its picks are settled.
 
 Moduli are limited to gf2.RESIDUE_MAX_DEGREE (62) bits.  A wider product
 needs a bound near 2**22 or more before it expects a single multiple,
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -73,6 +79,7 @@ class MultipleSearchReport:
     modulus: int
     degree_bound: int
     found: tuple
+    cut: bool = False  # find_weight4's limit dropped some
 
     @property
     def count(self):
@@ -134,17 +141,51 @@ def _divides(mult, p):
     return acc == 0
 
 
-def _collision_scan(r, bound, one=1, exps=None):
-    """Collision scan over int64 residues r: raw (a, b, c) rows, int64.
+def _pair_hits(r, one, start, tab, mask):
+    """(i, j, t) for every pair i < j of r with j >= start whose target
+    t = one ^ r[i] ^ r[j] the table holds.
 
-    slot[t & mask] holds 1 + the index of one residue with those low bits
-    (2**_SPARE_BITS slots per residue, at most 2**_TABLE_BITS_MAX); each
-    step compares about 2**16 looked-up residues in full.  That finds every
-    triple with a member in a slot; those that lost theirs are rescanned on
-    the next bits (a rotation, which keeps every XOR relation).
+    Rows j come in blocks of at most about 2**16 pairs against the columns
+    below the block's last row, each step in the same four buffers; a pair
+    costs one gather, tab[t & mask] == t.
+    """
+    ro = r ^ one
+    size = min(max(1 << 16, r.size), r.size * r.size)
+    bufs = [np.empty(size, dtype=d) for d in (r.dtype, np.intp, r.dtype, bool)]
+    hits = [(np.zeros(0, dtype=np.intp),) * 2 + (r[:0],)]
+    j0 = max(start, 1)
+    while j0 < r.size:
+        j1 = min(r.size, j0 + max(1, (1 << 16) // (j0 + 256)))
+        t, key, got, eq = (b[:(j1 - j0) * (j1 - 1)].reshape(j1 - j0, j1 - 1)
+                            for b in bufs)
+        np.bitwise_xor(ro[j0:j1, None], r[None, :j1 - 1], out=t)
+        np.bitwise_and(t, mask, out=key, casting="unsafe")
+        np.take(tab, key, out=got, mode="wrap")  # every key is in range
+        flat = np.flatnonzero(np.equal(got, t, out=eq))
+        jj, i = np.divmod(flat, j1 - 1)
+        keep = i < j0 + jj
+        hits.append((i[keep], j0 + jj[keep], t.ravel()[flat[keep]]))
+        j0 = j1
+    return tuple(np.concatenate(h) for h in zip(*hits))
+
+
+def _collision_scan(r, bound, one=1, exps=None, start=0):
+    """Collision scan over residues r (uint32 or int64): raw (a, b, c)
+    exponent rows for every triple with r_a ^ r_b ^ r_c = one and a member
+    at index start or above, each at least once.
+
+    tab[v & mask] holds one residue v with those low bits (2**_SPARE_BITS
+    slots per residue, at most 2**_TABLE_BITS_MAX), and an empty slot a
+    value whose low bits differ from its index.  Pairs with their larger
+    index at start or above find every such triple with a member held in
+    the table, except one whose new member alone is held; pairs of lost
+    residues below start find those.  Triples whose members all lost
+    their slots are rescanned among the lost on the next bits (a rotation,
+    which keeps every XOR relation).
     """
     if exps is None:
-        if np.unique(r).size < bound:
+        # X**t = 1 for some t < bound repeats every residue past t
+        if (r[:-1] == 1).any():
             raise ValidationError("degree bound exceeds the period of X "
                                   "modulo the modulus; the collision scan "
                                   "would miss solutions (lower the bound)")
@@ -154,26 +195,26 @@ def _collision_scan(r, bound, one=1, exps=None):
     width = int(max(r.max(), one)).bit_length()
     k = max(1, min(bound.bit_length() + _SPARE_BITS, _TABLE_BITS_MAX, width))
     mask = (1 << k) - 1
-    slot = np.zeros(1 << k, dtype=np.int32)
-    slot[r & mask] = np.arange(1, bound + 1)
-    held = np.concatenate(([-1], r))  # an empty slot never matches
-    hits = []
-    a0 = 0
-    while a0 < bound - 1:
-        a1 = min(bound - 1, a0 + max(1, (1 << 16) // (bound - a0 - 1)))
-        t = one ^ r[a0:a1, None] ^ r[None, a0 + 1:]
-        s = slot[t & mask]
-        ia, ib = np.nonzero(held[s] == t)
-        keep = ib >= ia  # b = a0 + 1 + ib > a = a0 + ia
-        ia, ib = ia[keep], ib[keep]
-        hits.append(np.stack((exps[a0 + ia], exps[a0 + 1 + ib],
-                              exps[s[ia, ib] - 1]), axis=1))
-        a0 = a1
-    lost = np.flatnonzero(slot[r & mask] != np.arange(1, bound + 1))
-    rest = np.append(r[lost], one)
+    keys = r & mask
+    tab = np.arange(1 << k, dtype=r.dtype)
+    tab ^= 1  # an empty slot never matches
+    tab[keys] = r
+    lost = np.flatnonzero(tab[keys] != r)
+    order = np.argsort(r)  # finds a hit's index, as the residues are distinct
+    i, j, t = _pair_hits(r, one, start, tab, mask)
+    c = order[np.searchsorted(r, t, sorter=order)]
+    hits = [np.stack((exps[i], exps[j], exps[c]), axis=1)]
+    # a triple whose new member alone is held: its other two lost theirs
+    below = lost[:np.searchsorted(lost, start)]
+    i, j, t = _pair_hits(r[below], one, 0, tab, mask)
+    c = order[np.searchsorted(r, t, sorter=order)]
+    new = c >= start
+    hits.append(np.stack((exps[below[i[new]]], exps[below[j[new]]],
+                          exps[c[new]]), axis=1))
+    rest = np.append(r[lost], r.dtype.type(one))
     rest = rest >> k | (rest & mask) << (width - k)
     hits.append(_collision_scan(rest[:-1], lost.size, int(rest[-1]),
-                                exps[lost]))
+                                exps[lost], below.size))
     return np.concatenate(hits)
 
 
@@ -196,14 +237,17 @@ def _check_modulus(modulus):
             f"presets.large_multiples_31_37)")
 
 
-def find_weight4(modulus, degree_bound, limit=None):
+def find_weight4(modulus, degree_bound, limit=None, after=None):
     """All weight-4 multiples of modulus with degree <= degree_bound.
 
     Exact and exhaustive within the bound.  The report lists multiples
     sorted by degree; `limit`, if given, truncates the sorted list (the
-    scan itself always covers the full bound) and must not be negative.
-    The residues stay in gf2's cache for a later, larger bound;
-    gf2.clear_residue_cache frees them.
+    scan itself always covers the full bound), must not be negative, and
+    marks the report `cut` when it drops any.  `after`, an uncut report
+    of this function for the same modulus at a bound no higher, resumes
+    it: only pairs with an exponent above its bound are scanned, and the
+    report equals a scan from scratch.  The residues stay in gf2's cache
+    for a later, larger bound; gf2.clear_residue_cache frees them.
     """
     _check_modulus(modulus)
     if degree_bound < 3:
@@ -213,8 +257,18 @@ def find_weight4(modulus, degree_bound, limit=None):
                               "is not practical here")
     if limit is not None and limit < 0:
         raise ValidationError(f"limit must not be negative, got {limit}")
+    start, known = 0, ()
+    if after is not None:
+        if (after.modulus != modulus or after.degree_bound > degree_bound
+                or after.cut):
+            raise ValidationError(
+                "can only resume an uncut report for the same modulus at a "
+                "bound no higher")
+        start, known = after.degree_bound, after.found
     residues = residue_powers(modulus, degree_bound + 1)[1:]
-    raw = _collision_scan(residues.astype(np.int64), degree_bound)
+    wide = poly_degree(modulus) > 32
+    raw = _collision_scan(residues.astype(np.int64 if wide else np.uint32),
+                          degree_bound, 1, None, start)
     # each triple comes back once per pair of its members: sort each hit,
     # drop any with a repeat, sort the rows by (t3, t2, t1), which is
     # degree order, and keep the first of each run before building objects
@@ -223,8 +277,11 @@ def find_weight4(modulus, degree_bound, limit=None):
     hits = hits[np.lexsort(hits.T)]
     first = np.ones(len(hits), dtype=bool)
     first[1:] = (hits[1:] != hits[:-1]).any(axis=1)
-    found = [Weight4Multiple(*t) for t in hits[first][:limit].tolist()]
-    return MultipleSearchReport(modulus, degree_bound, tuple(found))
+    rows = hits[first].tolist()
+    found = islice(chain(known, (Weight4Multiple(*t) for t in rows)), limit)
+    return MultipleSearchReport(modulus, degree_bound, tuple(found),
+                                limit is not None
+                                and limit < len(known) + len(rows))
 
 
 def find_weight4_bruteforce(modulus, degree_bound):

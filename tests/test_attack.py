@@ -2353,6 +2353,81 @@ def test_search_stage_multiples_returns_verified(toy):
     assert degrees == sorted(degrees)
 
 
+TOY_WIRING = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+# the register lengths of random 3-register specs that the benchmark draws
+FANO_LENGTHS = ((12, 10, 9), (13, 11, 10), (14, 12, 11), (15, 13, 12),
+                (14, 13, 9), (15, 14, 10), (15, 11, 9))
+
+
+def random_primitive(rng, length):
+    while True:
+        poly = 1 << length | int(rng.integers(0, 1 << (length - 1))) << 1 | 1
+        if gf2.poly_is_primitive(poly):
+            return poly
+
+
+def test_search_stage_multiples_skips_multiples_that_cancel_the_target():
+    # on 5/4/3 bits, register 0's feedback divides many low multiples of
+    # the product of registers 1 and 2 too; such a multiple adds the same
+    # counts to every candidate
+    rng = np.random.default_rng(3)
+    spec = GeneratorSpec(tuple(
+        LfsrSpec(l, random_primitive(rng, l), (0, 1)) for l in (5, 4, 3)),
+        presets.toy_filter(), TOY_WIRING)
+    stage = plan(spec).stages[0]
+    group = [spec.lfsrs[r] for r in stage.group2]
+    target = [spec.lfsrs[stage.target]]
+    modulus, chosen = search_stage_multiples(spec, stage, 1 << 12)
+    assert any(verify_multiple(m, target)
+               for m in find_weight4(modulus, chosen[-1].t3).found)
+    assert all(verify_multiple(m, group) and not verify_multiple(m, target)
+               for m in chosen)
+
+
+def ladder_specs():
+    """The toy, the 24/13/11-bit mid-split spec, and 21 random specs on
+    the benchmark's register lengths (seed 35)."""
+    rng = np.random.default_rng(35)
+    seeded = [GeneratorSpec(tuple(
+        LfsrSpec(l, random_primitive(rng, l),
+                 sorted(int(t) for t in rng.choice(l, 2, replace=False)))
+        for l in FANO_LENGTHS[i % 7]), presets.toy_filter(), TOY_WIRING)
+        for i in range(21)]
+    mid = GeneratorSpec((LfsrSpec(24, 0x100001B, (2, 9)),
+                         LfsrSpec(13, presets.TOY_POLY_13, (2, 9)),
+                         LfsrSpec(11, presets.TOY_POLY_11, (1, 7))),
+                        presets.toy_filter(), TOY_WIRING)
+    return [presets.toy_generator(), mid], seeded
+
+
+def test_search_stage_multiples_picks_do_not_move(monkeypatch):
+    # the ladder stops below the bound that expects 12 multiples, where
+    # every stage here meets its target, and picks what a scan to that
+    # bound picks
+    bounds = []
+
+    def recorded(modulus, bound, *args, **kwargs):
+        bounds.append(bound)
+        return find_weight4(modulus, bound, *args, **kwargs)
+
+    monkeypatch.setattr(attack, "find_weight4", recorded)
+    fixed, seeded = ladder_specs()
+    ks_len = 1 << 19
+    for spec in fixed + seeded:
+        for stage in plan(spec).stages:
+            if stage.is_final:
+                continue
+            target = [spec.lfsrs[stage.target]]
+            start = max(math.ceil(multiples.density_bound(stage.m2, 12)), 8)
+            bounds.clear()
+            modulus, chosen = search_stage_multiples(spec, stage, ks_len)
+            assert chosen == [m for m, _ in attack._lowest_degree(
+                find_weight4(modulus, start).found, ks_len, stage.raw_target,
+                lambda m: not verify_multiple(m, target))]
+            if spec in seeded:
+                assert max(bounds) < start
+
+
 # ------------------------------------------------------------ input checks
 
 

@@ -237,6 +237,33 @@ def test_find_weight4_equals_bruteforce_with_a_shrunk_table(
         assert sizes[0] == bound and sizes[1] >= bound * 3 // 4
 
 
+@pytest.mark.parametrize("spare", [multiples._SPARE_BITS, -3])
+def test_find_weight4_resumes_to_the_one_shot_report(random_searches,
+                                                     monkeypatch, spare):
+    # at -3 most residues lose their slot, so the resumed triples come
+    # through the pairs of lost residues and the lost-only rescan too
+    monkeypatch.setattr(multiples, "_SPARE_BITS", spare)
+    for modulus, bound, found in random_searches:
+        report = None
+        for step in sorted({3, max(3, bound // 3), max(3, bound // 2), bound}):
+            report = find_weight4(modulus, step, after=report)
+            assert report.degree_bound == step
+        assert report == find_weight4(modulus, bound), hex(modulus)
+        assert report.found == found, hex(modulus)
+
+
+def test_find_weight4_refuses_a_resume_it_cannot_extend():
+    report = find_weight4(presets.TOY_POLY_13, 300)
+    assert find_weight4(presets.TOY_POLY_13, 300, after=report) == report
+    cut = find_weight4(presets.TOY_POLY_13, 300, limit=3)
+    assert cut.cut and not report.cut
+    assert not find_weight4(presets.TOY_POLY_13, 300, limit=10**6).cut
+    for after, bound in [(report, 299), (cut, 400),
+                         (find_weight4(presets.TOY_POLY_11, 300), 400)]:
+        with pytest.raises(ValidationError, match="resume"):
+            find_weight4(presets.TOY_POLY_13, bound, after=after)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: product_modulus([]), "empty polynomial group"),
     (lambda: product_modulus([1]), "group members must have degree >= 1"),
