@@ -26,7 +26,10 @@ print(plan.describe())
 
 stage = plan.stages[0]
 print(f"\nfirst stage: N = {stage.equations_required} = "
-      f"2^{math.log2(stage.equations_required):.2f} relations")
+      f"2^{math.log2(stage.equations_required):.2f} relations by the "
+      f"paper's bound; {stage.equations_planned} = "
+      f"2^{math.log2(stage.equations_planned):.2f} planned from the bias "
+      f"eps = {stage.bias}, for a predicted z of {stage.predicted_z:.1f}")
 print(f"planned keystream: {plan.keystream_required} bits = "
       f"{plan.keystream_required / 8 / (1 << 20):.2f} MiB")
 

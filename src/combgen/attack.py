@@ -40,7 +40,7 @@ from itertools import accumulate, combinations, groupby, permutations
 
 import numpy as np
 
-from .boolfn import annihilators, autocorrelation, fwht
+from .boolfn import annihilators, autocorrelation, fwht, p_spectrum
 from .errors import AttackExhaustedError, InvariantError, ValidationError
 from .fileio import load_multiples_cache, save_multiples_cache
 from .gf2 import (GeneratorSpec, Keystream, input_words, keystream,
@@ -56,6 +56,10 @@ DEFAULT_CHUNK = 1 << 16
 DEFAULT_BEAM = 8
 FINAL_WINDOW_EXTRA = 40
 RAW_MARGIN = 1.25
+# A scored stage plans the relations that lift the true candidate's
+# expected z, eps * sqrt(relations / 2**n1), above the largest z among
+# its 2**m1 candidates' noise, about sqrt(2 * m1 * ln 2), by Z_MARGIN.
+Z_MARGIN = 4
 _RANK_SLICE = 1 << 20
 _COUNT_SLICE = 1 << 16
 # The collapse linearizes over the monomials of degree at most its degree
@@ -113,14 +117,20 @@ class _Stage:
 @dataclass(frozen=True)
 class ScoredStage(_Stage):
     """Cost model for scoring one register over weight-4 relations that
-    cancel the group2 registers.  blowup, the factor by which the
-    worst-case spectrum gap raises the sample count, is math.inf when
-    the combining function has a linear structure."""
+    cancel the group2 registers.  samples_required and the figures built
+    on it are the paper's generic bound; the stage harvests for
+    equations_planned relations, sized from f's quadruple-sum bias
+    eps = 2 * P(0) - 1 (`bias`, None for an unbalanced f) in _stage.
+    blowup, the factor by which the worst-case spectrum gap raises the
+    sample count, is math.inf when the combining function has a linear
+    structure."""
 
     samples_required: int
     keystream_single: int
     keystream_multi: int
     blowup: float
+    bias: Fraction | None
+    equations_planned: int
     is_final = False  # perfbench/workloads.py reads it
 
     @property
@@ -131,8 +141,22 @@ class ScoredStage(_Stage):
     def raw_target(self):
         """Raw relations to harvest: the planned count, times 2**n_known
         for the known-register filter, times RAW_MARGIN to spare."""
-        return math.ceil(self.equations_required * (1 << self.n_known)
+        return math.ceil(self.equations_planned * (1 << self.n_known)
                          * RAW_MARGIN)
+
+    @property
+    def z_target(self):
+        return _z_target(self.m1)
+
+    @property
+    def predicted_z(self):
+        """The truth's expected z over the raw target's share that passes
+        the known-register filter, eps * sqrt(raw / 2**(n_known + n1));
+        None where no positive bias sized the stage."""
+        if not _sizes(self.bias):
+            return None
+        return float(self.bias) * math.sqrt(
+            self.raw_target / (1 << self.n_known + self.n1))
 
     @property
     def keystream_estimate(self):
@@ -152,6 +176,19 @@ class ScoredStage(_Stage):
             return math.inf
         return math.ceil(figure * self.blowup)
 
+    def _planned(self):
+        """describe's lines on the planned relations."""
+        if not _sizes(self.bias):
+            why = ("f is unbalanced" if self.bias is None
+                   else f"bias eps = {self.bias} is not positive")
+            return [f"  planned: the paper's bound; {why}"]
+        return [f"  planned: N = {self.equations_planned} = "
+                f"2^{math.log2(self.equations_planned):.2f} from bias "
+                f"eps = {self.bias} = 2^{math.log2(self.bias):.2f}",
+                f"  z: target {self.z_target:.2f} (noise maximum "
+                f"{self.z_target - Z_MARGIN:.2f} + {Z_MARGIN}), predicted "
+                f"{self.predicted_z:.2f} on {self.raw_target} raw relations"]
+
     def describe(self):
         worst = "unbounded (the combining function has a linear structure)"
         if self.blowup < math.inf:
@@ -159,11 +196,12 @@ class ScoredStage(_Stage):
                      f"N = {self.equations_worstcase}")
         tradeoff_memory_log2 = math.log2(self.equations_required) - 1
         return [
-            f"  samples S = {self.samples_required} = "
+            f"  paper's bound: samples S = {self.samples_required} = "
             f"2^{math.log2(self.samples_required):.2f}   "
             f"equations N = {self.equations_required} = "
             f"2^{math.log2(self.equations_required):.2f}   "
             f"(n1={self.n1})",
+            *self._planned(),
             f"  worst-case spectrum-gap figures: {worst}",
             f"  keystream: one multiple -> "
             f"{_bits_human(self.keystream_single)}; "
@@ -291,16 +329,45 @@ def _stage_fields(spec, order, idx):
         n_known=sum(len(spec.inputs_of_register(r)) for r in known))
 
 
+@functools.lru_cache(maxsize=64)
+def _quad_bias(function):
+    """eps = 2 * P(0) - 1 of f's quadruple sum (boolfn.p_spectrum), exact,
+    or None for an unbalanced f, whose P spectrum assumes balance."""
+    if not function.is_balanced:
+        return None
+    return 2 * p_spectrum(function).p0 - 1
+
+
+def _sizes(bias):
+    """True where a bias sizes a stage: known and positive."""
+    return bias is not None and bias > 0
+
+
+def _z_target(m1):
+    """The truth's planned z among 2**m1 candidates: their noise maximum,
+    sqrt(2 * m1 * ln 2), plus Z_MARGIN."""
+    return math.sqrt(2 * m1 * math.log(2)) + Z_MARGIN
+
+
 def _stage(spec, order, idx, blowup):
     """Scored stage idx of the plan that targets the registers in
-    `order`; some register must follow it."""
+    `order`; some register must follow it.
+
+    The paper's bound is m1 * 2**(2n + 1) samples of 2**n1 equations.
+    The stage plans S = ceil((z / eps)**2) samples instead, z its
+    _z_target, so the truth's expected z reaches z, capped at the bound;
+    an unbalanced f or a bias eps <= 0 keeps the bound."""
     shared = _stage_fields(spec, order, idx)
-    target, m1 = shared["target"], shared["m1"]
-    if shared["n1"] == 0:
+    target, m1, n1 = shared["target"], shared["m1"], shared["n1"]
+    if n1 == 0:
         raise ValidationError(
             f"register {target} feeds no inputs and cannot be scored")
     samples = m1 << (2 * spec.n + 1)
-    raw = (samples << shared["n1"]) << shared["n_known"]
+    bias = _quad_bias(spec.function)
+    planned = samples
+    if _sizes(bias):
+        planned = min(samples, math.ceil((_z_target(m1) / bias) ** 2))
+    raw = (samples << n1) << shared["n_known"]
     m2 = shared["m2"]
     # the weight-4 multiples of degree up to L offer sum(L - t3), about
     # L**4 / (24 * 2**m2) relations, so L = (24 * raw * 2**m2)**(1/4)
@@ -308,7 +375,7 @@ def _stage(spec, order, idx, blowup):
         **shared, samples_required=samples,
         keystream_single=raw + math.ceil(density_bound(m2)),
         keystream_multi=math.ceil((24 * raw * 2.0 ** m2) ** (1 / 4)),
-        blowup=blowup)
+        blowup=blowup, bias=bias, equations_planned=planned << n1)
 
 
 def _split_inputs(spec, known):
@@ -419,9 +486,12 @@ def plan(spec, order=None):
     search or harvest; so it does for a register whose every input f
     ignores, which no keystream bit determines.
 
-    The autocorrelation peak delta of the combining function feeds the
-    worst-case sample counts: the guaranteed spectrum gap shrinks as
-    (1 - delta/2**n)**2, so the sample cost grows by its inverse square.
+    Each ScoredStage harvests for the relations that f's exact bias
+    needs (_stage), and keeps the paper's generic figures, keystream
+    included, as its bound.  The autocorrelation peak delta of the
+    combining function feeds the worst-case sample counts: the
+    guaranteed spectrum gap shrinks as (1 - delta/2**n)**2, so the
+    sample cost grows by its inverse square.
     """
     if order is None:
         order = tuple(range(len(spec.lfsrs)))
@@ -1107,7 +1177,9 @@ def _collapse_rows(spec, stage, patterns, bits, window):
     reaches before nvars rows, so the first slab ends once it holds
     nvars rows plus FINAL_WINDOW_EXTRA (the window's own margin past its
     planned equations); later ones fill _COLLAPSE_SLAB bytes, as does
-    the first when that is less.
+    the first when that is less.  Rows come in time order, each step's
+    in its annihilators' order, so the rows read up to any point are
+    those of a prefix of the keystream.
     """
     nvars = stage.monomials - 1
     known_in, open_in = _split_inputs(spec, stage.known)
@@ -1132,15 +1204,20 @@ def _collapse_rows(spec, stage, patterns, bits, window):
             points[:, subsets[:, -1]] = np.bitwise_xor.reduce(
                 words[:, members], axis=2)
         slab = keys[lo:hi]
-        rows = np.concatenate([
-            equations[key >> 1][key & 1][:, points[slab == key]].reshape(
-                -1, nvars + 1) for key in np.unique(slab).tolist()])
+        # one gather per key, grouped by annihilator, then by step
+        groups = [(equations[key >> 1][key & 1], np.flatnonzero(slab == key))
+                  for key in np.unique(slab).tolist()]
+        rows = np.concatenate([eq[:, points[at]].reshape(-1, nvars + 1)
+                               for eq, at in groups])
         # in place from the largest sets down, as a set's subsets are
         # no larger than it
         for _, subsets in reversed(sets):
             rows[:, subsets[:, -1]] = np.bitwise_xor.reduce(rows[:, subsets],
                                                             axis=2)
-        packed = np.packbits(rows, axis=1, bitorder="little")
+        # emitted in time order: a stable sort on each row's step
+        packed = np.packbits(rows, axis=1, bitorder="little")[np.argsort(
+            np.concatenate([np.tile(at, len(eq)) for eq, at in groups]),
+            kind="stable")]
         raw, width = packed.tobytes(), packed.shape[1]
         for at in range(0, len(raw), width):
             yield int.from_bytes(raw[at:at + width], "little")
@@ -1399,9 +1476,9 @@ def run_attack(spec, ks, attack_plan=None, multiples=None, top_k=DEFAULT_BEAM,
             raw = harvests[idx]
             eqs = filter_known(spec, raw, known)
             warnings = ()
-            if eqs.total < stage.equations_required:
+            if eqs.total < stage.equations_planned:
                 warnings = (f"only {eqs.total} relations survive filtering, "
-                            f"below the planned {stage.equations_required}",)
+                            f"below the planned {stage.equations_planned}",)
             ranked = score_stage(spec, stage.target, eqs, top_k,
                                  max(0, stage.m1 - table_bits))
             result.reports.append(StageReport(

@@ -77,18 +77,21 @@ def poly_gcd(a, b):
 
 
 def x_power_mod(t, m):
-    """X**t mod m by square and multiply; m must have degree >= 1."""
+    """X**t mod m, reading t's bits from the top; m must have degree >= 1.
+
+    Each bit squares the residue, which in GF(2)[X] spreads its bits
+    apart (read in binary, written in base 4), shifts it once on a 1 bit
+    and reduces it; no polynomial product runs."""
     if t < 0:
         raise ValidationError(f"negative exponent {t}")
-    if poly_degree(m) < 1:
+    l = poly_degree(m)
+    if l < 1:
         raise ValidationError("modulus must have degree >= 1")
     result = 1
-    base = poly_rem(2, m)
-    while t:
-        if t & 1:
-            result = poly_mulmod(result, base, m)
-        base = poly_mulmod(base, base, m)
-        t >>= 1
+    for bit in format(t, "b"):
+        result = int(format(result, "b"), 4) << (bit == "1")
+        while (shift := result.bit_length() - 1 - l) >= 0:
+            result ^= m << shift
     return result
 
 

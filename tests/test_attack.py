@@ -6,6 +6,7 @@ filter) where everything is small enough for exact oracles.
 
 import functools
 import math
+import warnings
 from fractions import Fraction
 from itertools import accumulate, combinations, groupby, permutations
 
@@ -80,8 +81,11 @@ DESCRIBE_TOY = "\n".join([
     'attack plan, target order [0, 1, 2]',
     'stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, '
     'n2=4)',
-    '  samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   '
-    '(n1=2)',
+    "  paper's bound: samples S = 106496 = 2^16.70   equations N = "
+    "425984 = 2^18.70   (n1=2)",
+    '  planned: N = 154216 = 2^17.23 from bias eps = 43/1024 = 2^-4.57',
+    '  z: target 8.25 (noise maximum 4.25 + 4), predicted 9.22 on 192770 '
+    'raw relations',
     '  worst-case spectrum-gap figures: S = 697933, N = 2791729',
     '  keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many '
     'multiples -> 1810 bits = 2^10.82 (226 B); planned 1810 bits = '
@@ -89,8 +93,11 @@ DESCRIBE_TOY = "\n".join([
     '  search: time 2^18.70, memory 2^13.00 counters; tradeoff endpoint '
     'time 2^30.70, memory 2^17.70',
     'stage 2: register 1 (m1=11)  known=[0]  cancelled=[2] (m2=9, n2=2)',
-    '  samples S = 90112 = 2^16.46   equations N = 360448 = 2^18.46   '
-    '(n1=2)',
+    "  paper's bound: samples S = 90112 = 2^16.46   equations N = "
+    "360448 = 2^18.46   (n1=2)",
+    '  planned: N = 141756 = 2^17.11 from bias eps = 43/1024 = 2^-4.57',
+    '  z: target 7.91 (noise maximum 3.91 + 4), predicted 8.84 on 708780 '
+    'raw relations',
     '  worst-case spectrum-gap figures: S = 590559, N = 2362233',
     '  keystream: one multiple -> 1441807 bits = 2^20.46 (176 KB); many '
     'multiples -> 365 bits = 2^8.51 (46 B); planned 365 bits = 2^8.51 '
@@ -120,8 +127,11 @@ DESCRIBE_FULL_012 = "\n".join([
     'attack plan, target order [0, 1, 2]',
     'stage 1: register 0 (m1=29)  known=[]  cancelled=[1, 2] (m2=68, '
     'n2=6)',
-    '  samples S = 15204352 = 2^23.86   equations N = 121634816 = '
-    '2^26.86   (n1=3)',
+    "  paper's bound: samples S = 15204352 = 2^23.86   equations N = "
+    "121634816 = 2^26.86   (n1=3)",
+    '  planned: N = 3503784 = 2^21.74 from bias eps = 1/64 = 2^-6.00',
+    '  z: target 10.34 (noise maximum 6.34 + 4), predicted 11.56 on '
+    '4379730 raw relations',
     '  worst-case spectrum-gap figures: S = 243269632, N = 1946157056',
     '  keystream: one multiple -> 133733283 bits = 2^26.99 (15.94 MB); '
     'many multiples -> 30466827 bits = 2^24.86 (3.63 MB); planned '
@@ -157,8 +167,11 @@ DESCRIBE_FULL_120 = "\n".join([
     'attack plan, target order [1, 2, 0]',
     'stage 1: register 1 (m1=31)  known=[]  cancelled=[2, 0] (m2=66, '
     'n2=6)',
-    '  samples S = 16252928 = 2^23.95   equations N = 130023424 = '
-    '2^26.95   (n1=3)',
+    "  paper's bound: samples S = 16252928 = 2^23.95   equations N = "
+    "130023424 = 2^26.95   (n1=3)",
+    '  planned: N = 3651000 = 2^21.80 from bias eps = 1/64 = 2^-6.00',
+    '  z: target 10.56 (noise maximum 6.56 + 4), predicted 11.80 on '
+    '4563750 raw relations',
     '  worst-case spectrum-gap figures: S = 260046848, N = 2080374784',
     '  keystream: one multiple -> 137644981 bits = 2^27.04 (16.41 MB); '
     'many multiples -> 21905499 bits = 2^24.38 (2.61 MB); planned '
@@ -166,8 +179,11 @@ DESCRIBE_FULL_120 = "\n".join([
     '  search: time 2^38.95, memory 2^31.00 counters; tradeoff endpoint '
     'time 2^56.95, memory 2^25.95',
     'stage 2: register 2 (m1=37)  known=[1]  cancelled=[0] (m2=29, n2=3)',
-    '  samples S = 19398656 = 2^24.21   equations N = 155189248 = '
-    '2^27.21   (n1=3)',
+    "  paper's bound: samples S = 19398656 = 2^24.21   equations N = "
+    "155189248 = 2^27.21   (n1=3)",
+    '  planned: N = 4082512 = 2^21.96 from bias eps = 1/64 = 2^-6.00',
+    '  z: target 11.16 (noise maximum 7.16 + 4), predicted 12.48 on '
+    '40825120 raw relations',
     '  worst-case spectrum-gap figures: S = 310378496, N = 2483027968',
     '  keystream: one multiple -> 1241515461 bits = 2^30.21 (148.00 MB); '
     'many multiples -> 63243 bits = 2^15.95 (8 KB); planned 63243 bits = '
@@ -314,6 +330,83 @@ def test_plan_worstcase_blowup_uses_autocorrelation(toy):
     s1 = ap.stages[0]
     factor = (1 - 24 / 64) ** -4  # toy filter delta is 24
     assert s1.samples_worstcase == math.ceil(s1.samples_required * factor)
+
+
+def test_plan_sizes_stage_1_from_the_exact_bias():
+    # eps = 43/1024 for the toy filter; z = sqrt(2 m1 ln 2) + 4 gives
+    # S = ceil((z / eps)**2) samples of 4 equations, times RAW_MARGIN
+    toy, mid = ladder_specs()[0]
+    for spec, m1, samples, raw in [(toy, 13, 38554, 192770),
+                                   (mid, 24, 54111, 270555)]:
+        stage = plan(spec).stages[0]
+        assert stage.bias == Fraction(43, 1024)
+        assert stage.z_target == math.sqrt(2 * m1 * math.log(2)) + 4
+        assert stage.equations_planned == samples << 2
+        assert stage.raw_target == raw
+        assert stage.predicted_z == pytest.approx(
+            43 / 1024 * math.sqrt(raw / 4))
+    # the paper's generic figures stay the bound
+    assert plan(toy).stages[0].equations_required == 13 << 15
+
+
+def test_plan_never_plans_above_the_papers_bound():
+    fixed, seeded = ladder_specs()
+    for spec in (*fixed, *seeded, *survey(), presets.generator_29_31_37()):
+        for stage in plan(spec).stages:
+            if isinstance(stage, attack.ScoredStage):
+                assert stage.equations_planned <= stage.equations_required
+                assert 0 < stage.equations_planned
+                assert stage.equations_planned % (1 << stage.n1) == 0
+
+
+def test_plan_keeps_the_papers_bound_without_a_positive_bias(
+        toy, monkeypatch):
+    # an unbalanced f (one output flipped) has no P spectrum to size
+    # from, and plan warns of nothing; a bias of 0 or one too small to
+    # beat the bound keeps it too
+    table = toy.function.table.copy()
+    table[0] ^= 1
+    unbalanced = GeneratorSpec(toy.lfsrs, BooleanFunction(toy.n, table),
+                               toy.wiring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ap = plan(unbalanced)
+    stage = ap.stages[0]
+    assert stage.bias is None and stage.predicted_z is None
+    assert stage.equations_planned == stage.equations_required
+    assert "planned: the paper's bound; f is unbalanced" in ap.describe()
+    for bias, shown in [(Fraction(0), "bias eps = 0 is not positive"),
+                        (Fraction(1, 1 << 20), "N = 425984 = 2^18.70")]:
+        monkeypatch.setattr(attack, "_quad_bias", lambda f, bias=bias: bias)
+        ap = plan(toy)
+        stage = ap.stages[0]
+        assert stage.equations_planned == stage.equations_required
+        assert stage.raw_target == math.ceil(
+            stage.equations_required * attack.RAW_MARGIN)
+        assert shown in ap.describe()
+
+
+def test_plan_predicts_the_truths_z_on_toy_keys(toy):
+    # the truth's measured z over 32 seeded keys lies within 20% of the
+    # plan's prediction, eps * sqrt(relations / 2**n1), in the median
+    ap = plan(toy)
+    stage = ap.stages[0]
+    ks_len = 1 << 19
+    mults = {0: search_stage_multiples(toy, stage, ks_len)[1]}
+    rng = np.random.default_rng(36)
+    measured = []
+    for _ in range(32):
+        state = gf2.random_state(toy, rng)
+        result = run_attack(toy, keystream(toy, state, ks_len), ap,
+                            multiples=mults)
+        assert result.state == state
+        report = result.reports[0]
+        assert report.relations_used == stage.raw_target
+        truth = toy.split_state(state)[0]
+        measured += [c.zscore for c in report.candidates
+                     if c.candidate == truth]
+    assert len(measured) == 32
+    assert abs(np.median(measured) / stage.predicted_z - 1) < 0.2
 
 
 def linear_structure_toy(toy):
@@ -1264,14 +1357,13 @@ def annihilator_tables(table, degree):
                   & 1 for y in range(len(table))) for row in basis]
 
 
-@pytest.mark.parametrize("which", ["one-register", "degree-3"])
-def test_collapse_rows_are_the_anf_of_each_composed_annihilator(
-        toy, monkeypatch, which):
-    # for every keystream bit of the window and every annihilator g it
-    # selects, h(s) = g(open inputs at s) over all 2**m open states, in
-    # plain Python: its ANF has nothing above the collapse's degree, and
-    # its part up to that degree, in the collapse's variable order, is
-    # one row; the rows are exactly these, as a multiset
+def anf_case(toy, monkeypatch, which):
+    """(spec, stage, patterns, bits, rows) of a one-register collapse:
+    for every keystream bit of the window in time order, and every
+    annihilator g it selects in its basis order, h(s) = g(open inputs
+    at s) over all 2**m open states, in plain Python.  Its ANF has
+    nothing above the collapse's degree, and its part up to that
+    degree, in the collapse's variable order, is one row."""
     if which == "one-register":
         spec, stage = toy, last_register_collapse(toy, monkeypatch)
     else:
@@ -1310,8 +1402,32 @@ def test_collapse_rows_are_the_anf_of_each_composed_annihilator(
                            if s.bit_count() > stage.degree)
             want.append(sum(anf[s] << i for s, i in variable.items())
                         | anf[0] << nvars)
+    return spec, stage, patterns, bits, want
+
+
+@pytest.mark.parametrize("which", ["one-register", "degree-3"])
+def test_collapse_rows_are_the_anf_of_each_composed_annihilator(
+        toy, monkeypatch, which):
+    # the rows are exactly anf_case's, as a multiset
+    spec, stage, patterns, bits, want = anf_case(toy, monkeypatch, which)
     got = attack._collapse_rows(spec, stage, patterns, bits, stage.window)
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("rows", [None, 50])
+def test_collapse_rows_come_in_time_order(toy, monkeypatch, rows):
+    # anf_case's rows in its order: keystream bit by bit, each bit's
+    # annihilators in their basis order, across slabs of the default
+    # budget and of 50 rows
+    spec, stage, patterns, bits, want = anf_case(toy, monkeypatch,
+                                                 "degree-3")
+    if rows is not None:
+        monkeypatch.setattr(attack, "_COLLAPSE_SLAB",
+                            rows * stage.monomials)
+    slabs = spy_slabs(monkeypatch)
+    assert list(attack._collapse_rows(spec, stage, patterns, bits,
+                                      stage.window)) == want
+    assert len(slabs) > 1
 
 
 def rows_per_step(spec, stage, patterns, bits):
@@ -2317,12 +2433,13 @@ def test_run_attack_cache_serves_a_shorter_keystream_in_full(
             reports = exc.result.reports
     scored = {r.stage: r.relations_raw for r in reports if r.multiples}
     assert scored == {0: ap.stages[0].raw_target, 1: ap.stages[1].raw_target}
-    assert sorted(scored.values()) == [532480, 1802240]
+    assert sorted(scored.values()) == [192770, 708780]
     assert caplog.text.count("cached multiples offer") == 2
 
 
 def test_run_attack_harvests_a_repeated_multiple_once(toy):
-    ks = toy_keystream(toy)
+    # 2**17 bits, so stage 1 draws on more than one multiple
+    ks = toy_keystream(toy, 1 << 17)
     ap = plan(toy)
     _, m0 = search_stage_multiples(toy, ap.stages[0], len(ks))
 
@@ -2369,7 +2486,7 @@ def random_primitive(rng, length):
 def test_search_stage_multiples_skips_multiples_that_cancel_the_target():
     # on 5/4/3 bits, register 0's feedback divides many low multiples of
     # the product of registers 1 and 2 too; such a multiple adds the same
-    # counts to every candidate
+    # counts to every candidate.  2**11 bits take the ladder past some
     rng = np.random.default_rng(3)
     spec = GeneratorSpec(tuple(
         LfsrSpec(l, random_primitive(rng, l), (0, 1)) for l in (5, 4, 3)),
@@ -2377,7 +2494,7 @@ def test_search_stage_multiples_skips_multiples_that_cancel_the_target():
     stage = plan(spec).stages[0]
     group = [spec.lfsrs[r] for r in stage.group2]
     target = [spec.lfsrs[stage.target]]
-    modulus, chosen = search_stage_multiples(spec, stage, 1 << 12)
+    modulus, chosen = search_stage_multiples(spec, stage, 1 << 11)
     assert any(verify_multiple(m, target)
                for m in find_weight4(modulus, chosen[-1].t3).found)
     assert all(verify_multiple(m, group) and not verify_multiple(m, target)

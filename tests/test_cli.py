@@ -164,7 +164,11 @@ def test_attack_plan_only_prints_parameters(toy_spec_file, capsys):
 PLAN_ONLY_TOY = """\
 attack plan, target order [0, 1, 2]
 stage 1: register 0 (m1=13)  known=[]  cancelled=[1, 2] (m2=20, n2=4)
-  samples S = 106496 = 2^16.70   equations N = 425984 = 2^18.70   (n1=2)
+  paper's bound: samples S = 106496 = 2^16.70   equations N = 425984 = \
+2^18.70   (n1=2)
+  planned: N = 154216 = 2^17.23 from bias eps = 43/1024 = 2^-4.57
+  z: target 8.25 (noise maximum 4.25 + 4), predicted 9.22 on 192770 raw \
+relations
   worst-case spectrum-gap figures: S = 697933, N = 2791729
   keystream: one multiple -> 426169 bits = 2^18.70 (52 KB); many multiples \
 -> 1810 bits = 2^10.82 (226 B); planned 1810 bits = 2^10.82 (226 B)

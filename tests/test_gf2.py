@@ -114,6 +114,30 @@ def test_x_power_is_multiplicative(rng):
         assert lhs == rhs
 
 
+def x_power_mod_reference(t, m):
+    """X**t mod m by square and multiply through poly_mulmod, low bit
+    first: the oracle of x_power_mod."""
+    result, base = 1, poly_rem(2, m)
+    while t:
+        if t & 1:
+            result = poly_mulmod(result, base, m)
+        base = poly_mulmod(base, base, m)
+        t >>= 1
+    return result
+
+
+def test_x_power_mod_matches_square_and_multiply(rng):
+    # random moduli of every degree 1..64 (the constant term free, so
+    # X itself divides some), at t = 0, 1, 2**64 and random t
+    for degree in range(1, 65):
+        for _ in range(3):
+            low = int.from_bytes(rng.bytes(8), "little") % (1 << degree)
+            m = 1 << degree | low
+            for t in (0, 1, 1 << 64, int(rng.integers(0, 1 << 40)),
+                      int(rng.integers(0, 1 << 62)) << 40):
+                assert x_power_mod(t, m) == x_power_mod_reference(t, m)
+
+
 def test_poly_from_exponents():
     assert poly_from_exponents([0, 1, 3]) == P3
     assert poly_from_exponents([]) == 0
